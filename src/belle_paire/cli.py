@@ -8,6 +8,7 @@ arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -83,15 +84,13 @@ class RunConfig:
     grid: int
     eps: Fraction
     seed: int
-    jobs: int
     format: str
     raw: argparse.Namespace
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         return cls(args.cmd, args.window, args.grid,
-                   parse_frac(args.eps), args.seed, args.jobs, args.format,
-                   args)
+                   parse_frac(args.eps), args.seed, args.format, args)
 
 
 def _emit(config: RunConfig, payload: dict, csv_table=None) -> None:
@@ -351,16 +350,14 @@ def cmd_search(config: RunConfig) -> int:
         except ValueError:
             raise CliInputError("--pure takes 'm,subset_size'") from None
         try:
-            res = exhaustive_pair_search_pure(m, config.grid, subset,
-                                              jobs=config.jobs)
+            res = exhaustive_pair_search_pure(m, config.grid, subset)
         except SearchGuardExceeded as e:
             raise CliPrecondition(str(e)) from None
         key = None
     else:
         gens = _parse_subspace(raw.subspace, raw.dim)
         try:
-            res = exhaustive_pair_search(raw.q, raw.dim, config.grid, gens,
-                                         jobs=config.jobs)
+            res = exhaustive_pair_search(raw.q, raw.dim, config.grid, gens)
         except SearchGuardExceeded as e:
             raise CliPrecondition(str(e)) from None
         key = raw.baseline_key
@@ -480,7 +477,9 @@ def cmd_verify(config: RunConfig) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gives a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="belle-paire",
         description="Desk-scale simulation and verification for randomized "
@@ -493,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="error budget as an exact rational 'p/q'")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled instances (default 0)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for search loops (default 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="cmd", required=True)
 

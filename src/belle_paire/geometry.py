@@ -1,11 +1,14 @@
 """Finite-geometry counting bounds and a tiny-scale exhaustive gap search.
 
 The symbolic bounds (1/(2n), the delta/k codimension law) are exact
-formulas; the search oracle enumerates every grid-constant assignment of
-automorphisms at scales small enough to exhaust, and reports the minimal
-two-sided image gap as plain data.  No finite run instantiates the
-infinite-codimension hypotheses of the theory; the two kinds of output are
-kept separate on purpose.
+formulas; the search oracle finds the minimal two-sided image gap over
+every grid-constant assignment of automorphisms and reports it as plain
+data.  The gap is a maximum of two column sums, so the search enumerates
+the assignments of one column and runs an exact DP over the reachable
+column sums; its guard bounds the per-column assignments, not the
+candidate space.  No finite run instantiates the infinite-codimension
+hypotheses of the theory; the two kinds of output are kept separate on
+purpose.
 """
 from __future__ import annotations
 
@@ -36,12 +39,13 @@ __all__ = [
 
 
 class SearchGuardExceeded(ValueError):
-    """The candidate space is too large to exhaust."""
+    """A column has too many assignments to enumerate."""
 
     def __init__(self, count: int, guard: int):
         self.count = count
         self.guard = guard
-        super().__init__(f"{count} candidates exceed the search guard {guard}")
+        super().__init__(f"{count} column assignments exceed the search "
+                         f"guard {guard}")
 
 
 def closed_set_size(geometry: GeometrySpec, d: int) -> int:
@@ -106,7 +110,8 @@ def epsilon_lower_bound(n: int, modular: bool) -> Fraction:
 def affine_points(q: int, d: int, ambient: int | None = None) -> frozenset:
     """F_q^d inside F_q^ambient (zero-padded coordinates)."""
     ambient = d if ambient is None else ambient
-    assert ambient >= d
+    if ambient < d:
+        raise ValueError(f"ambient dimension {ambient} is below {d}")
     pad = (0,) * (ambient - d)
     return frozenset(tuple(p) + pad for p in iter_product(range(q), repeat=d))
 
@@ -114,7 +119,8 @@ def affine_points(q: int, d: int, ambient: int | None = None) -> frozenset:
 def projective_points(q: int, d: int, ambient: int | None = None) -> frozenset:
     """Lines of F_q^{d+1}, as their first-nonzero-is-1 representatives."""
     ambient = d if ambient is None else ambient
-    assert ambient >= d
+    if ambient < d:
+        raise ValueError(f"ambient dimension {ambient} is below {d}")
     pad = (0,) * (ambient - d)
     pts = set()
     for v in iter_product(range(q), repeat=d + 1):
@@ -131,7 +137,8 @@ def subspace_span(q: int, gens) -> frozenset:
     if not gens:
         return frozenset()
     width = len(gens[0])
-    assert all(len(g) == width for g in gens)
+    if any(len(g) != width for g in gens):
+        raise ValueError("generators must all have the same length")
     out = set()
     for coeffs in iter_product(range(q), repeat=len(gens)):
         v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % q
@@ -217,7 +224,8 @@ SEARCH_GUARD = 10_000_000
 
 def gl_matrices(dim: int, q: int) -> list:
     """All invertible dim x dim matrices over F_q, in lexicographic order."""
-    assert is_prime(q)
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     mats = []
     for flat in iter_product(range(q), repeat=dim * dim):
         rows = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
@@ -250,7 +258,7 @@ def _mat_apply(mat, v, q):
 class SearchResult:
     gap: Fraction
     candidates_checked: int
-    witness: tuple  # per-cell automorphism labels, row-major
+    witness: tuple  # per column, one automorphism label per row
     forward: Fraction
     backward: Fraction
 
@@ -259,71 +267,61 @@ class SearchResult:
                 "forward": self.forward, "backward": self.backward}
 
 
-def _combo_at(idx: int, m: int, g: int) -> tuple:
-    """Decode a candidate index into per-column assignment indices."""
-    out = [0] * g
-    for pos in range(g - 1, -1, -1):
-        idx, out[pos] = divmod(idx, m)
-    return tuple(out)
+def _pareto_front(pairs) -> list:
+    """The (F, W) pairs that no other pair beats on both sums."""
+    front = []
+    for f, w in sorted(pairs):
+        if not front or w < front[-1][1]:
+            front.append((f, w))
+    return front
 
 
-def _chunk_best(per, grid: int, start: int, stop: int):
-    """Best (gap, index, fwd, bwd) over a contiguous candidate range."""
-    m = len(per)
-    best = None
-    for idx in range(start, stop):
-        combo = _combo_at(idx, m, grid)
-        f = sum((per[c][0] for c in combo), Frac(0)) / grid
-        w = sum((per[c][1] for c in combo), Frac(0)) / grid
-        gap = max(f, w)
-        if best is None or gap < best[0]:
-            best = (gap, idx, f, w)
-    return best
-
-
-def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn,
-                  jobs: int = 1):
+def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
     """Shared search core: minimize the two-sided gap over cell assignments.
 
     cells_options: list of automorphism labels usable in every cell;
     points: the probe alphabet; targets: the comparison alphabet; apply_fn:
-    (label, point) -> point.  Columns are independent, so per-column data
-    is computed once and candidates are scanned as index tuples; ties go to
-    the lowest index, so the result is deterministic for any jobs count.
+    (label, point) -> point.  A candidate is one column assignment (grid
+    rows) per column, and its gap is max(sum F_j, sum W_j) / grid^2 for
+    integer per-column numerators F_j, W_j.  Every column assignment is
+    enumerated once; a DP over the Pareto front of reachable (F, W) sums
+    then gives the exact minimum, and the witness is rebuilt column by
+    column as the lowest-index candidate that attains it.
     """
-    count = len(cells_options) ** (grid * grid)
-    if count > SEARCH_GUARD:
-        raise SearchGuardExceeded(count, SEARCH_GUARD)
-    # one column = grid rows; enumerate its assignments once
-    col_assignments = list(iter_product(cells_options, repeat=grid))
-    per = []  # (forward_j, backward_j) minima per assignment
-    for rows in col_assignments:
-        fwd = max(min(Fraction(sum(apply_fn(g, a) != b for g in rows), grid)
-                      for b in targets) for a in points)
-        bwd = max(min(Fraction(sum(apply_fn(g, a) != b for g in rows), grid)
-                      for a in points) for b in targets)
-        per.append((fwd, bwd))
-    total = len(col_assignments) ** grid
-    if jobs > 1 and total > jobs:
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-total // jobs)
-        spans = [(s, min(s + step, total)) for s in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_chunk_best, [per] * len(spans),
-                                    [grid] * len(spans),
-                                    [s for s, _ in spans],
-                                    [t for _, t in spans]))
-        best = min(r for r in results if r is not None)
-    else:
-        best = _chunk_best(per, grid, 0, total)
-    gap, idx, f, w = best
-    witness = tuple(col_assignments[c]
-                    for c in _combo_at(idx, len(col_assignments), grid))
-    return SearchResult(gap, count, witness, f, w)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    columns = len(cells_options) ** grid
+    if columns > SEARCH_GUARD:
+        raise SearchGuardExceeded(columns, SEARCH_GUARD)
+    first = {}  # (F_j, W_j) -> lowest-index column assignment with it
+    for rows in iter_product(cells_options, repeat=grid):
+        images = {a: [apply_fn(g, a) for g in rows] for a in points}
+        miss = {(a, b): sum(x != b for x in images[a])
+                for a in points for b in targets}
+        fwd = max(min(miss[a, b] for b in targets) for a in points)
+        bwd = max(min(miss[a, b] for a in points) for b in targets)
+        first.setdefault((fwd, bwd), rows)
+    fronts = [[(0, 0)]]  # fronts[k]: Pareto front of sums over k columns
+    for _ in range(grid):
+        fronts.append(_pareto_front({(f + a, w + b) for f, w in fronts[-1]
+                                     for a, b in first}))
+    best = min(max(p) for p in fronts[grid])
+    witness, f, w = [], 0, 0
+    for left in range(grid - 1, -1, -1):
+        # dict order is first-seen order, so this is the lowest index
+        a, b = next((a, b) for a, b in first
+                    if any(f + a + x <= best and w + b + y <= best
+                           for x, y in fronts[left]))
+        witness.append(first[a, b])
+        f, w = f + a, w + b
+    cells = grid * grid
+    return SearchResult(Fraction(best, cells),
+                        len(cells_options) ** cells, tuple(witness),
+                        Fraction(f, cells), Fraction(w, cells))
 
 
-def exhaustive_pair_search(q: int, dim: int, grid: int, subspace_gens,
-                           jobs: int = 1) -> SearchResult:
+def exhaustive_pair_search(q: int, dim: int, grid: int,
+                           subspace_gens) -> SearchResult:
     """Minimal two-sided image gap over all grid-constant automorphism maps.
 
     Probes are V-constants per omega strip; the comparison class is
@@ -337,15 +335,15 @@ def exhaustive_pair_search(q: int, dim: int, grid: int, subspace_gens,
         raise ValueError("subspace must contain at least the origin")
     mats = gl_matrices(dim, q)
     return _min_grid_gap(mats, grid, points, sorted(wset),
-                         lambda m, v: _mat_apply(m, v, q), jobs)
+                         lambda m, v: _mat_apply(m, v, q))
 
 
-def exhaustive_pair_search_pure(m: int, grid: int, subset_size: int,
-                                jobs: int = 1) -> SearchResult:
+def exhaustive_pair_search_pure(m: int, grid: int,
+                                subset_size: int) -> SearchResult:
     """Pure-set analogue on [0,m): candidates Sym(m), targets [0,subset_size)."""
     if not 0 < subset_size <= m:
         raise ValueError("subset must be a nonempty part of the carrier")
     from itertools import permutations
     perms = [tuple(p) for p in permutations(range(m))]
     return _min_grid_gap(perms, grid, list(range(m)),
-                         list(range(subset_size)), lambda p, a: p[a], jobs)
+                         list(range(subset_size)), lambda p, a: p[a])

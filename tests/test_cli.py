@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import belle_paire
 from belle_paire.cli import main
 
 
@@ -145,10 +150,46 @@ def test_search_full_subspace_gap_zero(capsys):
     assert blob["gap"] == "0"
 
 
-def test_search_jobs_flag_same_output(capsys):
-    _, a = run(capsys, "--grid", "2", "search")
-    _, b = run(capsys, "--grid", "2", "--jobs", "2", "search")
+def test_search_output_stable_across_calls(capsys):
+    # the parser is built once per process; each call must parse afresh
+    _, a = run(capsys, "search")
+    run(capsys, "--grid", "1", "search", "--pure", "2,1")
+    _, b = run(capsys, "search")
     assert a == b
+    assert json.loads(b)["baseline_key"] == "q2_dim2_grid2_span_e0"
+
+
+@pytest.mark.parametrize("argv,gap", [
+    (["--grid", "3", "search"], "2/3"),
+    (["--grid", "4", "search"], "3/4"),
+    (["--grid", "2", "search", "--q", "3"], "1"),
+])
+def test_search_larger_scales_match_baseline(capsys, argv, gap):
+    code, blob = run_json(capsys, *argv)
+    assert code == 0
+    assert blob["baseline"] == "match"
+    assert blob["gap"] == gap
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "0", "search"],
+    ["--grid", "0", "search", "--pure", "3,1"],
+    ["search", "--q", "4"],
+    ["search", "--q", "1"],
+])
+def test_search_bad_input_exits_2(capsys, argv):
+    code, _ = run(capsys, *argv)
+    assert code == 2
+
+
+def test_search_non_prime_q_exits_2_under_optimize():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "belle_paire.cli",
+                           "search", "--q", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_search_guard_exits_3(capsys):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from belle_paire.geometry import (
     projective_points,
     standard_chain,
     subspace_span,
+    _min_grid_gap,
 )
 from belle_paire.measure import Frac, RationalSet
 from belle_paire.serialize import load_baseline, parse_frac
@@ -50,6 +53,18 @@ def test_subspace_span():
     assert w == frozenset({(0, 0), (1, 0)})
     assert len(subspace_span(3, [(1, 0), (0, 1)])) == 9
     assert subspace_span(2, []) == frozenset()
+
+
+def test_point_enumerations_validate_without_assert():
+    # ValueError, not assert, so the checks also hold under python -O
+    with pytest.raises(ValueError):
+        affine_points(2, 3, ambient=2)
+    with pytest.raises(ValueError):
+        projective_points(2, 3, ambient=2)
+    with pytest.raises(ValueError):
+        subspace_span(2, [(1, 0), (1,)])
+    with pytest.raises(ValueError):
+        gl_matrices(2, 4)
 
 
 @pytest.mark.parametrize("q,delta,k", [
@@ -179,15 +194,98 @@ def test_search_deterministic_across_runs():
     assert a == b
 
 
-def test_search_jobs_deterministic():
-    a = exhaustive_pair_search(2, 2, 2, [(1, 0)])
-    b = exhaustive_pair_search(2, 2, 2, [(1, 0)], jobs=3)
-    assert a == b
+def brute_force_search(options, grid, points, targets, apply_fn):
+    """Reference: every cell assignment in index order, integer numerators.
+
+    Cells run column by column, grid rows each; the first candidate with
+    the least gap is the witness, as a tuple of columns.
+    """
+    best = None
+    for cells in product(options, repeat=grid * grid):
+        cols = tuple(cells[j * grid:(j + 1) * grid] for j in range(grid))
+        f = w = 0
+        for col in cols:
+            miss = {(a, b): sum(apply_fn(g, a) != b for g in col)
+                    for a in points for b in targets}
+            f += max(min(miss[a, b] for b in targets) for a in points)
+            w += max(min(miss[a, b] for a in points) for b in targets)
+        if best is None or max(f, w) < best[0]:
+            best = (max(f, w), cols, f, w)
+    n = grid * grid
+    return (Fraction(best[0], n), best[1], Fraction(best[2], n),
+            Fraction(best[3], n))
+
+
+def _vector_case(q, dim, grid, gens):
+    def apply_fn(mat, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) % q for row in mat)
+    return (gl_matrices(dim, q), grid, sorted(product(range(q), repeat=dim)),
+            sorted(subspace_span(q, gens)), apply_fn)
+
+
+def _pure_case(m, grid, subset):
+    return (list(permutations(range(m))), grid, list(range(m)),
+            list(range(subset)), lambda p, a: p[a])
+
+
+VECTOR_CASES = [(2, 2, g, gens) for g in (1, 2)
+                for gens in ([(1, 0)], [(0, 1)], [(1, 1)], [(1, 0), (0, 1)],
+                             [(0, 0)])]
+VECTOR_CASES += [(q, 1, g, gens) for q, grids in ((2, (1, 2, 3, 4)),
+                                                  (3, (1, 2, 3)), (5, (1, 2)))
+                 for g in grids for gens in ([(1,)], [(0,)])]
+PURE_CASES = [(m, g, s) for m, grids in ((2, (1, 2, 3)), (3, (1, 2)), (4, (1,)))
+              for g in grids for s in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("case", VECTOR_CASES + PURE_CASES, ids=str)
+def test_search_matches_brute_force(case):
+    if len(case) == 4:
+        res = exhaustive_pair_search(*case)
+        ref_case = _vector_case(*case)
+    else:
+        res = exhaustive_pair_search_pure(*case)
+        ref_case = _pure_case(*case)
+    options, grid = ref_case[:2]
+    count = len(options) ** (grid * grid)
+    assert count <= 50_000
+    assert res.candidates_checked == count
+    assert (res.gap, res.witness, res.forward, res.backward) == \
+        brute_force_search(*ref_case)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_search_core_matches_brute_force_on_arbitrary_maps(seed):
+    # arbitrary maps [0,3) -> [0,4) trade forward against backward misses
+    # more than automorphisms do, so the DP's frontier is really exercised
+    rng = random.Random(seed)
+    options = [tuple(rng.randrange(4) for _ in range(3))
+               for _ in range(rng.choice((3, 4, 5, 6)))]
+    targets = sorted(rng.sample(range(4), rng.choice((1, 2, 3))))
+    case = (options, 2, [0, 1, 2], targets, lambda p, a: p[a])
+    res = _min_grid_gap(*case)
+    assert (res.gap, res.witness, res.forward, res.backward) == \
+        brute_force_search(*case)
 
 
 def test_search_guard_trips():
-    with pytest.raises(SearchGuardExceeded):
+    with pytest.raises(SearchGuardExceeded) as exc:
         exhaustive_pair_search(3, 3, 4, [(1, 0, 0)])
+    assert exc.value.count == 11232 ** 4  # |GL(3,3)|^grid: one column
+
+
+def test_search_guard_trips_before_enumerating_columns():
+    def apply_fn(label, point):
+        raise AssertionError("a column was enumerated")
+    with pytest.raises(SearchGuardExceeded):
+        _min_grid_gap(range(SEARCH_GUARD + 1), 1, [0], [0], apply_fn)
+
+
+def test_search_rejects_grid_below_one():
+    with pytest.raises(ValueError):
+        exhaustive_pair_search(2, 2, 0, [(1, 0)])
+    with pytest.raises(ValueError):
+        exhaustive_pair_search_pure(3, 0, 1)
 
 
 def test_pure_search_baseline_grids():

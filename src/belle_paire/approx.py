@@ -60,6 +60,7 @@ class OrbitClassifier:
         self._img: dict = {}     # point -> tau's image of it
         self._ws_cache: dict = {}   # window size -> _Win
         self._pts_cache: dict = {}  # point tuple -> _Win
+        self._validated: set = set()  # window sizes validate_window passed
 
     def tau_image(self, x):
         """tau.apply(x) memoized; every sigma of the family asks for it."""
@@ -68,6 +69,21 @@ class OrbitClassifier:
             y = self.tau.apply(x)
             self._img[x] = y
         return y
+
+    def validate_window(self, n: int) -> None:
+        """tau.validate_window(n) through the tau_image memo, once per n.
+
+        Raises NonInjectiveOnWindow if two window points share an image.
+        """
+        if n in self._validated:
+            return
+        seen = {}
+        for x in self.tau.domain.window(n):
+            y = self.tau_image(x)
+            if y in seen:
+                raise NonInjectiveOnWindow(seen[y], x, y)
+            seen[y] = x
+        self._validated.add(n)
 
     def classify(self, x):
         got = self._cls.get(x)
@@ -354,8 +370,8 @@ def approximate_by_automorphisms(tau: WindowInjection, n: int,
     """The n bijections that jointly disagree with tau at most once per point."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tau.validate_window(256)
     cls = classifier or OrbitClassifier(tau)
+    cls.validate_window(256)
     return [CycleApproxBijection(cls, n, i) for i in range(n)]
 
 

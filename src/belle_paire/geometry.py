@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iter_product
+from math import factorial, prod
 
 from .measure import Frac, RationalSet, _frac
 from .structures import GeometrySpec, is_prime
@@ -234,6 +236,13 @@ def gl_matrices(dim: int, q: int) -> list:
     return mats
 
 
+def _gl_order(dim: int, q: int) -> int:
+    """|GL(dim, q)| = prod_{k<dim} (q^dim - q^k), without enumerating it."""
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    return prod(q ** dim - q ** k for k in range(dim))
+
+
 def _det_nonzero(rows, q: int) -> bool:
     m = [r[:] for r in rows]
     n = len(m)
@@ -276,6 +285,16 @@ def _pareto_front(pairs) -> list:
     return front
 
 
+def _check_guard(n_options: int, grid: int) -> None:
+    """Refuse a grid below 1, or n_options**grid column assignments over
+    SEARCH_GUARD; callers check before enumerating their options."""
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    columns = n_options ** grid
+    if columns > SEARCH_GUARD:
+        raise SearchGuardExceeded(columns, SEARCH_GUARD)
+
+
 def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
     """Shared search core: minimize the two-sided gap over cell assignments.
 
@@ -288,11 +307,7 @@ def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
     then gives the exact minimum, and the witness is rebuilt column by
     column as the lowest-index candidate that attains it.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    columns = len(cells_options) ** grid
-    if columns > SEARCH_GUARD:
-        raise SearchGuardExceeded(columns, SEARCH_GUARD)
+    _check_guard(len(cells_options), grid)
     first = {}  # (F_j, W_j) -> lowest-index column assignment with it
     for rows in iter_product(cells_options, repeat=grid):
         images = {a: [apply_fn(g, a) for g in rows] for a in points}
@@ -333,6 +348,7 @@ def exhaustive_pair_search(q: int, dim: int, grid: int,
     wset = subspace_span(q, [tuple(g) for g in subspace_gens])
     if not wset:
         raise ValueError("subspace must contain at least the origin")
+    _check_guard(_gl_order(dim, q), grid)
     mats = gl_matrices(dim, q)
     return _min_grid_gap(mats, grid, points, sorted(wset),
                          lambda m, v: _mat_apply(m, v, q))
@@ -343,7 +359,7 @@ def exhaustive_pair_search_pure(m: int, grid: int,
     """Pure-set analogue on [0,m): candidates Sym(m), targets [0,subset_size)."""
     if not 0 < subset_size <= m:
         raise ValueError("subset must be a nonempty part of the carrier")
-    from itertools import permutations
+    _check_guard(factorial(m), grid)
     perms = [tuple(p) for p in permutations(range(m))]
     return _min_grid_gap(perms, grid, list(range(m)),
                          list(range(subset_size)), lambda p, a: p[a])

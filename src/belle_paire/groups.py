@@ -47,7 +47,6 @@ __all__ = [
     "direct_product",
     "wreath_product",
     "finite_index_supergroup",
-    "pair_element",
     "wreath_element",
     "parse_group_expr",
     "PRESETS",
@@ -160,11 +159,6 @@ def _tag(lines, prefix: str):
 
 
 # --- direct product --------------------------------------------------------
-
-def pair_element(P: PermGroupPresentation, g: WindowInjection,
-                 h: WindowInjection) -> UnionInjection:
-    return UnionInjection(P.domain, g, h)
-
 
 def direct_product(G: PermGroupPresentation,
                    H: PermGroupPresentation) -> PermGroupPresentation:

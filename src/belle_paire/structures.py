@@ -27,8 +27,6 @@ __all__ = [
     "InverseInjection",
     "UnionInjection",
     "WreathInjection",
-    "SwapInjection",
-    "RotateTripleInjection",
     "NonInjectiveOnWindow",
     "successor_endo",
     "identity_endo",
@@ -189,8 +187,11 @@ class FqVector:
     entries: tuple  # sorted ((index, coeff), ...) with 0 < coeff < q
 
     def __post_init__(self):
-        assert all(0 < c < self.q for _, c in self.entries)
-        assert list(self.entries) == sorted(self.entries)
+        if not all(0 < c < self.q for _, c in self.entries):
+            raise ValueError(f"coefficients must lie in 1..{self.q - 1}: "
+                             f"{self.entries}")
+        if list(self.entries) != sorted(self.entries):
+            raise ValueError(f"entries must be sorted: {self.entries}")
 
     @classmethod
     def zero(cls, q):
@@ -233,7 +234,8 @@ class FqVector:
         return self.entries[-1][0] if self.entries else -1
 
     def add(self, other: "FqVector") -> "FqVector":
-        assert self.q == other.q
+        if self.q != other.q:
+            raise ValueError(f"mixed fields: F_{self.q} and F_{other.q}")
         acc = dict(self.entries)
         for i, c in other.entries:
             acc[i] = (acc.get(i, 0) + c) % self.q
@@ -247,11 +249,14 @@ class FqVector:
 
     def shift(self, offset: int) -> "FqVector":
         """Move every basis index up by offset (down needs coeff(0..) == 0)."""
-        assert all(i + offset >= 0 for i, _ in self.entries)
+        if self.entries and self.entries[0][0] + offset < 0:
+            raise ValueError(f"shift by {offset} moves e{self.entries[0][0]} "
+                             "below e0")
         return FqVector(self.q, tuple((i + offset, c) for i, c in self.entries))
 
     def dense(self, dim: int) -> tuple:
-        assert self.max_index < dim
+        if self.max_index >= dim:
+            raise ValueError(f"{self} does not fit in {dim} coordinates")
         return tuple(self.coeff(i) for i in range(dim))
 
     def __repr__(self):
@@ -454,59 +459,35 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _solve_mod(rows: list[list[int]], rhs: list[int], p: int):
-    """Solve A c = rhs over F_p; returns one solution or None.
+def _row_reduce(rows: list[list[int]], p: int, n_cols: int | None = None):
+    """Reduced row echelon form over F_p, pivoting on the first n_cols columns.
 
-    Returns None as well when the system is underdetermined, which cannot
-    happen for the injective column families used here.
+    Returns (reduced rows, rank): the first rank rows are the pivot rows in
+    order of their pivot columns, and every later row is zero on the first
+    n_cols columns.  Columns past n_cols (an appended identity, say) are
+    carried along by the same row operations.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    piv_rows = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = _inv_mod(aug[r][c] % p, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c] % p
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[r])]
-        piv_rows.append((r, c))
-        r += 1
-    for i in range(r, n_rows):
-        if aug[i][n_cols] % p:
-            return None  # inconsistent
-    sol = [0] * n_cols
-    seen_cols = {c for _, c in piv_rows}
-    if len(seen_cols) < n_cols:
-        return None  # underdetermined: columns were not independent
-    for i, c in piv_rows:
-        sol[c] = aug[i][n_cols] % p
-    return sol
-
-
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    mat = [list(r) for r in rows]
+    mat = [[v % p for v in r] for r in rows]
+    if n_cols is None:
+        n_cols = len(mat[0]) if mat else 0
     rank = 0
-    n_cols = len(mat[0]) if mat else 0
     for c in range(n_cols):
-        pr = next((i for i in range(rank, len(mat)) if mat[i][c] % p), None)
+        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = _inv_mod(mat[rank][c] % p, p)
+        inv = _inv_mod(mat[rank][c], p)
         mat[rank] = [(v * inv) % p for v in mat[rank]]
         for i in range(len(mat)):
-            if i != rank and mat[i][c] % p:
-                f = mat[i][c] % p
+            if i != rank and mat[i][c]:
+                f = mat[i][c]
                 mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
         rank += 1
-    return rank
+    return mat, rank
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    return _row_reduce(rows, p)[1]
 
 
 def subspace_membership(v: FqVector, gens: list[FqVector]) -> bool:
@@ -527,6 +508,14 @@ class LinearInjection(WindowInjection):
 
     Basis vector e_i maps to images[i] for i < len(images); beyond that the
     tail rule applies: 'identity' keeps e_i, 'shift' sends e_i to e_{i+1}.
+
+    The matrix is block diagonal.  The finite block is the first
+    D = max(len(images), max image index + 1, 1) columns; they reach only
+    rows 0..D-1 under the identity tail and rows 0..D under the shift tail.
+    Every later column is a tail column with its own unit row past the
+    block rows.  So preimage reads each entry of y past the block rows as
+    one tail coefficient and solves the block part through the transform
+    of one row reduction of [block | I], done here once.
     """
 
     def __init__(self, q: int, images: tuple, tail: str = "identity"):
@@ -539,21 +528,33 @@ class LinearInjection(WindowInjection):
         self.q = q
         self.images = images
         self.tail = tail
-        self._maximg = max([v.max_index for v in images], default=-1)
-        # desk check: the columns that can interact must be independent
-        d = len(images) + self._maximg + 2
-        cols = [self._basis_image(i).dense(d + 1) for i in range(d)]
-        if _rank_mod([list(r) for r in zip(*cols)], q) < d:
+        maximg = max([v.max_index for v in images], default=-1)
+        d = max(len(images), maximg + 1, 1)
+        off = 0 if tail == "identity" else 1
+        n_rows = d + off
+        aug = [[0] * d + [int(r == k) for k in range(n_rows)]
+               for r in range(n_rows)]
+        for i in range(d):
+            for r, a in self._basis_image_entries(i):
+                aug[r][i] = a
+        red, rank = _row_reduce(aug, q, d)
+        # the tail columns are independent of the block and of each other,
+        # so the whole map is injective iff the block has full column rank
+        if rank < d:
             raise ValueError("basis images are not linearly independent")
+        self._block = d
+        self._off = off
+        # per block row k, the nonzero (r, T[r][k]) of the transform T;
+        # with full column rank, row r < d is the pivot row of column r
+        self._tcols = tuple(
+            tuple((r, row[d + k]) for r, row in enumerate(red) if row[d + k])
+            for k in range(n_rows))
         name = f"linear[q={q},{len(images)} images,tail={tail}]"
         super().__init__(dom, name)
         # identity tail with a finite block staying inside its own span is
         # onto; independence was checked above, so the block is invertible
-        if tail == "identity" and all(v.max_index < len(images) for v in images):
+        if tail == "identity" and maximg < len(images):
             self.is_bijection = True
-
-    def _basis_image(self, i: int) -> FqVector:
-        return FqVector(self.q, self._basis_image_entries(i))
 
     def _basis_image_entries(self, i: int) -> tuple:
         if i < len(self.images):
@@ -569,13 +570,24 @@ class LinearInjection(WindowInjection):
         return FqVector(q, tuple(sorted((j, a) for j, a in acc.items() if a)))
 
     def preimage(self, y: FqVector):
-        d = max(len(self.images), self._maximg + 1, y.max_index + 1, 1)
-        cols = [self._basis_image(i).dense(d + 1) for i in range(d)]
-        rows = [[col[r] for col in cols] for r in range(d + 1)]
-        sol = _solve_mod(rows, list(y.dense(d + 1)), self.q)
-        if sol is None:
-            return None
-        return FqVector.from_coeffs(self.q, sol)
+        q, d, off, tcols = self.q, self._block, self._off, self._tcols
+        n_rows = d + off
+        acc: dict = {}
+        tail = []
+        for j, c in y.entries:
+            if j >= n_rows:
+                tail.append((j - off, c))
+                continue
+            for r, t in tcols[j]:
+                acc[r] = (acc.get(r, 0) + t * c) % q
+        head = []
+        for r, c in acc.items():
+            if c:
+                if r >= d:
+                    return None  # y's block part is outside the block's image
+                head.append((r, c))
+        head.sort()
+        return FqVector(q, tuple(head) + tuple(tail))
 
     def key(self):
         return ("linear", self.q, tuple(v.entries for v in self.images), self.tail)
@@ -709,74 +721,6 @@ class WreathInjection(WindowInjection):
         return ("wreathmap", self.h_part.key(),
                 tuple((b_repr, gk) for b_repr, _, gk in self._ck),
                 self.default.key())
-
-
-class SwapInjection(WindowInjection):
-    """Exchange the two (identically carried) halves of a disjoint union."""
-
-    is_bijection = True
-
-    def __init__(self, domain: DisjointUnion):
-        assert isinstance(domain, DisjointUnion)
-        assert domain.left.key() == domain.right.key()
-        super().__init__(domain, "swap")
-
-    def apply(self, x):
-        tag, v = x
-        return ("R" if tag == "L" else "L", v)
-
-    preimage = apply
-
-    def inverse(self):
-        return self
-
-    def key(self):
-        return ("swap", self.domain.key())
-
-
-class RotateTripleInjection(WindowInjection):
-    """Cycle the three identically carried copies in union(union(A,A),A)."""
-
-    is_bijection = True
-
-    def __init__(self, domain: DisjointUnion, steps: int = 1):
-        assert isinstance(domain, DisjointUnion)
-        assert isinstance(domain.left, DisjointUnion)
-        k = domain.left.left.key()
-        assert domain.left.right.key() == k and domain.right.key() == k
-        assert steps in (1, 2)
-        super().__init__(domain, f"rot3^{steps}")
-        self.steps = steps
-
-    @staticmethod
-    def _slot(x):
-        tag, v = x
-        if tag == "R":
-            return 2, v
-        tag2, w = v
-        return (0, w) if tag2 == "L" else (1, w)
-
-    @staticmethod
-    def _unslot(i, v):
-        if i == 0:
-            return ("L", ("L", v))
-        if i == 1:
-            return ("L", ("R", v))
-        return ("R", v)
-
-    def apply(self, x):
-        i, v = self._slot(x)
-        return self._unslot((i + self.steps) % 3, v)
-
-    def preimage(self, y):
-        i, v = self._slot(y)
-        return self._unslot((i - self.steps) % 3, v)
-
-    def inverse(self):
-        return RotateTripleInjection(self.domain, 3 - self.steps)
-
-    def key(self):
-        return ("rot3", self.domain.key(), self.steps)
 
 
 def identity_endo(domain: Domain | None = None) -> IdentityInjection:

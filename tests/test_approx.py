@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from belle_paire.approx import (
     CycleApproxBijection,
+    OrbitClassifier,
     approximate_by_automorphisms,
     defect_profile,
     orbit_decompose,
@@ -78,6 +79,39 @@ def test_window_bijectivity_rejects_colliding_images(monkeypatch):
 
     monkeypatch.setattr(CycleApproxBijection, "_image_ids", colliding)
     assert not sigma.window_bijectivity(100)
+
+
+def test_family_refuses_non_injective_tau():
+    bad = TableInjection(NaturalNumbers(), {0: 3})  # collides with fixed 3
+    with pytest.raises(NonInjectiveOnWindow):
+        approximate_by_automorphisms(bad, 2)
+    shared = OrbitClassifier(bad)
+    for n in (2, 2, 5):  # a refused window is not remembered as validated
+        with pytest.raises(NonInjectiveOnWindow):
+            approximate_by_automorphisms(bad, n, shared)
+
+
+def counted(fn, calls):
+    def wrapper(x):
+        calls.append(x)
+        return fn(x)
+    return wrapper
+
+
+def test_shared_classifier_validates_window_once():
+    tau = basis_shift_endo(2)
+    applied, looked_up = [], []
+    tau.apply = counted(tau.apply, applied)
+    cls = OrbitClassifier(tau)
+    cls.tau_image = counted(cls.tau_image, looked_up)
+    sigmas = approximate_by_automorphisms(tau, 3, cls)
+    assert len(applied) == len(looked_up) == 256  # one per window point
+    # the window's _Win reuses the images the validation computed
+    defect_profile(tau, sigmas, 256)
+    assert len(applied) == 256
+    del looked_up[:]
+    approximate_by_automorphisms(tau, 7, cls)
+    assert len(applied) == 256 and not looked_up  # not validated again
 
 
 @given(st.integers(1, 24))

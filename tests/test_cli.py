@@ -198,6 +198,16 @@ def test_search_guard_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--dim", "5"],
+    ["search", "--pure", "11,1"],
+])
+def test_search_guard_exits_3_before_enumerating(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+
+
 def test_search_baseline_mismatch_exits_1(capsys, tmp_path, monkeypatch):
     from belle_paire.serialize import store_baseline
     store_baseline("search", {"q2_dim2_grid2_span_e0":

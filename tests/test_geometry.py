@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belle_paire import geometry
 from belle_paire.geometry import (
     SEARCH_GUARD,
     SearchGuardExceeded,
@@ -279,6 +280,21 @@ def test_search_guard_trips_before_enumerating_columns():
         raise AssertionError("a column was enumerated")
     with pytest.raises(SearchGuardExceeded):
         _min_grid_gap(range(SEARCH_GUARD + 1), 1, [0], [0], apply_fn)
+
+
+def test_search_guard_trips_before_enumerating_options(monkeypatch):
+    def never(*args):
+        raise AssertionError("the options were enumerated")
+    monkeypatch.setattr(geometry, "gl_matrices", never)
+    monkeypatch.setattr(geometry, "permutations", never)
+    with pytest.raises(SearchGuardExceeded) as exc:
+        exhaustive_pair_search(2, 5, 2, [(1, 0, 0, 0, 0)])
+    assert exc.value.count == 9_999_360 ** 2  # |GL(5,2)|^grid
+    with pytest.raises(SearchGuardExceeded) as exc:
+        exhaustive_pair_search_pure(11, 1, 1)
+    assert exc.value.count == 39_916_800  # 11!
+    with pytest.raises(ValueError):  # a non-prime q is malformed, not guarded
+        exhaustive_pair_search(4, 3, 4, [(1, 0, 0)])
 
 
 def test_search_rejects_grid_below_one():

@@ -1,12 +1,20 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import belle_paire
 from belle_paire.structures import (
     DisjointUnion,
     FqVector,
     FqVectors,
     GeometrySpec,
+    LinearInjection,
     NaturalNumbers,
     NonInjectiveOnWindow,
     PairProduct,
@@ -56,6 +64,36 @@ def test_fq_vector_arithmetic():
     assert a.shift(2).coeff(2) == 1
     assert FqVector.zero(q).max_index == -1
     assert b.dense(4) == (2, 2, 1, 0)
+
+
+def test_fq_vector_rejects_bad_input():
+    with pytest.raises(ValueError):
+        FqVector(2, ((0, 5),))
+    with pytest.raises(ValueError):
+        FqVector(3, ((0, 0),))
+    with pytest.raises(ValueError):
+        FqVector(3, ((2, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        FqVector.basis(2, 0).add(FqVector.basis(3, 0))
+    with pytest.raises(ValueError):
+        FqVector.basis(2, 1).shift(-2)
+    assert FqVector.basis(2, 1).shift(-1) == FqVector.basis(2, 0)
+    with pytest.raises(ValueError):
+        FqVector.basis(2, 3).dense(3)
+
+
+def test_fq_vector_validates_under_optimize():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from belle_paire.structures import FqVector\n"
+            "try:\n"
+            "    FqVector(2, ((0, 5),))\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
 
 
 def test_subspace_membership():
@@ -162,3 +200,106 @@ def test_injection_equality_by_key():
     assert successor_endo() == shift_endo(1)
     assert shift_endo(2) != shift_endo(3)
     assert identity_endo(FqVectors(2)) != identity_endo(NaturalNumbers())
+
+
+# --- LinearInjection.preimage against a dense reference --------------------
+
+def _reference_echelon(rows, p):
+    """Gauss-Jordan over F_p: (reduced rows, pivot (row, column) pairs)."""
+    mat = [[v % p for v in r] for r in rows]
+    piv = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(piv)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(v * inv) % p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[r])]
+        piv.append((r, c))
+    return mat, piv
+
+
+def _column(q, images, tail, i, height):
+    if i < len(images):
+        v = images[i]
+    else:
+        v = FqVector.basis(q, i if tail == "identity" else i + 1)
+    return v.dense(height)
+
+
+def _reference_independent(q, images, tail):
+    """The columns that can interact, len(images) + max index + 2 of them,
+    have full rank."""
+    maximg = max([v.max_index for v in images], default=-1)
+    d = len(images) + maximg + 2
+    cols = [_column(q, images, tail, i, d + 1) for i in range(d)]
+    return len(_reference_echelon([list(r) for r in zip(*cols)], q)[1]) == d
+
+
+def _reference_preimage(tau, y):
+    """The dense solve: every column up to y's support, one row more, and
+    one elimination of [A | y] per call."""
+    q = tau.q
+    maximg = max([v.max_index for v in tau.images], default=-1)
+    d = max(len(tau.images), maximg + 1, y.max_index + 1, 1)
+    cols = [_column(q, tau.images, tau.tail, i, d + 1) for i in range(d)]
+    rows = [[col[r] for col in cols] + [b] for r, b in enumerate(y.dense(d + 1))]
+    red, piv = _reference_echelon(rows, q)
+    if any(c == d for _, c in piv):
+        return None  # inconsistent
+    if len(piv) < d:
+        return None  # underdetermined
+    sol = [0] * d
+    for r, c in piv:
+        sol[c] = red[r][d]
+    return FqVector.from_coeffs(q, sol)
+
+
+def _random_linear_maps(seed, count):
+    """Seeded LinearInjections over q in {2, 3, 5} with both tails, whose
+    images often reach past len(images); refusals must match the reference."""
+    rng = random.Random(seed)
+    maps, refused = [], 0
+    while len(maps) < count:
+        q = rng.choice((2, 3, 5))
+        tail = rng.choice(("identity", "shift"))
+        k = rng.randint(0, 4)
+        reach = k + rng.randint(0, 3)
+        images = tuple(
+            FqVector.from_coeffs(q, [rng.randrange(q) if rng.random() < 0.5
+                                     else 0 for _ in range(reach)])
+            for _ in range(k))
+        independent = _reference_independent(q, images, tail)
+        try:
+            tau = LinearInjection(q, images, tail)
+        except ValueError:
+            assert not independent
+            refused += 1
+            continue
+        assert independent
+        maps.append(tau)
+    assert refused
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_preimage_matches_dense_reference(seed):
+    no_preimage = past_block = 0
+    for tau in _random_linear_maps(seed, 20):
+        maximg = max([v.max_index for v in tau.images], default=-1)
+        block_rows = max(len(tau.images), maximg + 1, 1) + (tau.tail == "shift")
+        for y in tau.domain.window(300):
+            x = tau.preimage(y)
+            assert x == _reference_preimage(tau, y), (tau.key(), y)
+            if x is None:
+                no_preimage += 1
+            else:
+                assert tau.apply(x) == y
+            past_block += y.max_index >= block_rows
+    # both the consistency rows and the tail coefficients were exercised
+    assert no_preimage and past_block

@@ -241,9 +241,6 @@ class OrbitDecomposition:
     def semi_orbit_count(self) -> int:
         return len(self.roots)
 
-    def kind_of(self, x) -> str:
-        return self.records[x][0]
-
     def position_of(self, x) -> int:
         return self.records[x][2]
 

@@ -89,6 +89,8 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+        if args.window < 1:
+            raise CliInputError("--window must be >= 1")
         return cls(args.cmd, args.window, args.grid,
                    parse_frac(args.eps), args.seed, args.format, args)
 

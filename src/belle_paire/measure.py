@@ -4,12 +4,19 @@ Every set here is a finite union of half-open rectangles [a,b) x [c,d) with
 rational corners, kept in a canonical column form so that equality, measure
 and the boolean operations are exact and decidable.  The two coordinates are
 called omega (first) and omega' (second) throughout.
+
+Inside the layer a set keeps its coordinates as ints over one least common
+denominator, and binary operations rescale both operands to the lcm of their
+denominators.  Everything the public API returns (columns, rects, slices,
+shadows, measures) is a Fraction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -33,6 +40,8 @@ ONE = Fraction(1)
 
 def _frac(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings; floats are rejected."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValueError(f"floating point input rejected, use exact rationals: {x!r}")
     return Fraction(x)
@@ -48,8 +57,10 @@ class Rect:
     y1: Fraction
 
     def __post_init__(self):
-        assert ZERO <= self.x0 < self.x1 <= ONE, "bad omega interval"
-        assert ZERO <= self.y0 < self.y1 <= ONE, "bad omega-prime interval"
+        if not ZERO <= self.x0 < self.x1 <= ONE:
+            raise ValueError("bad omega interval")
+        if not ZERO <= self.y0 < self.y1 <= ONE:
+            raise ValueError("bad omega-prime interval")
 
     @property
     def area(self) -> Fraction:
@@ -148,48 +159,88 @@ def _column_combine(cols_a, cols_b, yop: Callable) -> tuple:
     return _normalize_columns(out)
 
 
+def _num(x, den: int) -> int:
+    """x, an int or Fraction whose denominator divides den, as a numerator over den."""
+    return x.numerator * (den // x.denominator)
+
+
+def _scale(cols, k: int) -> tuple:
+    if k == 1:
+        return cols
+    return tuple((lo * k, hi * k, tuple((c * k, d * k) for c, d in ys))
+                 for lo, hi, ys in cols)
+
+
+def _reduced(den: int, cols) -> "RationalSet":
+    """The set with canonical int columns cols over den, den cut by the gcd.
+
+    Cutting by the gcd of den and every coordinate leaves the least common
+    denominator of the set, so equal sets get equal ints.
+    """
+    g = den
+    for lo, hi, ys in cols:
+        g = gcd(g, lo, hi, *chain.from_iterable(ys))
+        if g == 1:
+            break
+    if g > 1:
+        den //= g
+        cols = tuple((lo // g, hi // g, tuple((c // g, d // g) for c, d in ys))
+                     for lo, hi, ys in cols)
+    return RationalSet(den, cols)
+
+
 class RationalSet:
     """Finite union of half-open rational rectangles, canonical and immutable.
 
     The canonical form slices the set into maximal omega columns on which the
-    omega' slice is constant; equal sets always compare equal.
+    omega' slice is constant; equal sets always compare equal.  The columns
+    are stored as ints over the set's least common denominator and decoded
+    to Fractions, once, by `columns`.
     """
 
-    __slots__ = ("_cols", "_measure", "_hash")
+    __slots__ = ("_den", "_cols", "_fcols", "_measure", "_hash")
 
-    def __init__(self, _columns=()):
-        # internal: trusted canonical columns; use the classmethods instead
+    def __init__(self, _den: int = 1, _columns=()):
+        # internal: trusted canonical int columns over a reduced denominator;
+        # use the classmethods instead
+        self._den = _den
         self._cols = _columns
+        self._fcols = None
         self._measure = None
         self._hash = None
 
     @classmethod
     def empty(cls) -> "RationalSet":
-        return cls(())
+        return cls()
 
     @classmethod
     def unit_square(cls) -> "RationalSet":
-        return cls(((ZERO, ONE, ((ZERO, ONE),)),))
+        return cls(1, ((0, 1, ((0, 1),)),))
 
     @classmethod
     def from_rect(cls, x0, x1, y0, y1) -> "RationalSet":
         x0, x1, y0, y1 = map(_frac, (x0, x1, y0, y1))
         if x0 >= x1 or y0 >= y1:
             return cls.empty()
-        return cls.from_rects([Rect(x0, x1, y0, y1)])
+        Rect(x0, x1, y0, y1)  # validates the corners
+        den = lcm(x0.denominator, x1.denominator, y0.denominator, y1.denominator)
+        return _reduced(den, ((_num(x0, den), _num(x1, den),
+                               ((_num(y0, den), _num(y1, den)),)),))
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "RationalSet":
         """Union of the given rectangles (overlaps are allowed and fused)."""
-        rects = list(rects)
-        xs = sorted({x for r in rects for x in (r.x0, r.x1)})
+        rects = [(r.x0, r.x1, r.y0, r.y1) for r in rects]
+        den = lcm(*(x.denominator for r in rects for x in r))
+        rects = [tuple(_num(x, den) for x in r) for r in rects]
+        xs = sorted({x for r in rects for x in r[:2]})
         cols = []
         for lo, hi in zip(xs, xs[1:]):
-            ys = _merge_ys([(r.y0, r.y1) for r in rects
-                            if r.x0 <= lo and r.x1 >= hi])
+            ys = _merge_ys([(y0, y1) for x0, x1, y0, y1 in rects
+                            if x0 <= lo and x1 >= hi])
             if ys:
                 cols.append((lo, hi, ys))
-        return cls(_normalize_columns(cols))
+        return _reduced(den, _normalize_columns(cols))
 
     @classmethod
     def vertical_strip(cls, x0, x1) -> "RationalSet":
@@ -201,32 +252,46 @@ class RationalSet:
 
     @property
     def columns(self) -> tuple:
-        return self._cols
+        """The canonical (lo, hi, ys) columns, with Fraction coordinates."""
+        if self._fcols is None:
+            den = self._den
+            self._fcols = tuple(
+                (Fraction(lo, den), Fraction(hi, den),
+                 tuple((Fraction(c, den), Fraction(d, den)) for c, d in ys))
+                for lo, hi, ys in self._cols)
+        return self._fcols
 
     @property
     def rects(self) -> tuple:
         return tuple(Rect(lo, hi, c, d)
-                     for lo, hi, ys in self._cols for c, d in ys)
+                     for lo, hi, ys in self.columns for c, d in ys)
 
     @property
     def measure(self) -> Fraction:
         if self._measure is None:
-            self._measure = sum(((hi - lo) * _ys_total(ys)
-                                 for lo, hi, ys in self._cols), ZERO)
+            area = sum((hi - lo) * sum(d - c for c, d in ys)
+                       for lo, hi, ys in self._cols)
+            self._measure = Fraction(area, self._den * self._den)
         return self._measure
 
     @property
     def is_empty(self) -> bool:
         return not self._cols
 
+    def _combine(self, other: "RationalSet", yop: Callable) -> "RationalSet":
+        den = lcm(self._den, other._den)
+        return _reduced(den, _column_combine(_scale(self._cols, den // self._den),
+                                             _scale(other._cols, den // other._den),
+                                             yop))
+
     def union(self, other: "RationalSet") -> "RationalSet":
-        return RationalSet(_column_combine(self._cols, other._cols, _ys_union))
+        return self._combine(other, _ys_union)
 
     def intersect(self, other: "RationalSet") -> "RationalSet":
-        return RationalSet(_column_combine(self._cols, other._cols, _ys_intersect))
+        return self._combine(other, _ys_intersect)
 
     def subtract(self, other: "RationalSet") -> "RationalSet":
-        return RationalSet(_column_combine(self._cols, other._cols, _ys_subtract))
+        return self._combine(other, _ys_subtract)
 
     def complement(self) -> "RationalSet":
         return RationalSet.unit_square().subtract(self)
@@ -234,38 +299,46 @@ class RationalSet:
     def disjoint_from(self, other: "RationalSet") -> bool:
         return self.intersect(other).is_empty
 
+    def _column_at(self, x) -> int | None:
+        """Index of the column over the omega value x, or None."""
+        x = _frac(x)
+        p, q = x.numerator * self._den, x.denominator
+        for i, (lo, hi, _) in enumerate(self._cols):
+            if lo * q <= p < hi * q:
+                return i
+        return None
+
     def contains_point(self, x, y) -> bool:
-        x, y = _frac(x), _frac(y)
-        for lo, hi, ys in self._cols:
-            if lo <= x < hi:
-                return any(c <= y < d for c, d in ys)
-        return False
+        i = self._column_at(x)
+        if i is None:
+            return False
+        y = _frac(y)
+        p, q = y.numerator * self._den, y.denominator
+        return any(c * q <= p < d * q for c, d in self._cols[i][2])
 
     def slice_at(self, x) -> tuple:
         """The omega' slice over a single omega value, as a ys tuple."""
-        x = _frac(x)
-        for lo, hi, ys in self._cols:
-            if lo <= x < hi:
-                return ys
-        return ()
+        i = self._column_at(x)
+        return () if i is None else self.columns[i][2]
 
     def omega_shadow(self) -> tuple:
         """Omega intervals over which the slice is nonempty."""
-        iv = [(lo, hi) for lo, hi, _ in self._cols]
         out: list[list] = []
-        for lo, hi in iv:
+        for lo, hi, _ in self._cols:
             if out and out[-1][1] == lo:
                 out[-1][1] = hi
             else:
                 out.append([lo, hi])
-        return tuple((lo, hi) for lo, hi in out)
+        return tuple((Fraction(lo, self._den), Fraction(hi, self._den))
+                     for lo, hi in out)
 
     def __eq__(self, other):
-        return isinstance(other, RationalSet) and self._cols == other._cols
+        return (isinstance(other, RationalSet) and self._den == other._den
+                and self._cols == other._cols)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._cols)
+            self._hash = hash((self._den, self._cols))
         return self._hash
 
     def __bool__(self):
@@ -276,6 +349,41 @@ class RationalSet:
             return "RationalSet.empty()"
         parts = ", ".join(f"[{r.x0},{r.x1})x[{r.y0},{r.y1})" for r in self.rects)
         return f"RationalSet({parts})"
+
+
+def _sweep(sets: Sequence[RationalSet]) -> tuple:
+    """Sweep the joint omega breakpoints of sets on one denominator.
+
+    Returns (den, steps): den is the lcm of the sets' denominators, and steps
+    holds, for each interval [lo, hi) between consecutive joint breakpoints
+    (ints over den), the sorted (c, d, owner) slices of every set over it,
+    owner being the set's index in sets.
+    """
+    den = lcm(*(s._den for s in sets))
+    cols = []
+    for k, s in enumerate(sets):
+        f = den // s._den
+        cols.extend((lo * f, hi * f, [(c * f, d * f, k) for c, d in ys])
+                    for lo, hi, ys in s._cols)
+    cols.sort(key=itemgetter(0))
+    xs = sorted({x for lo, hi, _ in cols for x in (lo, hi)})
+    steps = []
+    active: list = []
+    i = 0
+    for lo, hi in zip(xs, xs[1:]):
+        active = [col for col in active if col[1] > lo]
+        while i < len(cols) and cols[i][0] == lo:
+            active.append(cols[i])
+            i += 1
+        steps.append((lo, hi, sorted(chain.from_iterable(col[2] for col in active))))
+    return den, steps
+
+
+def _first_key(cols, f: int = 1) -> tuple:
+    """Sort key of a set: its first column's (lo, hi, c, d), scaled by f."""
+    lo, hi, ys = cols[0]
+    c, d = ys[0]
+    return lo * f, hi * f, c * f, d * f
 
 
 class Profile:
@@ -463,14 +571,22 @@ class StepMap:
                 by_value[v] = s
                 order.append(v)
         merged = [(by_value[v], v) for v in order]
-        total = sum((s.measure for s, _ in merged), ZERO)
+        # one sweep sums the cells' measures and finds overlaps: within a
+        # column, a slice that starts before the previous one ends overlaps it
+        den, steps = _sweep([s for s, _ in merged])
+        area, overlap = 0, False
+        for lo, hi, slices in steps:
+            end = 0
+            for c, d, _ in slices:
+                overlap = overlap or c < end
+                end = d
+                area += (hi - lo) * (d - c)
+        total = Fraction(area, den * den)
         if total != 1:
             raise ValueError(f"cells measure {total}, expected 1")
-        for i, (a, _) in enumerate(merged):
-            for b, _ in merged[i + 1:]:
-                if not a.disjoint_from(b):
-                    raise ValueError("cells overlap")
-        merged.sort(key=lambda cv: cv[0].columns[0][:2] + cv[0].columns[0][2][0])
+        if overlap:
+            raise ValueError("cells overlap")
+        merged.sort(key=lambda cv: _first_key(cv[0]._cols, den // cv[0]._den))
         self._cells = tuple(merged)
         self._hash = None
 
@@ -510,8 +626,7 @@ class StepMap:
 
     @property
     def is_first_coordinate_only(self) -> bool:
-        full = ((ZERO, ONE),)
-        return all(ys == full for s, _ in self._cells for _, _, ys in s.columns)
+        return all(ys == ((0, s._den),) for s, _ in self._cells for _, _, ys in s._cols)
 
     def to_profile(self) -> Profile:
         """Read a first-coordinate-only rational-valued map as a Profile."""
@@ -553,24 +668,31 @@ def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
     """
     if not maps:
         return [(RationalSet.unit_square(), ())]
-    acc = [(s, (v,)) for s, v in maps[0].cells]
-    for m in maps[1:]:
-        nxt: dict = {}
-        order = []
-        for s, vt in acc:
-            for t, v in m.cells:
-                piece = s.intersect(t)
-                if piece.is_empty:
-                    continue
-                key = vt + (v,)
-                if key in nxt:
-                    nxt[key] = nxt[key].union(piece)
-                else:
-                    nxt[key] = piece
-                    order.append(key)
-        acc = [(nxt[k], k) for k in order]
-    acc.sort(key=lambda cv: cv[0].columns[0][:2] + cv[0].columns[0][2][0])
-    return acc
+    owners = [(k, v) for k, m in enumerate(maps) for _, v in m.cells]
+    den, steps = _sweep([s for m in maps for s, _ in m.cells])
+    # every map tiles each column, so walking the slices in order of c and
+    # noting each map's current value gives the pieces of the column
+    current = [None] * len(maps)
+    cols: dict = {}
+    for lo, hi, slices in steps:
+        here: dict = {}
+        i, n = 0, len(slices)
+        while i < n:
+            c = slices[i][0]
+            while i < n and slices[i][0] == c:
+                k, v = owners[slices[i][2]]
+                current[k] = v
+                i += 1
+            here.setdefault(tuple(current), []).append(
+                (c, slices[i][0] if i < n else den))
+        for key, ys in here.items():
+            cols.setdefault(key, []).append((lo, hi, tuple(ys)))
+    pieces = []
+    for key, cs in cols.items():
+        cs = _normalize_columns(cs)
+        pieces.append((_first_key(cs), _reduced(den, cs), key))
+    pieces.sort(key=itemgetter(0))
+    return [(s, key) for _, s, key in pieces]
 
 
 def l1_distance(f: StepMap, g: StepMap) -> Fraction:

@@ -45,12 +45,6 @@ class SampleStream:
         inner = sorted(self.rng.sample(pool, n - 1)) if n > 1 else []
         return [ZERO] + inner + [Frac(1)]
 
-    def vertical_step_map(self, values, cells: int, den: int = 24) -> StepMap:
-        cs = self.cuts(cells, den)
-        return StepMap.from_vertical_strips(
-            [(cs[i], cs[i + 1], self.rng.choice(values))
-             for i in range(cells)])
-
     def grid_step_map(self, values, gx: int, gy: int, den: int = 12) -> StepMap:
         xs, ys = self.cuts(gx, den), self.cuts(gy, den)
         cells = []

@@ -82,13 +82,6 @@ class Domain:
             yield self.point_at(k)
             k += 1
 
-    def fresh_point(self, avoid):
-        """First enumerated point outside the finite set avoid."""
-        avoid = set(avoid)
-        for x in self.iter_points():
-            if x not in avoid:
-                return x
-
     def key(self) -> tuple:
         raise NotImplementedError
 

@@ -250,6 +250,46 @@ def test_realize_bad_spec_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+# one group whose home rect has omega interval [1, 0)
+REVERSED_RECT_SPEC = {"groups": [{"home": {"rects": [["1", "0", "0", "1"]]},
+                                  "pieces": [{"density": [["0", "1", "1"]],
+                                              "value": "a"}]}]}
+
+
+def test_realize_reversed_rect_exits_2(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(REVERSED_RECT_SPEC))
+    code = main(["realize", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "bad omega interval" in err
+
+
+def test_realize_reversed_rect_exits_2_under_optimize(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(REVERSED_RECT_SPEC))
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "belle_paire.cli",
+                           "realize", "--spec", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "bad omega interval" in proc.stderr
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_window_below_one_exits_2(capsys, window):
+    code = main(["--window", window, "pair-certify",
+                 "--pair1", "fq2:identity", "--pair2", "fq2:shift"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--window must be >= 1" in err
+
+
 def test_verify_battery(capsys):
     code, blob = run_json(capsys, "verify")
     assert code == 0

@@ -19,6 +19,50 @@ from belle_paire.measure import (
 from conftest import fracs01, grid_step_maps, rational_sets, step_maps
 
 
+def reference_refinement(maps):
+    """The refinement by pairwise intersection of cells, kept as a reference."""
+    if not maps:
+        return [(RationalSet.unit_square(), ())]
+    acc = [(s, (v,)) for s, v in maps[0].cells]
+    for m in maps[1:]:
+        nxt: dict = {}
+        for s, vt in acc:
+            for t, v in m.cells:
+                piece = s.intersect(t)
+                if piece.is_empty:
+                    continue
+                key = vt + (v,)
+                nxt[key] = nxt[key].union(piece) if key in nxt else piece
+        acc = [(piece, key) for key, piece in nxt.items()]
+    acc.sort(key=lambda cv: cv[0].columns[0][:2] + cv[0].columns[0][2][0])
+    return acc
+
+
+def reference_refusal(cells):
+    """StepMap's refusal by measure sum, then by pairwise overlap, or None."""
+    by_value: dict = {}
+    for s, v in cells:
+        if not s.is_empty:
+            by_value[v] = by_value[v].union(s) if v in by_value else s
+    sets = list(by_value.values())
+    total = sum((s.measure for s in sets), Frac(0))
+    if total != 1:
+        return f"cells measure {total}, expected 1"
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if not a.disjoint_from(b):
+                return "cells overlap"
+    return None
+
+
+def refusal(cells):
+    try:
+        StepMap(cells)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
 def test_float_inputs_rejected_at_boundaries():
     with pytest.raises(ValueError):
         RationalSet.from_rect(0.1, 0.5, 0, 1)
@@ -33,8 +77,10 @@ def test_rect_basics():
     assert r.area == Frac(3, 8)
     assert r.contains(Frac(1, 4), Frac(1, 2))
     assert not r.contains(Frac(3, 4), Frac(1, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="bad omega interval"):
         Rect(Frac(1, 2), Frac(1, 2), Frac(0), Frac(1))
+    with pytest.raises(ValueError, match="bad omega-prime interval"):
+        Rect(Frac(0), Frac(1), Frac(1, 2), Frac(3, 2))
 
 
 def test_unit_square_measure():
@@ -176,6 +222,67 @@ def test_common_refinement_partitions(f, g):
         x, y = x0, ys[0][0]
         assert f.value_at(x, y) == vf
         assert g.value_at(x, y) == vg
+
+
+@given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=1, max_size=3))
+@settings(max_examples=150)
+def test_common_refinement_matches_pairwise_reference(maps):
+    assert common_refinement(maps) == reference_refinement(maps)
+
+
+def _rect(x0, x1, y0, y1):
+    return RationalSet.from_rect(Frac(x0), Frac(x1), Frac(y0), Frac(y1))
+
+
+@pytest.mark.parametrize("cells, message", [
+    # under-covering: the right half is missing
+    ([(_rect(0, "1/2", 0, 1), 0)], "cells measure 1/2, expected 1"),
+    # overlapping and over-covering: the measure is reported first
+    ([(_rect(0, 1, 0, 1), 0), (_rect(0, "1/2", 0, 1), 1)],
+     "cells measure 3/2, expected 1"),
+    # overlapping cells whose measures sum to 1
+    ([(_rect(0, "1/2", 0, 1), 0), (_rect("1/4", "3/4", 0, 1), 1)], "cells overlap"),
+    # a slice nested inside another cell's slice, with a gap elsewhere
+    ([(_rect(0, 1, 0, 1).subtract(_rect("1/2", 1, 0, "1/8")), 0),
+      (_rect("1/4", "1/2", "1/4", "1/2"), 1)], "cells overlap"),
+    # cells of one value fuse before any check
+    ([(_rect(0, "1/2", 0, 1), 0), (_rect("1/2", 1, 0, 1), 0)], None),
+])
+def test_step_map_refusals_match_reference(cells, message):
+    assert reference_refusal(cells) == message
+    assert refusal(cells) == message
+
+
+@given(grid_step_maps(), rational_sets(), st.integers(0, 3))
+def test_step_map_refusal_matches_reference_on_swapped_cell(m, s, k):
+    cells = list(m.cells)
+    k %= len(cells)
+    cells[k] = (s, cells[k][1])
+    assert refusal(cells) == reference_refusal(cells)
+
+
+def test_sets_over_different_denominators_are_equal():
+    half = RationalSet.vertical_strip(0, Frac(1, 2))
+    quarters = RationalSet.from_rects([Rect(Frac(0), Frac(1, 4), Frac(0), Frac(1)),
+                                       Rect(Frac(1, 4), Frac(2, 4), Frac(0), Frac(1))])
+    sixths = RationalSet.from_rect(0, Frac(1, 2), 0, Frac(5, 6))
+    fourths = RationalSet.from_rect(0, Frac(1, 2), Frac(3, 4), 1)
+    for s in (quarters, sixths.union(fourths)):
+        assert s == half
+        assert hash(s) == hash(half)
+    assert sixths.union(fourths).intersect(half) == half
+    assert half.subtract(sixths) == RationalSet.from_rect(0, Frac(1, 2), Frac(5, 6), 1)
+
+
+def test_api_returns_fractions():
+    s = RationalSet.from_rect(Frac(1, 3), Frac(3, 4), 0, Frac(1, 2)).union(
+        RationalSet.from_rect(Frac(1, 2), 1, Frac(2, 3), 1))
+    coords = [x for lo, hi, ys in s.columns for x in (lo, hi, *sum(ys, ()))]
+    coords += [x for r in s.rects for x in (r.x0, r.x1, r.y0, r.y1)]
+    coords += [x for iv in s.omega_shadow() + s.slice_at(Frac(2, 3)) for x in iv]
+    coords += [s.measure, RationalSet.unit_square().measure, RationalSet.empty().measure]
+    assert coords and all(type(x) is Frac for x in coords)
+    assert s.measure == Frac(5, 12) * Frac(1, 2) + Frac(1, 2) * Frac(1, 3)
 
 
 @given(rational_sets())

@@ -18,9 +18,9 @@ undetermined and never guessed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress, groupby
 
 from .measure import Frac, StepMap
 from .structures import NonInjectiveOnWindow, WindowInjection
@@ -59,7 +59,6 @@ class OrbitClassifier:
         self._next_oid = 0
         self._img: dict = {}     # point -> tau's image of it
         self._ws_cache: dict = {}   # window size -> _Win
-        self._pts_cache: dict = {}  # point tuple -> _Win
         self._validated: set = set()  # window sizes validate_window passed
 
     def tau_image(self, x):
@@ -161,65 +160,46 @@ class OrbitClassifier:
             self._ws_cache[n] = ws
         return ws
 
-    def points_struct(self, pts: tuple) -> "_Win":
-        """The _Win of an arbitrary point tuple, cached by the tuple."""
-        ws = self._pts_cache.get(pts)
-        if ws is None:
-            ws = _Win(self, pts)
-            self._pts_cache[pts] = ws
-        return ws
-
 
 class _Win:
-    """Vectorized view of one window, as small integer ids.
+    """One window as small int ids, laid out for the sigma rule.
 
     Window point w has id w; tau images and chain points outside the window
-    get ids from len(pts) on, and rev maps every id back to its point.
-    Per window point: tau_ids is its image under tau, chain_pos its position
-    on its rooted chain (-1 off semi-orbits) and chain_base the offset of
-    that chain in chain_ids, the ids of every window chain laid end to end.
+    get ids from len(pts) on.  tau_ids[w] is the id of tau(w), tau_set their
+    set and dups maps each id tau hits more than once to its count.  The
+    rooted chains through the window, each cut after its last window point,
+    lie end to end in chain_ids, longest first; groups holds (start, count,
+    length) for each run of chains of one length.
     """
 
-    __slots__ = ("pts", "rev", "tau_ids", "chain_pos", "chain_base",
-                 "chain_ids", "undet_widx")
+    __slots__ = ("pts", "tau_ids", "tau_set", "dups", "chain_ids", "groups",
+                 "undet_widx")
 
     def __init__(self, cls: OrbitClassifier, pts: tuple):
-        n = len(pts)
         self.pts = pts
         # classify every point before reading chains: a later point can
         # still extend a chain an earlier point lies on
         recs = [cls.classify(p) for p in pts]
         intern = {p: i for i, p in enumerate(pts)}
-        rev = list(pts)
-        def iid(p):
-            i = intern.get(p)
-            if i is None:
-                i = len(rev)
-                intern[p] = i
-                rev.append(p)
-            return i
-        self.tau_ids = np.fromiter((iid(cls.tau_image(p)) for p in pts),
-                                   np.int64, n)
-        chain_pos = [-1] * n
-        chain_base = [0] * n
-        bases: dict = {}
+        self.tau_ids = [intern.setdefault(cls.tau_image(p), len(intern))
+                        for p in pts]
+        lengths: dict = {}  # oid -> 1 + last window position on the chain
+        for k, o, pos in recs:
+            if k == _K_SEMI and lengths.get(o, 0) <= pos:
+                lengths[o] = pos + 1
         flat: list = []
-        undet = []
-        for w, (k, o, ps) in enumerate(recs):
-            if k == _K_SEMI:
-                b = bases.get(o)
-                if b is None:
-                    b = bases[o] = len(flat)
-                    flat.extend(iid(p) for p in cls.chain(o))
-                chain_pos[w] = ps
-                chain_base[w] = b
-            elif k == _K_UNDET:
-                undet.append(w)
-        self.chain_pos = np.array(chain_pos, np.int64)
-        self.chain_base = np.array(chain_base, np.int64)
-        self.chain_ids = np.array(flat, np.int64)
-        self.undet_widx = undet
-        self.rev = rev
+        self.groups = []
+        for length, oids in groupby(sorted(lengths, key=lengths.get, reverse=True),
+                                    lengths.get):
+            oids = list(oids)
+            self.groups.append((len(flat), len(oids), length))
+            for o in oids:
+                flat += [intern.setdefault(p, len(intern))
+                         for p in cls.chain(o)[:length]]
+        self.tau_set = set(self.tau_ids)
+        self.dups = {y: c for y, c in Counter(self.tau_ids).items() if c > 1}
+        self.chain_ids = flat
+        self.undet_widx = [w for w, r in enumerate(recs) if r[0] == _K_UNDET]
 
 
 @dataclass(frozen=True)
@@ -317,44 +297,59 @@ class CycleApproxBijection(WindowInjection):
             return self.classifier.chain_point(oid, m + n - 1)
         return self.classifier.chain(oid)[m - 1]
 
-    # -- vectorized window paths ------------------------------------------
+    def _moves(self, ws: _Win) -> tuple:
+        """Ids of the window points sigma_i moves off tau, and their images.
 
-    def _image_ids(self, ws: _Win) -> np.ndarray:
-        """Image ids of the window points; the array form of apply."""
+        Those are the points at chain positions j = i+1, i+1+n, ...: the
+        first goes to its chain's root, each later one to position j-n+1.
+        Only they are read, from each group of ws.groups by stride-length
+        slices (one per moved position) or stride-n ones (one per chain).
+        """
         n, i = self.n, self.i
-        out = ws.tau_ids.copy()
-        j = ws.chain_pos
-        w = np.flatnonzero((j > i) & ((j - i - 1) % n == 0))
-        jw = j[w]
-        src = np.where(jw == i + 1, 0, jw - n + 1)
-        out[w] = ws.chain_ids[ws.chain_base[w] + src]
-        return out
-
-    def apply_window(self, pts: list) -> list:
-        ws = self.classifier.points_struct(tuple(pts))
-        rev = ws.rev
-        return [rev[k] for k in self._image_ids(ws).tolist()]
+        ids = ws.chain_ids
+        moved, images = [], []
+        for start, count, length in ws.groups:
+            js = range(i + 1, length, n)
+            if not js:
+                break  # groups run longest first
+            stop = start + count * length
+            if len(js) <= count:
+                for j in js:
+                    moved += ids[start + j:stop:length]
+                    images += ids[start + (0 if j == i + 1 else j - n + 1):stop:length]
+            else:
+                for b in range(start, stop, length):
+                    moved += ids[b + i + 1:b + length:n]
+                    images.append(ids[b])
+                    images += ids[b + i + 2:b + length:n][:len(js) - 1]
+        nw = len(ws.pts)
+        if moved and max(moved) >= nw:  # chain points outside the window
+            keep = [w < nw for w in moved]
+            moved, images = list(compress(moved, keep)), list(compress(images, keep))
+        return moved, images
 
     def window_bijectivity(self, n: int) -> bool:
-        """Window bijectivity on [0, n), vectorized.
+        """Window bijectivity on [0, n), on window ids.
 
         Checks that the images of all window points are distinct, that every
         undetermined point y (where sigma falls back to tau) has a preimage
         p with apply(p) == y, and the same round trip at every 61st window
         point as a spot check.  Determined points have preimages by the
-        cycle structure.
+        cycle structure.  The images are tau's but at the moved points, so
+        distinctness is read from those and tau's repeated images alone.
         """
         ws = self.classifier.window_struct(n)
-        pts = ws.pts
-        ids = self._image_ids(ws)
-        if np.bincount(ids, minlength=1).max() > 1:
+        moved, images = self._moves(ws)
+        old = list(map(ws.tau_ids.__getitem__, moved))
+        new = set(images)
+        # no new image repeats or is also the image of a point that stays;
+        # an image tau repeats keeps one unmoved preimage at most, none if new
+        if (len(new) < len(images) or not (new & ws.tau_set) <= set(old)
+                or any(old.count(y) < c - 1 + (y in new)
+                       for y, c in ws.dups.items())):
             return False
-        for w in ws.undet_widx:
-            y = pts[w]
-            p = self.preimage(y)
-            if p is None or self.apply(p) != y:
-                return False
-        for y in pts[::61]:
+        pts = ws.pts
+        for y in [pts[w] for w in ws.undet_widx] + list(pts[::61]):
             p = self.preimage(y)
             if p is None or self.apply(p) != y:
                 return False
@@ -393,29 +388,22 @@ class DefectProfile:
 def defect_profile(tau: WindowInjection, sigmas: list, window: int) -> DefectProfile:
     """Exhaustively count, per window point, how many sigmas disagree with tau.
 
-    Undetermined points are reported separately and excluded from max_defect.
+    sigmas is one classifier's family for tau, as approximate_by_automorphisms
+    builds it; anything else raises ValueError.  Undetermined points are
+    reported separately and excluded from max_defect.
     """
-    shared = (sigmas and all(isinstance(s, CycleApproxBijection) for s in sigmas)
-              and all(s.classifier is sigmas[0].classifier for s in sigmas)
-              and sigmas[0].tau.key() == tau.key())
-    if shared:
-        ws = sigmas[0].classifier.window_struct(window)
-        pts = ws.pts
-        counts = np.zeros(len(pts), np.int64)
-        for s in sigmas:
-            counts += s._image_ids(ws) != ws.tau_ids
-        undet = tuple(pts[w] for w in ws.undet_widx)
-        return DefectProfile(pts, tuple(int(c) for c in counts), undet)
-    pts = tau.domain.window(window)
-    tau_im = tau.apply_window(pts)
-    counts = [0] * len(pts)
+    cls = getattr(sigmas[0], "classifier", None) if sigmas else None
+    if (cls is None or cls.tau.key() != tau.key()
+            or any(getattr(s, "classifier", None) is not cls for s in sigmas)):
+        raise ValueError(f"not one classifier's sigma family for {tau.description}")
+    ws = cls.window_struct(window)
+    tau_ids = ws.tau_ids
+    counts = [0] * len(ws.pts)
     for s in sigmas:
-        for k, (a, b) in enumerate(zip(s.apply_window(pts), tau_im)):
-            if a != b:
-                counts[k] += 1
-    cls = OrbitClassifier(tau)
-    undet = tuple(p for p in pts if cls.classify(p)[0] == _K_UNDET)
-    return DefectProfile(tuple(pts), tuple(counts), undet)
+        for w, y in zip(*s._moves(ws)):
+            counts[w] += y != tau_ids[w]
+    undet = tuple(ws.pts[w] for w in ws.undet_widx)
+    return DefectProfile(ws.pts, tuple(counts), undet)
 
 
 def strip_lift(gs: list) -> StepMap:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +92,8 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         if args.window < 1:
             raise CliInputError("--window must be >= 1")
+        if getattr(args, "alphabet", 1) < 1:
+            raise CliInputError("--alphabet must be >= 1")
         return cls(args.cmd, args.window, args.grid,
                    parse_frac(args.eps), args.seed, args.format, args)
 
@@ -133,7 +136,11 @@ def _parse_pair(text: str, window: int) -> PairModel:
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            return pair_model_from_json(json.load(fh))
+            blob = json.load(fh)
+        try:
+            return pair_model_from_json(blob)
+        except (KeyError, TypeError) as e:
+            raise CliInputError(f"bad pair model {text[1:]!r}: {e!r}") from None
     if ":" in text:
         dom_name, _, endo_name = text.partition(":")
         if dom_name == "pure":
@@ -168,9 +175,7 @@ def cmd_approx_endo(config: RunConfig) -> int:
         bijective = all(s.window_bijectivity(config.window) for s in sigmas)
     except NonInjectiveOnWindow as e:
         raise CliPrecondition(str(e)) from None
-    hist: dict = {}
-    for c in prof.counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
+    hist = Counter(prof.counts)
     dec = orbit_decompose(tau, min(config.window, 2000))
     preview_pts = tau.domain.window(min(config.window, 8))
     previews = [{"sigma": i,

@@ -180,11 +180,14 @@ class FqVector:
     entries: tuple  # sorted ((index, coeff), ...) with 0 < coeff < q
 
     def __post_init__(self):
-        if not all(0 < c < self.q for _, c in self.entries):
-            raise ValueError(f"coefficients must lie in 1..{self.q - 1}: "
-                             f"{self.entries}")
-        if list(self.entries) != sorted(self.entries):
-            raise ValueError(f"entries must be sorted: {self.entries}")
+        prev = -1  # indices start at 0 and strictly increase
+        for i, c in self.entries:
+            if not 0 < c < self.q:
+                raise ValueError(f"coefficients must lie in 1..{self.q - 1}: "
+                                 f"{self.entries}")
+            if i <= prev:
+                raise ValueError(f"entries must be sorted: {self.entries}")
+            prev = i
 
     @classmethod
     def zero(cls, q):
@@ -383,7 +386,8 @@ class ShiftInjection(WindowInjection):
     """x -> x + offset on the naturals; offset 0 points have no preimage."""
 
     def __init__(self, offset: int):
-        assert offset >= 1
+        if offset < 1:
+            raise ValueError(f"shift offset must be >= 1, got {offset}")
         name = "successor" if offset == 1 else f"shift+{offset}"
         super().__init__(NaturalNumbers(), name)
         self.offset = offset

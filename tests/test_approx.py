@@ -56,29 +56,97 @@ def test_single_sigma_fixes_nothing_extra():
 @pytest.mark.parametrize("tau", TAUS, ids=lambda t: t.description)
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32])
 def test_window_paths_match_pointwise(tau, n):
-    # the array paths (apply_window, shared defect_profile) against the
-    # pointwise rules they vectorize
+    # the window-id path (the moved points and their images, and
+    # defect_profile) against the pointwise rules
     sigmas = approximate_by_automorphisms(tau, n)
     pts = tau.domain.window(2000)
+    ws = sigmas[0].classifier.window_struct(2000)
     for s in sigmas:
-        assert s.apply_window(pts) == [s.apply(p) for p in pts]
+        moved, images = s._moves(ws)
+        assert sorted(moved) == [w for w, p in enumerate(pts)
+                                 if s.apply(p) != tau.apply(p)]
+        # every image here is an earlier point of a chain, so in the window
+        assert [pts[y] for y in images] == [s.apply(pts[w]) for w in moved]
     prof = defect_profile(tau, sigmas, 2000)
     assert prof.counts == tuple(sum(s.apply(p) != tau.apply(p) for s in sigmas)
                                 for p in pts)
 
 
+def test_window_ids_cut_chains_grown_past_the_window():
+    tau = shift_endo(2)
+    sigmas = approximate_by_automorphisms(tau, 8)
+    sigmas[7].preimage(0)  # walks the chain of 0 out to position 8
+    ws = sigmas[0].classifier.window_struct(10)
+    pts = tau.domain.window(10)
+    for s in sigmas:
+        moved, images = s._moves(ws)
+        assert [pts[y] for y in images] == [s.apply(pts[w]) for w in moved]
+
+
 def test_window_bijectivity_rejects_colliding_images(monkeypatch):
     sigma = approximate_by_automorphisms(successor_endo(), 3)[1]
     assert sigma.window_bijectivity(100)
-    image_ids = CycleApproxBijection._image_ids
+    moves = CycleApproxBijection._moves
+    for image_of in ("unmoved", "moved"):
 
-    def colliding(self, ws):
-        ids = image_ids(self, ws)
-        ids[1] = ids[0]
-        return ids
+        def colliding(self, ws):
+            moved, images = moves(self, ws)
+            assert 0 not in moved
+            # a moved point takes the image of point 0, or of another moved one
+            images[0] = ws.tau_ids[0] if image_of == "unmoved" else images[1]
+            return moved, images
 
-    monkeypatch.setattr(CycleApproxBijection, "_image_ids", colliding)
-    assert not sigma.window_bijectivity(100)
+        monkeypatch.setattr(CycleApproxBijection, "_moves", colliding)
+        assert not sigma.window_bijectivity(100)
+
+
+def pointwise_bijectivity(sigma, window, undetermined):
+    """window_bijectivity's checks, made from apply and preimage alone."""
+    pts = sigma.domain.window(window)
+    if len({sigma.apply(p) for p in pts}) < len(pts):
+        return False
+    for y in list(undetermined) + pts[::61]:
+        p = sigma.preimage(y)
+        if p is None or sigma.apply(p) != y:
+            return False
+    return True
+
+
+TABLE_POINTS = st.integers(250, 320)
+
+
+@given(st.integers(257, 300),
+       st.lists(st.tuples(TABLE_POINTS, TABLE_POINTS), max_size=8,
+                unique_by=(lambda e: e[0], lambda e: e[1])))
+@settings(max_examples=60, deadline=None)
+def test_window_checks_match_pointwise_on_tables(window, entries):
+    # tables that collide, or whose chains leave the window, only past the
+    # 256 points approximate_by_automorphisms validates
+    tau = TableInjection(NaturalNumbers(), dict(entries))
+    cls = OrbitClassifier(tau)
+    try:
+        families = [approximate_by_automorphisms(tau, n, cls) for n in (1, 2, 3)]
+        profiles = [defect_profile(tau, f, window) for f in families]
+    except NonInjectiveOnWindow:
+        return
+    pts = tau.domain.window(window)
+    for sigmas, prof in zip(families, profiles):
+        assert prof.counts == tuple(sum(s.apply(p) != tau.apply(p) for s in sigmas)
+                                    for p in pts)
+        for s in sigmas:
+            assert s.window_bijectivity(window) == pointwise_bijectivity(
+                s, window, prof.undetermined)
+
+
+def test_defect_profile_takes_one_family():
+    tau = successor_endo()
+    cls = OrbitClassifier(tau)
+    family = approximate_by_automorphisms(tau, 3, cls)
+    other = approximate_by_automorphisms(tau, 2)
+    for sigmas, t in (([], tau), (family + other, tau), (family, shift_endo(2)),
+                      ([tau], tau)):
+        with pytest.raises(ValueError):
+            defect_profile(t, sigmas, 50)
 
 
 def test_family_refuses_non_injective_tau():

@@ -290,6 +290,62 @@ def test_window_below_one_exits_2(capsys, window):
     assert "--window must be >= 1" in err
 
 
+@pytest.mark.parametrize("endo", ["shift:0", "x+-1"])
+def test_shift_below_one_exits_2(capsys, endo):
+    code = main(["approx-endo", "--endo", endo, "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "shift offset must be >= 1" in err
+
+
+def test_shift_below_one_exits_2_under_optimize():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "belle_paire.cli",
+                           "approx-endo", "--endo", "x+-1", "--n", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("blob", [{"q": 2}, [1, 2]])
+def test_pair_file_missing_fields_exits_2(capsys, tmp_path, blob):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(blob))
+    code = main(["pair-certify", "--pair1", f"@{path}", "--pair2", "pure:identity"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "bad pair model" in err
+
+
+@pytest.mark.parametrize("alphabet", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["lift", "--endo", "successor", "--n", "2"],
+    ["pair-distance", "--pair1", "pure:identity", "--pair2", "pure:successor"],
+    ["compose", "--expr", "product(pure,pure)"],
+], ids=lambda a: a[0])
+def test_alphabet_below_one_exits_2(capsys, argv, alphabet):
+    code = main(argv + ["--alphabet", alphabet])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--alphabet must be >= 1" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, belle_paire.cli; "
+                           "print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_battery(capsys):
     code, blob = run_json(capsys, "verify")
     assert code == 0

@@ -73,6 +73,10 @@ def test_fq_vector_rejects_bad_input():
         FqVector(3, ((0, 0),))
     with pytest.raises(ValueError):
         FqVector(3, ((2, 1), (0, 1)))
+    with pytest.raises(ValueError, match="sorted"):
+        FqVector(2, ((0, 1), (0, 1)))  # a repeated index
+    with pytest.raises(ValueError, match="sorted"):
+        FqVector(2, ((-1, 1),))
     with pytest.raises(ValueError):
         FqVector.basis(2, 0).add(FqVector.basis(3, 0))
     with pytest.raises(ValueError):

@@ -226,13 +226,17 @@ class OrbitDecomposition:
 
 
 def orbit_decompose(tau: WindowInjection, window: int,
-                    max_steps: int | None = None) -> OrbitDecomposition:
+                    max_steps: int | None = None,
+                    classifier: OrbitClassifier | None = None,
+                    ) -> OrbitDecomposition:
     """Classify every window point of tau into orbit / semi-orbit / undetermined.
 
-    Raises NonInjectiveOnWindow when two window points share an image.
+    A given classifier for tau is reused with its own max_steps, so points
+    it has already classified are not walked again.  Raises
+    NonInjectiveOnWindow when two window points share an image.
     """
-    tau.validate_window(window)
-    cls = OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
+    cls = classifier or OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
+    cls.validate_window(window)
     records = {}
     relabel: dict = {}
     roots: dict = {}

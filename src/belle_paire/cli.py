@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import (
+    OrbitClassifier,
     approximate_by_automorphisms,
     defect_profile,
     orbit_decompose,
@@ -169,14 +170,16 @@ def cmd_approx_endo(config: RunConfig) -> int:
     n = config.raw.n
     if n < 1:
         raise CliInputError("--n must be >= 1")
+    cls = OrbitClassifier(tau)
     try:
-        sigmas = approximate_by_automorphisms(tau, n)
+        cls.validate_window(config.window)
+        sigmas = approximate_by_automorphisms(tau, n, cls)
         prof = defect_profile(tau, sigmas, config.window)
         bijective = all(s.window_bijectivity(config.window) for s in sigmas)
     except NonInjectiveOnWindow as e:
         raise CliPrecondition(str(e)) from None
     hist = Counter(prof.counts)
-    dec = orbit_decompose(tau, min(config.window, 2000))
+    dec = orbit_decompose(tau, min(config.window, 2000), classifier=cls)
     preview_pts = tau.domain.window(min(config.window, 8))
     previews = [{"sigma": i,
                  "images": [[repr(x), repr(s.apply(x))] for x in preview_pts]}

@@ -659,6 +659,34 @@ class StepMap:
         return f"StepMap({len(self._cells)} cells, values={self.values()!r})"
 
 
+def _columns(maps: Sequence[StepMap]) -> tuple:
+    """The maps' values along one sweep of their joint omega breakpoints.
+
+    Returns (den, cols): den is the lcm of the cells' denominators, and cols
+    holds, for each elementary omega column [lo, hi) (ints over den), the
+    runs (c, d, values) that tile the column's slice [0, den) in order of c,
+    values[k] being maps[k]'s value on the run.
+    """
+    owners = [(k, v) for k, m in enumerate(maps) for _, v in m.cells]
+    den, steps = _sweep([s for m in maps for s, _ in m.cells])
+    # every map tiles each column, so walking the slices in order of c and
+    # noting each map's current value gives the runs of the column
+    current = [None] * len(maps)
+    cols = []
+    for lo, hi, slices in steps:
+        runs = []
+        i, n = 0, len(slices)
+        while i < n:
+            c = slices[i][0]
+            while i < n and slices[i][0] == c:
+                k, v = owners[slices[i][2]]
+                current[k] = v
+                i += 1
+            runs.append((c, slices[i][0] if i < n else den, tuple(current)))
+        cols.append((lo, hi, runs))
+    return den, cols
+
+
 def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
     """Shared partition on which every input map is constant.
 
@@ -668,27 +696,16 @@ def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
     """
     if not maps:
         return [(RationalSet.unit_square(), ())]
-    owners = [(k, v) for k, m in enumerate(maps) for _, v in m.cells]
-    den, steps = _sweep([s for m in maps for s, _ in m.cells])
-    # every map tiles each column, so walking the slices in order of c and
-    # noting each map's current value gives the pieces of the column
-    current = [None] * len(maps)
-    cols: dict = {}
-    for lo, hi, slices in steps:
+    den, cols = _columns(maps)
+    by_key: dict = {}
+    for lo, hi, runs in cols:
         here: dict = {}
-        i, n = 0, len(slices)
-        while i < n:
-            c = slices[i][0]
-            while i < n and slices[i][0] == c:
-                k, v = owners[slices[i][2]]
-                current[k] = v
-                i += 1
-            here.setdefault(tuple(current), []).append(
-                (c, slices[i][0] if i < n else den))
+        for c, d, key in runs:
+            here.setdefault(key, []).append((c, d))
         for key, ys in here.items():
-            cols.setdefault(key, []).append((lo, hi, tuple(ys)))
+            by_key.setdefault(key, []).append((lo, hi, tuple(ys)))
     pieces = []
-    for key, cs in cols.items():
+    for key, cs in by_key.items():
         cs = _normalize_columns(cs)
         pieces.append((_first_key(cs), _reduced(den, cs), key))
     pieces.sort(key=itemgetter(0))

@@ -14,9 +14,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .measure import (Frac, Profile, RationalSet, StepMap, _frac,
-                      common_refinement, l1_distance, slice_profile,
-                      vertical_split)
+from .measure import (Frac, RationalSet, StepMap, _columns, _frac,
+                      common_refinement, l1_distance, vertical_split)
 from .structures import (Domain, IdentityInjection, TableInjection,
                          WindowInjection, window_permutation)
 from .approx import OrbitClassifier, approximate_by_automorphisms, defect_profile
@@ -257,24 +256,8 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
                                     tuple(lines), red)
 
 
-def _omega_intervals(pieces) -> list:
-    xs = sorted({x for s, _ in pieces for lo, hi, _ in s.columns
-                 for x in (lo, hi)} | {Frac(0), Frac(1)})
-    return list(zip(xs, xs[1:]))
-
-
-def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
-    """Exact distance from f to the image class of h_hat.
-
-    Equals the infimum over all first-coordinate-only g of
-    l1_distance(f, h_hat(g)): an optimal g may be normalized, on each omega
-    interval of the common refinement, to a preimage of one of f's values or
-    to a point mapped outside f's alphabet by every cell value.
-    """
-    dom = validate_random_endo(h_hat)
-    pieces = common_refinement([f, h_hat])
-    alphabet = set(f.values())
-    hs = list(dict.fromkeys(h for _, (_, h) in pieces))
+def _candidates(hs, alphabet) -> list:
+    """The preimages of the alphabet under the injections hs, each once."""
     candidates = []
     seen = set()
     for h in hs:
@@ -283,25 +266,64 @@ def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
             if a is not None and a not in seen:
                 seen.add(a)
                 candidates.append(a)
-    for x in dom.iter_points():
-        if x not in seen and all(h.apply(x) not in alphabet for h in hs):
-            candidates.append(x)
-            break
-    total = Frac(0)
-    for lo, hi in _omega_intervals(pieces):
-        width = hi - lo
-        mid = lo  # slices are constant on refinement intervals
-        best = Frac(0)
-        for a in candidates:
-            cover = Frac(0)
-            for s, (fv, h) in pieces:
-                if h.apply(a) == fv:
-                    ys = s.slice_at(mid)
-                    cover += sum((d - c for c, d in ys), Frac(0))
-            if cover > best:
-                best = cover
-        total += width * (1 - best)
-    return total
+    return candidates
+
+
+def _table(cols) -> tuple:
+    """A _columns table with its value tuples interned.
+
+    Returns (widths, keys, runs): widths[i] is column i's omega width,
+    keys the distinct value tuples, and runs[k] the (i, length) pairs
+    giving how much of column i's slice carries keys[k].
+    """
+    index: dict = {}
+    per_key: list = []
+    for i, (_, _, col) in enumerate(cols):
+        for c, d, key in col:
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(per_key)
+                per_key.append({})
+            lengths = per_key[k]
+            lengths[i] = lengths.get(i, 0) + d - c
+    widths = [hi - lo for lo, hi, _ in cols]
+    return widths, list(index), [list(lengths.items()) for lengths in per_key]
+
+
+def _best_cover(n: int, runs: list, choices) -> list:
+    """Per column, the most slice length covered by the keys of one choice."""
+    best = [0] * n
+    for ks in choices:
+        cover = [0] * n
+        for k in ks:
+            for i, length in runs[k]:
+                cover[i] += length
+        best = list(map(max, best, cover))
+    return best
+
+
+def _uncovered(den: int, widths: list, runs: list, choices) -> int:
+    """The integral, over den**2, of what the best choice leaves uncovered."""
+    best = _best_cover(len(widths), runs, choices)
+    return sum(w * (den - b) for w, b in zip(widths, best))
+
+
+def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
+    """Exact distance from f to the image class of h_hat.
+
+    Equals the infimum over all first-coordinate-only g of
+    l1_distance(f, h_hat(g)): an optimal g may be normalized, on each omega
+    column of the common refinement, to a preimage of one of f's values or
+    to a point mapped outside f's alphabet by every cell value.  Such a
+    point covers nothing, which is where the best cover starts, so only the
+    preimages are tried.
+    """
+    validate_random_endo(h_hat)
+    den, cols = _columns([f, h_hat])
+    widths, keys, runs = _table(cols)
+    choices = [[k for k, (v, h) in enumerate(keys) if h.apply(a) == v]
+               for a in _candidates(h_hat.values(), set(f.values()))]
+    return Frac(_uncovered(den, widths, runs, choices), den * den)
 
 
 def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
@@ -311,10 +333,10 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     g ranges over every assignment of pool values to the given omega strips;
     feasible only for tiny pools and strip counts.
     """
+    sets = [RationalSet.vertical_strip(lo, hi) for lo, hi in strips]
     best = None
     for combo in iter_product(pool, repeat=len(strips)):
-        g = StepMap.from_vertical_strips(
-            (lo, hi, v) for (lo, hi), v in zip(strips, combo))
+        g = StepMap(zip(sets, combo))
         d = l1_distance(f, apply_random_endo(h_hat, g))
         if best is None or d < best:
             best = d
@@ -372,21 +394,28 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
         raise StructuralMismatch("carriers differ")
     if isinstance(alphabet, int):
         alphabet = dom.window(alphabet)
-    pieces = common_refinement([g_hat, h_hat])
-    profiles = []
+    # one table of (g, h) runs serves both bounds: the cover at each omega
+    # is intrinsic, so reading it on this finer partition changes nothing
+    den, cols = _columns([g_hat, h_hat])
+    widths, keys, runs = _table(cols)
+    gs, hs = g_hat.values(), h_hat.values()
+    bad, lower = [], 0
     for a in alphabet:
-        bad = RationalSet.empty()
-        for s, (g, h) in pieces:
-            if g.apply(a) != h.apply(a):
-                bad = bad.union(s)
-        profiles.append(slice_profile(bad))
-    xs = sorted(set().union(*[p.breakpoints() for p in profiles]) | {Frac(0), Frac(1)})
-    upper = Frac(0)
-    for lo, hi in zip(xs, xs[1:]):
-        upper += (hi - lo) * max((p.at(lo) for p in profiles), default=Frac(0))
-    lower = Frac(0)
-    all_probes = [StepMap.constant(a) for a in alphabet] + list(probes or [])
-    for f in all_probes:
+        ga = [g.apply(a) for g, _ in keys]
+        ha = [h.apply(a) for _, h in keys]
+        bad.append([k for k, (x, y) in enumerate(zip(ga, ha)) if x != y])
+        # the constant probe a: g_hat(a) against the image of h_hat, and
+        # h_hat(a) against the image of g_hat
+        to_h = [[k for k, (_, h) in enumerate(keys) if h.apply(b) == ga[k]]
+                for b in _candidates(hs, set(ga))]
+        to_g = [[k for k, (g, _) in enumerate(keys) if g.apply(b) == ha[k]]
+                for b in _candidates(gs, set(ha))]
+        lower = max(lower, _uncovered(den, widths, runs, to_h),
+                    _uncovered(den, widths, runs, to_g))
+    upper = sum(w * b for w, b in
+                zip(widths, _best_cover(len(widths), runs, bad)))
+    upper, lower = Frac(upper, den * den), Frac(lower, den * den)
+    for f in probes or []:
         lower = max(lower,
                     dist_to_image(apply_random_endo(g_hat, f), h_hat),
                     dist_to_image(apply_random_endo(h_hat, f), g_hat))

@@ -228,6 +228,29 @@ def test_orbit_decompose_rejects_collision():
         orbit_decompose(bad, 10)
 
 
+@pytest.mark.parametrize("tau", TAUS + [
+    window_permutation(NaturalNumbers(), {0: 1, 1: 2, 2: 0}),
+    window_permutation(NaturalNumbers(), {2: 150, 150: 2})],
+    ids=lambda t: t.description)
+def test_orbit_decompose_reuses_a_classifier(tau):
+    # a classifier that has already walked a larger window gives the same
+    # decomposition as a fresh one
+    cls = OrbitClassifier(tau)
+    cls.window_struct(300)
+    assert orbit_decompose(tau, 120, classifier=cls) == orbit_decompose(tau, 120)
+
+
+def test_orbit_decompose_validates_through_the_classifier():
+    bad = TableInjection(NaturalNumbers(), {300: 5000})  # collides with 5000
+    cls = OrbitClassifier(bad)
+    approximate_by_automorphisms(bad, 2, cls)  # checks the first 256 only
+    with pytest.raises(NonInjectiveOnWindow):
+        orbit_decompose(bad, 6000, classifier=cls)
+    assert 6000 not in cls._validated
+    orbit_decompose(bad, 200, classifier=cls)
+    assert 200 in cls._validated
+
+
 def test_defect_profile_marks_undetermined():
     # a table pushing mass far away leaves window points with unresolved
     # backward walks only if the walk exceeds max_steps; with generous steps

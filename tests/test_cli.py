@@ -41,6 +41,31 @@ def test_approx_endo_unknown_endo_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_approx_endo_validates_the_whole_window(capsys, n):
+    # tau sends 300 and 5000 to 5000, past the first 256 points
+    code, out = run(capsys, "--window", "6000", "approx-endo", "--endo",
+                    "table:[[300,5000]]", "--n", n)
+    assert code == 3
+    assert out == ""
+
+
+def test_approx_endo_classifies_the_window_once(capsys, monkeypatch):
+    import belle_paire.approx as approx
+    made = []
+    init = approx.OrbitClassifier.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(approx.OrbitClassifier, "__init__", counting_init)
+    code, _ = run(capsys, "--window", "500", "approx-endo", "--endo",
+                  "fq-shift:2", "--n", "3")
+    assert code == 0
+    assert len(made) == 1
+
+
 def test_malformed_table_payload_exits_2(capsys):
     code, _ = run(capsys, "approx-endo", "--endo", "table:[[0]]", "--n", "2")
     assert code == 2

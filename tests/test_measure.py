@@ -9,6 +9,7 @@ from belle_paire.measure import (
     RationalSet,
     Rect,
     StepMap,
+    _columns,
     common_refinement,
     density_split,
     l1_distance,
@@ -228,6 +229,32 @@ def test_common_refinement_partitions(f, g):
 @settings(max_examples=150)
 def test_common_refinement_matches_pairwise_reference(maps):
     assert common_refinement(maps) == reference_refinement(maps)
+
+
+@given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=1, max_size=3))
+@settings(max_examples=150)
+def test_columns_tile_the_square(maps):
+    den, cols = _columns(maps)
+    # the columns tile [0, den) in omega, and in every column the runs tile
+    # [0, den) in omega' without a gap or an overlap
+    assert [lo for lo, _, _ in cols] == [0] + [hi for _, hi, _ in cols[:-1]]
+    assert cols[-1][1] == den
+    for lo, hi, runs in cols:
+        assert lo < hi
+        assert [c for c, _, _ in runs] == [0] + [d for _, d, _ in runs[:-1]]
+        assert runs[-1][1] == den
+        for c, d, values in runs:
+            assert c < d
+            # each run carries every map's value at its corner
+            x, y = Frac(lo, den), Frac(c, den)
+            assert values == tuple(m.value_at(x, y) for m in maps)
+
+
+def test_columns_read_one_denominator():
+    f = StepMap.from_vertical_strips([(0, Frac(1, 2), "a"), (Frac(1, 2), 1, "b")])
+    g = StepMap.from_horizontal_strips([(0, Frac(1, 3), 0), (Frac(1, 3), 1, 1)])
+    assert _columns([f, g]) == (6, [(0, 3, [(0, 2, ("a", 0)), (2, 6, ("a", 1))]),
+                                    (3, 6, [(0, 2, ("b", 0)), (2, 6, ("b", 1))])])
 
 
 def _rect(x0, x1, y0, y1):

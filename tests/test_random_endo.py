@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belle_paire.measure import Frac, RationalSet, StepMap, l1_distance
+import belle_paire.random_endo as random_endo
+from belle_paire.measure import (
+    Frac,
+    RationalSet,
+    StepMap,
+    common_refinement,
+    l1_distance,
+    slice_profile,
+)
 from belle_paire.random_endo import (
     NoRepresentativeMatch,
     PairModel,
@@ -32,6 +40,8 @@ from belle_paire.structures import (
     successor_endo,
     window_permutation,
 )
+
+from conftest import grid_step_maps, step_maps
 
 NAT = NaturalNumbers()
 
@@ -175,6 +185,141 @@ def test_dist_to_image_matches_brute_force(seed):
     exact = dist_to_image(f, h_hat)
     brute = brute_force_dist_to_image(f, h_hat, strips, pool)
     assert exact == brute
+
+
+def reference_dist_to_image(f, h_hat):
+    """dist_to_image read piece by piece through Fraction slices, kept as a
+    reference."""
+    dom = validate_random_endo(h_hat)
+    pieces = common_refinement([f, h_hat])
+    alphabet = set(f.values())
+    hs = list(dict.fromkeys(h for _, (_, h) in pieces))
+    candidates = []
+    seen = set()
+    for h in hs:
+        for v in alphabet:
+            a = h.preimage(v)
+            if a is not None and a not in seen:
+                seen.add(a)
+                candidates.append(a)
+    for x in dom.iter_points():
+        if x not in seen and all(h.apply(x) not in alphabet for h in hs):
+            candidates.append(x)
+            break
+    xs = sorted({x for s, _ in pieces for lo, hi, _ in s.columns
+                 for x in (lo, hi)} | {Frac(0), Frac(1)})
+    total = Frac(0)
+    for lo, hi in zip(xs, xs[1:]):
+        best = Frac(0)
+        for a in candidates:
+            cover = Frac(0)
+            for s, (fv, h) in pieces:
+                if h.apply(a) == fv:
+                    cover += sum((d - c for c, d in s.slice_at(lo)), Frac(0))
+            best = max(best, cover)
+        total += (hi - lo) * (1 - best)
+    return total
+
+
+def reference_hausdorff_gap(g_hat, h_hat, alphabet, probes=None):
+    """hausdorff_gap with the upper bound from unions of disagreement pieces
+    and the lower bound from one distance per probe, kept as a reference."""
+    if isinstance(alphabet, int):
+        alphabet = validate_random_endo(g_hat).window(alphabet)
+    pieces = common_refinement([g_hat, h_hat])
+    profiles = []
+    for a in alphabet:
+        bad = RationalSet.empty()
+        for s, (g, h) in pieces:
+            if g.apply(a) != h.apply(a):
+                bad = bad.union(s)
+        profiles.append(slice_profile(bad))
+    xs = sorted(set().union(*[p.breakpoints() for p in profiles])
+                | {Frac(0), Frac(1)})
+    upper = Frac(0)
+    for lo, hi in zip(xs, xs[1:]):
+        upper += (hi - lo) * max((p.at(lo) for p in profiles), default=Frac(0))
+    lower = Frac(0)
+    for f in [StepMap.constant(a) for a in alphabet] + list(probes or []):
+        lower = max(lower,
+                    reference_dist_to_image(apply_random_endo(g_hat, f), h_hat),
+                    reference_dist_to_image(apply_random_endo(h_hat, f), g_hat))
+    return upper, lower
+
+
+# injections of the naturals: identity, successor, shifts, and finite
+# permutations alone or after the successor
+INJECTIONS = [
+    identity_endo(NAT),
+    successor_endo(),
+    shift_endo(2),
+    shift_endo(3),
+    window_permutation(NAT, {0: 1, 1: 0}),
+    window_permutation(NAT, {0: 2, 2: 3, 3: 0}),
+    window_permutation(NAT, {1: 3, 3: 1}).compose(successor_endo()),
+    window_permutation(NAT, {0: 4, 4: 0}).compose(shift_endo(2)),
+]
+
+
+def _maps(alphabet):
+    """Strip and grid step maps over denominators 2 to 12, valued in
+    range(alphabet)."""
+    return st.one_of(
+        step_maps(alphabet=alphabet),
+        st.integers(2, 6).flatmap(
+            lambda den: grid_step_maps(alphabet=alphabet, den=den)))
+
+
+endo_maps = _maps(len(INJECTIONS)).map(
+    lambda m: m.map_values(INJECTIONS.__getitem__))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_maps(6), endo_maps)
+def test_dist_to_image_matches_reference(f, h_hat):
+    assert dist_to_image(f, h_hat) == reference_dist_to_image(f, h_hat)
+
+
+@settings(max_examples=120, deadline=None)
+@given(endo_maps, endo_maps,
+       st.one_of(st.integers(1, 7),
+                 st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)),
+       st.lists(_maps(7), max_size=2))
+def test_hausdorff_gap_matches_reference(g_hat, h_hat, alphabet, probes):
+    assert hausdorff_gap(g_hat, h_hat, alphabet) == \
+        reference_hausdorff_gap(g_hat, h_hat, alphabet)
+    assert hausdorff_gap(g_hat, h_hat, alphabet, probes) == \
+        reference_hausdorff_gap(g_hat, h_hat, alphabet, probes)
+
+
+def test_hausdorff_gap_reads_constant_probes_off_one_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a constant probe went through the generic path")
+
+    g_hat = two_rep_endo()
+    h_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 3), shift_endo(2)), (Frac(1, 3), 1, successor_endo())])
+    want = reference_hausdorff_gap(g_hat, h_hat, 6)
+    for name in ("dist_to_image", "apply_random_endo", "common_refinement"):
+        monkeypatch.setattr(random_endo, name, refuse)
+    assert hausdorff_gap(g_hat, h_hat, 6) == want
+
+
+def test_brute_force_builds_each_strip_once(monkeypatch):
+    h_hat = two_rep_endo()
+    built = []
+    strip = RationalSet.vertical_strip.__func__
+
+    def counting_strip(cls, x0, x1):
+        built.append((x0, x1))
+        return strip(cls, x0, x1)
+
+    monkeypatch.setattr(RationalSet, "vertical_strip", classmethod(counting_strip))
+    strips = [(Frac(0), Frac(1, 3)), (Frac(1, 3), Frac(1))]
+    d = brute_force_dist_to_image(StepMap.constant(0), h_hat, strips,
+                                  list(range(4)))
+    assert d == Frac(1, 2)
+    assert sorted(built) == strips
 
 
 def test_max_strip_probe_distance_additive():

@@ -266,7 +266,8 @@ class CycleApproxBijection(WindowInjection):
     is_bijection = True
 
     def __init__(self, classifier: OrbitClassifier, n: int, i: int):
-        assert 0 <= i < n
+        if not 0 <= i < n:
+            raise ValueError(f"sigma index {i} outside [0, {n})")
         self.classifier = classifier
         self.n = n
         self.i = i

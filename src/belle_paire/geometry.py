@@ -4,17 +4,17 @@ The symbolic bounds (1/(2n), the delta/k codimension law) are exact
 formulas; the search oracle finds the minimal two-sided image gap over
 every grid-constant assignment of automorphisms and reports it as plain
 data.  The gap is a maximum of two column sums, so the search enumerates
-the assignments of one column and runs an exact DP over the reachable
-column sums; its guard bounds the per-column assignments, not the
-candidate space.  No finite run instantiates the infinite-codimension
-hypotheses of the theory; the two kinds of output are kept separate on
-purpose.
+the multisets of incidence classes one column can hold and runs an exact
+DP over the reachable column sums; its guard bounds the ordered
+per-column assignments, not the candidate space.  No finite run
+instantiates the infinite-codimension hypotheses of the theory; the two
+kinds of output are kept separate on purpose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from math import factorial, prod
 
@@ -302,20 +302,31 @@ def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
     points: the probe alphabet; targets: the comparison alphabet; apply_fn:
     (label, point) -> point.  A candidate is one column assignment (grid
     rows) per column, and its gap is max(sum F_j, sum W_j) / grid^2 for
-    integer per-column numerators F_j, W_j.  Every column assignment is
-    enumerated once; a DP over the Pareto front of reachable (F, W) sums
-    then gives the exact minimum, and the witness is rebuilt column by
-    column as the lowest-index candidate that attains it.
+    integer per-column numerators F_j, W_j.  A column's (F_j, W_j) depends
+    only on the multiset of its rows' incidence sets {(a, b) : g(a) = b}
+    over points x targets, so each option is applied once per point, the
+    options are grouped into incidence classes kept by their lowest-index
+    member, and the multisets of class representatives are enumerated in
+    lexicographic order.  A sorted tuple of representatives is the
+    lowest-index column assignment of its (F_j, W_j), so each pair is
+    first seen at the column the full |options|^grid product would give;
+    the guard still bounds that product.  A DP over the Pareto front of
+    reachable (F, W) sums then gives the exact minimum, and the witness is
+    rebuilt column by column as the lowest-index candidate that attains it.
     """
     _check_guard(len(cells_options), grid)
+    classes = {}  # incidence vector -> lowest-index option with it
+    for g in cells_options:
+        images = [apply_fn(g, a) for a in points]
+        classes.setdefault(tuple(x == b for x in images for b in targets), g)
+    m = len(targets)
     first = {}  # (F_j, W_j) -> lowest-index column assignment with it
-    for rows in iter_product(cells_options, repeat=grid):
-        images = {a: [apply_fn(g, a) for g in rows] for a in points}
-        miss = {(a, b): sum(x != b for x in images[a])
-                for a in points for b in targets}
-        fwd = max(min(miss[a, b] for b in targets) for a in points)
-        bwd = max(min(miss[a, b] for a in points) for b in targets)
-        first.setdefault((fwd, bwd), rows)
+    for rows in combinations_with_replacement(classes.items(), grid):
+        hits = [sum(c) for c in zip(*(vec for vec, _ in rows))]
+        # miss = grid - hits, so max-min of misses is grid - min-max of hits
+        fwd = grid - min(max(hits[i:i + m]) for i in range(0, len(hits), m))
+        bwd = grid - min(max(hits[j::m]) for j in range(m))
+        first.setdefault((fwd, bwd), tuple(g for _, g in rows))
     fronts = [[(0, 0)]]  # fronts[k]: Pareto front of sums over k columns
     for _ in range(grid):
         fronts.append(_pareto_front({(f + a, w + b) for f, w in fronts[-1]

@@ -302,6 +302,11 @@ def _best_cover(n: int, runs: list, choices) -> list:
     return best
 
 
+def _agree(kx: list, images: list, wanted: list) -> list:
+    """The keys k whose value kx[k] sends the candidate to wanted[k]."""
+    return [k for k, (i, y) in enumerate(zip(kx, wanted)) if images[i] == y]
+
+
 def _uncovered(den: int, widths: list, runs: list, choices) -> int:
     """The integral, over den**2, of what the best choice leaves uncovered."""
     best = _best_cover(len(widths), runs, choices)
@@ -398,17 +403,24 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
     # is intrinsic, so reading it on this finer partition changes nothing
     den, cols = _columns([g_hat, h_hat])
     widths, keys, runs = _table(cols)
-    gs, hs = g_hat.values(), h_hat.values()
+    # each distinct g and h is applied once per letter and per candidate;
+    # kg[k], kh[k] locate key k's values among them
+    gpos = {g: i for i, g in enumerate(dict.fromkeys(g_hat.values()))}
+    hpos = {h: j for j, h in enumerate(dict.fromkeys(h_hat.values()))}
+    gs, hs = list(gpos), list(hpos)
+    kg = [gpos[g] for g, _ in keys]
+    kh = [hpos[h] for _, h in keys]
     bad, lower = [], 0
     for a in alphabet:
-        ga = [g.apply(a) for g, _ in keys]
-        ha = [h.apply(a) for _, h in keys]
+        g_im = [g.apply(a) for g in gs]
+        h_im = [h.apply(a) for h in hs]
+        ga, ha = [g_im[i] for i in kg], [h_im[j] for j in kh]
         bad.append([k for k, (x, y) in enumerate(zip(ga, ha)) if x != y])
         # the constant probe a: g_hat(a) against the image of h_hat, and
         # h_hat(a) against the image of g_hat
-        to_h = [[k for k, (_, h) in enumerate(keys) if h.apply(b) == ga[k]]
+        to_h = [_agree(kh, [h.apply(b) for h in hs], ga)
                 for b in _candidates(hs, set(ga))]
-        to_g = [[k for k, (g, _) in enumerate(keys) if g.apply(b) == ha[k]]
+        to_g = [_agree(kg, [g.apply(b) for g in gs], ha)
                 for b in _candidates(gs, set(ha))]
         lower = max(lower, _uncovered(den, widths, runs, to_h),
                     _uncovered(den, widths, runs, to_g))

@@ -603,7 +603,9 @@ class ComposedInjection(WindowInjection):
     """outer after inner."""
 
     def __init__(self, outer: WindowInjection, inner: WindowInjection):
-        assert outer.domain == inner.domain
+        if outer.domain != inner.domain:
+            raise ValueError(f"cannot compose {outer.description} after "
+                             f"{inner.description}: carriers differ")
         super().__init__(inner.domain,
                          f"({outer.description} . {inner.description})")
         self.outer = outer
@@ -627,7 +629,8 @@ class InverseInjection(WindowInjection):
     """Inverse of a bijectively presented injection."""
 
     def __init__(self, inner: WindowInjection):
-        assert inner.is_bijection
+        if not inner.is_bijection:
+            raise ValueError(f"{inner.description} is not presented as a bijection")
         super().__init__(inner.domain, f"inverse({inner.description})")
         self.inner = inner
 
@@ -656,8 +659,10 @@ class UnionInjection(WindowInjection):
 
     def __init__(self, domain: DisjointUnion, left: WindowInjection,
                  right: WindowInjection):
-        assert isinstance(domain, DisjointUnion)
-        assert left.domain == domain.left and right.domain == domain.right
+        if not isinstance(domain, DisjointUnion):
+            raise ValueError("a union map needs a DisjointUnion carrier")
+        if left.domain != domain.left or right.domain != domain.right:
+            raise ValueError("union parts do not act on the union's summands")
         super().__init__(domain, f"[{left.description}|{right.description}]")
         self.left = left
         self.right = right
@@ -684,10 +689,13 @@ class WreathInjection(WindowInjection):
 
     def __init__(self, domain: PairProduct, h_part: WindowInjection,
                  coords: dict, default: WindowInjection):
-        assert isinstance(domain, PairProduct)
-        assert h_part.domain == domain.first
-        assert default.domain == domain.second
-        assert all(g.domain == domain.second for g in coords.values())
+        if not isinstance(domain, PairProduct):
+            raise ValueError("a wreath map needs a PairProduct carrier")
+        if h_part.domain != domain.first:
+            raise ValueError("the base map does not act on the first factor")
+        if default.domain != domain.second or any(
+                g.domain != domain.second for g in coords.values()):
+            raise ValueError("a fibre map does not act on the second factor")
         self.h_part = h_part
         self.coords = dict(coords)
         self.default = default

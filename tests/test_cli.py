@@ -196,6 +196,31 @@ def test_search_larger_scales_match_baseline(capsys, argv, gap):
     assert blob["gap"] == gap
 
 
+# stdout of the search core's earlier product loop, byte for byte: the
+# search cases and two search-backed refusals
+FROZEN_SEARCH = json.loads(
+    (Path(__file__).parent / "search_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", FROZEN_SEARCH,
+                         ids=[" ".join(c["argv"]) for c in FROZEN_SEARCH])
+def test_search_stdout_is_frozen(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("q,dim,grid,gap", [
+    (2, 2, 5, "4/5"), (2, 2, 6, "2/3"), (2, 2, 8, "3/4"),
+    (3, 2, 3, "1"), (3, 2, 4, "3/4"), (2, 3, 3, "1"),
+])
+def test_search_table_matches_baseline(capsys, q, dim, grid, gap):
+    code, blob = run_json(capsys, "--grid", str(grid), "search", "--q", str(q),
+                          "--dim", str(dim))
+    assert code == 0
+    assert blob["baseline_key"] == f"q{q}_dim{dim}_grid{grid}_span_e0"
+    assert blob["baseline"] == "match"
+    assert blob["gap"] == gap
+
+
 @pytest.mark.parametrize("argv", [
     ["--grid", "0", "search"],
     ["--grid", "0", "search", "--pure", "3,1"],

@@ -10,6 +10,7 @@ from belle_paire import geometry
 from belle_paire.geometry import (
     SEARCH_GUARD,
     SearchGuardExceeded,
+    SearchResult,
     averaging_witness,
     affine_points,
     closed_set_size,
@@ -22,7 +23,9 @@ from belle_paire.geometry import (
     projective_points,
     standard_chain,
     subspace_span,
+    _check_guard,
     _min_grid_gap,
+    _pareto_front,
 )
 from belle_paire.measure import Frac, RationalSet
 from belle_paire.serialize import load_baseline, parse_frac
@@ -267,6 +270,96 @@ def test_search_core_matches_brute_force_on_arbitrary_maps(seed):
     res = _min_grid_gap(*case)
     assert (res.gap, res.witness, res.forward, res.backward) == \
         brute_force_search(*case)
+
+
+def _reference_min_grid_gap(cells_options, grid: int, points, targets,
+                            apply_fn):
+    """The product column loop the search core replaced, kept verbatim.
+
+    Every |options|^grid ordered column assignment is enumerated, with
+    apply_fn called inside the loop.
+    """
+    _check_guard(len(cells_options), grid)
+    first = {}  # (F_j, W_j) -> lowest-index column assignment with it
+    for rows in product(cells_options, repeat=grid):
+        images = {a: [apply_fn(g, a) for g in rows] for a in points}
+        miss = {(a, b): sum(x != b for x in images[a])
+                for a in points for b in targets}
+        fwd = max(min(miss[a, b] for b in targets) for a in points)
+        bwd = max(min(miss[a, b] for a in points) for b in targets)
+        first.setdefault((fwd, bwd), rows)
+    fronts = [[(0, 0)]]  # fronts[k]: Pareto front of sums over k columns
+    for _ in range(grid):
+        fronts.append(_pareto_front({(f + a, w + b) for f, w in fronts[-1]
+                                     for a, b in first}))
+    best = min(max(p) for p in fronts[grid])
+    witness, f, w = [], 0, 0
+    for left in range(grid - 1, -1, -1):
+        # dict order is first-seen order, so this is the lowest index
+        a, b = next((a, b) for a, b in first
+                    if any(f + a + x <= best and w + b + y <= best
+                           for x, y in fronts[left]))
+        witness.append(first[a, b])
+        f, w = f + a, w + b
+    cells = grid * grid
+    return SearchResult(Fraction(best, cells),
+                        len(cells_options) ** cells, tuple(witness),
+                        Fraction(f, cells), Fraction(w, cells))
+
+
+# past the brute force's 50,000-candidate cap, but cheap for the product loop
+REFERENCE_CASES = [(2, 2, g, gens) for g in (3, 4)
+                   for gens in ([(1, 0)], [(1, 0), (0, 1)])]
+REFERENCE_CASES += [(3, 2, 2, [(1, 0)])]
+REFERENCE_CASES += [(4, g, s) for g in (2, 3) for s in range(1, 5)]
+REFERENCE_CASES += [(5, 2, 2)]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=str)
+def test_search_matches_product_loop(case):
+    if len(case) == 4:
+        res = exhaustive_pair_search(*case)
+        ref_case = _vector_case(*case)
+    else:
+        res = exhaustive_pair_search_pure(*case)
+        ref_case = _pure_case(*case)
+    options, grid = ref_case[:2]
+    assert len(options) ** (grid * grid) > 50_000
+    assert res == _reference_min_grid_gap(*ref_case)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_search_core_matches_product_loop_on_repeated_classes(seed):
+    # maps [0,3) -> [0,5) with at least two letters outside the targets;
+    # a twin swaps those letters, so it has its original's incidence set
+    rng = random.Random(seed)
+    targets = sorted(rng.sample(range(5), rng.choice((1, 2, 3))))
+    spare = [v for v in range(5) if v not in targets]
+    swap = dict(zip(spare, spare[1:] + spare[:1]))
+    options = [tuple(rng.randrange(5) for _ in range(3))
+               for _ in range(rng.choice((3, 4, 5)))]
+    options += [tuple(swap.get(v, v) for v in p) for p in options[:2]]
+    rng.shuffle(options)
+    classes = {tuple(p[a] == b for a in range(3) for b in targets)
+               for p in options}
+    assert len(classes) < len(options)
+    case = (options, 3, [0, 1, 2], targets, lambda p, a: p[a])
+    assert _min_grid_gap(*case) == _reference_min_grid_gap(*case)
+
+
+@pytest.mark.parametrize("case", [_vector_case(2, 2, 4, [(1, 0)]),
+                                  _vector_case(3, 2, 3, [(1, 0)]),
+                                  _pure_case(4, 3, 2)], ids=["q2", "q3", "pure"])
+def test_search_applies_each_option_once_per_point(case):
+    options, grid, points, targets, apply_fn = case
+    calls = []
+
+    def counting(g, a):
+        calls.append((g, a))
+        return apply_fn(g, a)
+    _min_grid_gap(options, grid, points, targets, counting)
+    assert len(calls) == len(options) * len(points)
+    assert len(set(calls)) == len(calls)
 
 
 def test_search_guard_trips():

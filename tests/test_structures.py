@@ -100,6 +100,39 @@ def test_fq_vector_validates_under_optimize():
     assert proc.stdout == "refused\n"
 
 
+# each line builds a combinator or sigma_i from parts that do not fit
+BAD_COMBINATORS = [
+    "ComposedInjection(s, b)",
+    "InverseInjection(s)",
+    "UnionInjection(pair, s, s)",
+    "UnionInjection(union, s, b)",
+    "WreathInjection(union, s, {}, b)",
+    "WreathInjection(pair, b, {}, b)",
+    "WreathInjection(pair, s, {}, s)",
+    "WreathInjection(pair, s, {0: s}, b)",
+    "CycleApproxBijection(OrbitClassifier(s), 3, 3)",
+]
+
+
+def test_combinators_validate_under_optimize():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from belle_paire.approx import CycleApproxBijection, OrbitClassifier\n"
+            "from belle_paire.structures import *\n"
+            "nat, fq = NaturalNumbers(), FqVectors(2)\n"
+            "union, pair = DisjointUnion(nat, nat), PairProduct(nat, fq)\n"
+            "s, b = successor_endo(), basis_shift_endo(2)\n"
+            f"for expr in {BAD_COMBINATORS!r}:\n"
+            "    try:\n"
+            "        eval(expr)\n"
+            "    except ValueError:\n"
+            "        print('refused')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * len(BAD_COMBINATORS)
+
+
 def test_subspace_membership():
     gens = [FqVector.basis(2, 0)]
     assert subspace_membership(FqVector.zero(2), gens)

@@ -302,7 +302,7 @@ def _parse_geometry(text: str) -> GeometrySpec:
     kind, _, q = text.partition(":")
     try:
         return GeometrySpec(kind, int(q))
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         raise CliInputError(f"bad geometry {text!r}: {e}") from None
 
 

@@ -79,7 +79,8 @@ class GroupCertificate:
         self.residual = _frac(residual)
         self.notes = tuple(notes)
         self.allocations = tuple(allocations)  # (part label, budget share)
-        assert self.bound <= self.eps
+        if self.bound > self.eps:
+            raise ValueError(f"bound {self.bound} exceeds eps {self.eps}")
 
     @property
     def ok(self) -> bool:
@@ -100,7 +101,8 @@ class PermGroupPresentation:
         self.approximator = approximator
         self.member = member
         self.elements = dict(elements or {})
-        assert all(g.domain == domain for g in self.elements.values())
+        if any(g.domain != domain for g in self.elements.values()):
+            raise ValueError(f"{name}: an element lives on another carrier")
 
     def approximate(self, h_hat: StepMap, eps, window: int) -> GroupCertificate:
         if validate_random_endo(h_hat) != self.domain:
@@ -212,7 +214,8 @@ def wreath_element(P: PermGroupPresentation, h_part: WindowInjection,
                    coords: dict, default: WindowInjection | None = None
                    ) -> WreathInjection:
     dom = P.domain
-    assert isinstance(dom, PairProduct)
+    if not isinstance(dom, PairProduct):
+        raise ValueError(f"{P.name} is not presented on a pair product")
     default = default if default is not None else identity_endo(dom.second)
     coords = {b: g for b, g in coords.items() if g.key() != default.key()}
     return WreathInjection(dom, h_part, coords, default)
@@ -310,7 +313,8 @@ def finite_index_supergroup(H: PermGroupPresentation,
     reps = list(coset_reps)
     if not reps:
         raise ValueError("need at least one coset representative")
-    assert all(r.domain == H.domain for r in reps)
+    if any(r.domain != H.domain for r in reps):
+        raise ValueError("a coset representative lives on another carrier")
 
     def peel(v, window):
         for j, rep in enumerate(reps):

@@ -6,9 +6,11 @@ and the boolean operations are exact and decidable.  The two coordinates are
 called omega (first) and omega' (second) throughout.
 
 Inside the layer a set keeps its coordinates as ints over one least common
-denominator, and binary operations rescale both operands to the lcm of their
-denominators.  Everything the public API returns (columns, rects, slices,
-shadows, measures) is a Fraction.
+denominator.  One sweep over the joint omega breakpoints of several sets,
+on the lcm of their denominators, serves the set operations, unions of many
+sets, step-map validation, common refinements and the L1 distance.
+Everything the public API returns (columns, rects, slices, shadows,
+measures) is a Fraction.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ class Rect:
 # A "ys" value is a sorted tuple of disjoint, non-touching (c, d) intervals.
 
 def _merge_ys(ivs) -> tuple:
-    ivs = sorted(iv for iv in ivs if iv[0] < iv[1])
+    """Fuse sorted (c, d) intervals that overlap or touch."""
     out: list[list] = []
     for c, d in ivs:
         if out and c <= out[-1][1]:
@@ -120,10 +122,6 @@ def _ys_subtract(a, b) -> tuple:
     return tuple(out)
 
 
-def _ys_union(a, b) -> tuple:
-    return _merge_ys(list(a) + list(b))
-
-
 def _ys_total(ys) -> Fraction:
     return sum((d - c for c, d in ys), ZERO)
 
@@ -141,34 +139,9 @@ def _normalize_columns(cols) -> tuple:
     return tuple((lo, hi, ys) for lo, hi, ys in out)
 
 
-def _column_combine(cols_a, cols_b, yop: Callable) -> tuple:
-    xs = sorted({x for c in cols_a for x in (c[0], c[1])}
-                | {x for c in cols_b for x in (c[0], c[1])})
-    out = []
-    ai = bi = 0
-    for lo, hi in zip(xs, xs[1:]):
-        while ai < len(cols_a) and cols_a[ai][1] <= lo:
-            ai += 1
-        while bi < len(cols_b) and cols_b[bi][1] <= lo:
-            bi += 1
-        ya = cols_a[ai][2] if ai < len(cols_a) and cols_a[ai][0] <= lo else ()
-        yb = cols_b[bi][2] if bi < len(cols_b) and cols_b[bi][0] <= lo else ()
-        ys = yop(ya, yb)
-        if ys:
-            out.append((lo, hi, ys))
-    return _normalize_columns(out)
-
-
 def _num(x, den: int) -> int:
     """x, an int or Fraction whose denominator divides den, as a numerator over den."""
     return x.numerator * (den // x.denominator)
-
-
-def _scale(cols, k: int) -> tuple:
-    if k == 1:
-        return cols
-    return tuple((lo * k, hi * k, tuple((c * k, d * k) for c, d in ys))
-                 for lo, hi, ys in cols)
 
 
 def _reduced(den: int, cols) -> "RationalSet":
@@ -187,6 +160,17 @@ def _reduced(den: int, cols) -> "RationalSet":
         cols = tuple((lo // g, hi // g, tuple((c // g, d // g) for c, d in ys))
                      for lo, hi, ys in cols)
     return RationalSet(den, cols)
+
+
+def _box(r: Rect) -> "RationalSet":
+    """The set of one rectangle over the lcm of its corners' denominators.
+
+    The denominator is not reduced, so the set is only fit to be swept or
+    passed to _reduced.
+    """
+    den = lcm(r.x0.denominator, r.x1.denominator, r.y0.denominator, r.y1.denominator)
+    return RationalSet(den, ((_num(r.x0, den), _num(r.x1, den),
+                              ((_num(r.y0, den), _num(r.y1, den)),)),))
 
 
 class RationalSet:
@@ -222,25 +206,13 @@ class RationalSet:
         x0, x1, y0, y1 = map(_frac, (x0, x1, y0, y1))
         if x0 >= x1 or y0 >= y1:
             return cls.empty()
-        Rect(x0, x1, y0, y1)  # validates the corners
-        den = lcm(x0.denominator, x1.denominator, y0.denominator, y1.denominator)
-        return _reduced(den, ((_num(x0, den), _num(x1, den),
-                               ((_num(y0, den), _num(y1, den)),)),))
+        box = _box(Rect(x0, x1, y0, y1))
+        return _reduced(box._den, box._cols)
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "RationalSet":
         """Union of the given rectangles (overlaps are allowed and fused)."""
-        rects = [(r.x0, r.x1, r.y0, r.y1) for r in rects]
-        den = lcm(*(x.denominator for r in rects for x in r))
-        rects = [tuple(_num(x, den) for x in r) for r in rects]
-        xs = sorted({x for r in rects for x in r[:2]})
-        cols = []
-        for lo, hi in zip(xs, xs[1:]):
-            ys = _merge_ys([(y0, y1) for x0, x1, y0, y1 in rects
-                            if x0 <= lo and x1 >= hi])
-            if ys:
-                cols.append((lo, hi, ys))
-        return _reduced(den, _normalize_columns(cols))
+        return _union([_box(r) for r in rects])
 
     @classmethod
     def vertical_strip(cls, x0, x1) -> "RationalSet":
@@ -279,13 +251,14 @@ class RationalSet:
         return not self._cols
 
     def _combine(self, other: "RationalSet", yop: Callable) -> "RationalSet":
-        den = lcm(self._den, other._den)
-        return _reduced(den, _column_combine(_scale(self._cols, den // self._den),
-                                             _scale(other._cols, den // other._den),
-                                             yop))
+        den, steps = _sweep([self, other])
+        return _reduced(den, _normalize_columns(
+            [(lo, hi, yop([(c, d) for c, d, k in slices if k == 0],
+                          [(c, d) for c, d, k in slices if k == 1]))
+             for lo, hi, slices in steps]))
 
     def union(self, other: "RationalSet") -> "RationalSet":
-        return self._combine(other, _ys_union)
+        return _union([self, other])
 
     def intersect(self, other: "RationalSet") -> "RationalSet":
         return self._combine(other, _ys_intersect)
@@ -377,6 +350,14 @@ def _sweep(sets: Sequence[RationalSet]) -> tuple:
             i += 1
         steps.append((lo, hi, sorted(chain.from_iterable(col[2] for col in active))))
     return den, steps
+
+
+def _union(sets: Sequence[RationalSet]) -> RationalSet:
+    """The union of sets, read off one sweep."""
+    den, steps = _sweep(sets)
+    return _reduced(den, _normalize_columns(
+        [(lo, hi, _merge_ys((c, d) for c, d, _ in slices))
+         for lo, hi, slices in steps]))
 
 
 def _first_key(cols, f: int = 1) -> tuple:
@@ -512,12 +493,13 @@ class DensityMismatch(ValueError):
 def density_split(s: RationalSet, densities: Sequence) -> list[RationalSet]:
     """Split s into parts whose omega slices have prescribed step densities.
 
-    densities may be Profiles or first-coordinate-only StepMaps with rational
-    values; they must be nonnegative and sum, at every omega, to the slice
-    measure of s exactly.
+    densities are Profiles; they must be nonnegative and sum, at every
+    omega, to the slice measure of s exactly.
     """
-    profs = [d if isinstance(d, Profile) else d.to_profile() for d in densities]
+    profs = list(densities)
     for p in profs:
+        if not isinstance(p, Profile):
+            raise TypeError(f"density must be a Profile, got {p!r}")
         if not p.is_nonnegative():
             raise ValueError("densities must be nonnegative")
     xs = sorted({x for lo, hi, _ in s.columns for x in (lo, hi)}
@@ -559,18 +541,13 @@ class StepMap:
 
     def __init__(self, cells: Iterable):
         by_value: dict = {}
-        order: list = []
         for s, v in cells:
             if not isinstance(s, RationalSet):
                 raise ValueError("cell supports must be RationalSet")
-            if s.is_empty:
-                continue
-            if v in by_value:
-                by_value[v] = by_value[v].union(s)
-            else:
-                by_value[v] = s
-                order.append(v)
-        merged = [(by_value[v], v) for v in order]
+            if not s.is_empty:
+                by_value.setdefault(v, []).append(s)
+        merged = [(ss[0] if len(ss) == 1 else _union(ss), v)
+                  for v, ss in by_value.items()]
         # one sweep sums the cells' measures and finds overlaps: within a
         # column, a slice that starts before the previous one ends overlaps it
         den, steps = _sweep([s for s, _ in merged])
@@ -623,20 +600,6 @@ class StepMap:
             if s.contains_point(x, y):
                 return v
         raise AssertionError("cells do not cover the square")  # unreachable
-
-    @property
-    def is_first_coordinate_only(self) -> bool:
-        return all(ys == ((0, s._den),) for s, _ in self._cells for _, _, ys in s._cols)
-
-    def to_profile(self) -> Profile:
-        """Read a first-coordinate-only rational-valued map as a Profile."""
-        if not self.is_first_coordinate_only:
-            raise ValueError("step map depends on the second coordinate")
-        pieces = []
-        for s, v in self._cells:
-            for lo, hi, _ in s.columns:
-                pieces.append((lo, hi, _frac(v)))
-        return Profile(pieces)
 
     def map_values(self, fn: Callable) -> "StepMap":
         return StepMap([(s, fn(v)) for s, v in self._cells])
@@ -714,5 +677,7 @@ def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
 
 def l1_distance(f: StepMap, g: StepMap) -> Fraction:
     """Measure of the set where f and g disagree; a metric on step maps."""
-    return sum((s.measure for s, (a, b) in common_refinement([f, g]) if a != b),
-               ZERO)
+    den, cols = _columns([f, g])
+    area = sum((hi - lo) * (d - c) for lo, hi, runs in cols
+               for c, d, (a, b) in runs if a != b)
+    return Fraction(area, den * den)

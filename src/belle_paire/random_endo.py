@@ -224,7 +224,7 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
     if reps is None:
         reps = list(dict.fromkeys(h_hat.values()))
     red = orbit_reduce(h_hat, reps, window)
-    out_cells = []
+    sigma_cells = []
     lines = []
     for k, rep in enumerate(red.reps):
         region = red.assignment.support_of(k)
@@ -243,17 +243,16 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
             n_k = -(-defect * eps.denominator // eps.numerator)
             sigmas = approximate_by_automorphisms(rep, n_k, cls)
         pieces = vertical_split(region, [Frac(1, n_k)] * n_k)
-        for piece, sigma in zip(pieces, sigmas):
-            for s, g in red.g_hat.cells:
-                part = s.intersect(piece)
-                if not part.is_empty:
-                    out_cells.append((part, g.compose(sigma)))
+        sigma_cells.extend(zip(pieces, sigmas))
         lines.append(BudgetLine(k, rep.description, region.measure, defect,
                                 n_k, region.measure * Frac(defect, n_k)))
     bound = sum((ln.contribution for ln in lines), Frac(0))
     assert bound <= eps
-    return ApproximationCertificate(StepMap(out_cells), bound, eps, window,
-                                    tuple(lines), red)
+    # the pieces tile the square, so one refinement against g_hat gives
+    # every (cell, piece) part that carries g . sigma
+    g_hat = StepMap([(s, g.compose(sigma)) for s, (g, sigma)
+                     in common_refinement([red.g_hat, StepMap(sigma_cells)])])
+    return ApproximationCertificate(g_hat, bound, eps, window, tuple(lines), red)
 
 
 def _candidates(hs, alphabet) -> list:
@@ -352,26 +351,21 @@ def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,
                              alphabet: list) -> tuple:
     """Exact max of l1_distance(g_hat(f), h_hat(f)) over all strip probes f.
 
-    Probes assign one alphabet value per strip; the distance is additive
-    across strips, so the maximum is the sum of per-strip worst cases.
-    Returns (max distance, witness probe).
+    Probes assign one alphabet value per strip, and the strips must tile
+    [0, 1); the distance is additive across strips, so the maximum is the
+    sum of per-strip worst cases, read off one refinement that takes the
+    strips as a third map.  Returns (max distance, witness probe).
     """
-    pieces = common_refinement([g_hat, h_hat])
-    strip_mass = []
-    for s, _ in pieces:
-        row = []
-        for lo, hi in strips:
-            row.append(s.intersect(RationalSet.vertical_strip(lo, hi)).measure)
-        strip_mass.append(row)
+    strip_map = StepMap.from_vertical_strips(
+        (lo, hi, j) for j, (lo, hi) in enumerate(strips))
+    pieces = common_refinement([g_hat, h_hat, strip_map])
     total = Frac(0)
     witness = []
     for j, (lo, hi) in enumerate(strips):
+        here = [(s.measure, g, h) for s, (g, h, i) in pieces if i == j]
         best, best_a = Frac(0), alphabet[0]
         for a in alphabet:
-            d = Frac(0)
-            for (s, (g, h)), row in zip(pieces, strip_mass):
-                if row[j] and g.apply(a) != h.apply(a):
-                    d += row[j]
+            d = sum((m for m, g, h in here if g.apply(a) != h.apply(a)), Frac(0))
             if d > best:
                 best, best_a = d, a
         total += best

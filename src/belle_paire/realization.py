@@ -32,28 +32,23 @@ __all__ = [
 ]
 
 
-def _as_profile(d) -> Profile:
-    if isinstance(d, Profile):
-        return d
-    if isinstance(d, StepMap):
-        return d.to_profile()
-    raise TypeError(f"density must be a Profile or omega step map, got {d!r}")
-
-
 class RealizationSpec:
     """Groups of (home set, [(value, density)]) with exact marginals."""
 
     def __init__(self, groups):
         norm = []
         for gi, (home, pieces) in enumerate(groups):
-            assert isinstance(home, RationalSet)
-            pieces = tuple((v, _as_profile(d)) for v, d in pieces)
+            if not isinstance(home, RationalSet):
+                raise ValueError(f"group {gi}: home set must be a RationalSet")
+            pieces = tuple(pieces)
             if not pieces:
                 raise ValueError(f"group {gi} has no pieces")
             vals = [v for v, _ in pieces]
             if len(set(vals)) != len(vals):
                 raise ValueError(f"group {gi} repeats a target value")
             for v, p in pieces:
+                if not isinstance(p, Profile):
+                    raise TypeError(f"density must be a Profile, got {p!r}")
                 if not p.is_nonnegative():
                     raise ValueError(f"group {gi}, value {v!r}: "
                                      "density must be nonnegative")

@@ -40,7 +40,8 @@ class SampleStream:
 
     def cuts(self, n: int, den: int = 24) -> list:
         """0 = c_0 < ... < c_n = 1 on the 1/den grid."""
-        assert 1 <= n <= den
+        if not 1 <= n <= den:
+            raise ValueError(f"need 1 <= n <= den, got n={n}, den={den}")
         pool = [Frac(i, den) for i in range(1, den)]
         inner = sorted(self.rng.sample(pool, n - 1)) if n > 1 else []
         return [ZERO] + inner + [Frac(1)]

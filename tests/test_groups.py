@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import belle_paire
 
 from belle_paire.groups import (
     GroupCertificate,
@@ -40,9 +46,42 @@ def test_presentation_approximates_own_elements():
 
 
 def test_certificate_bound_gate():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GroupCertificate(constant_endo(identity_endo()), Frac(1, 2),
                          Frac(1, 4), 10)
+
+
+# each line trips one input gate of groups, realization or sampling
+BAD_INPUTS = [
+    "GroupCertificate(constant_endo(identity_endo()), Frac(1, 2), Frac(1, 4), 10)",
+    "PermGroupPresentation('bad', nat, None, elements={'b': basis_shift_endo(2)})",
+    "wreath_element(pure_set_presentation(), successor_endo(), {})",
+    "finite_index_supergroup(pure_set_presentation(), [basis_shift_endo(2)])",
+    "RealizationSpec([('not a set', [(0, Profile.constant(1))])])",
+    "SampleStream(0).cuts(0)",
+    "SampleStream(0).cuts(25)",
+]
+
+
+def test_input_gates_hold_under_optimize():
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from belle_paire.groups import *\n"
+            "from belle_paire.measure import Frac, Profile\n"
+            "from belle_paire.random_endo import constant_endo\n"
+            "from belle_paire.realization import RealizationSpec\n"
+            "from belle_paire.sampling import SampleStream\n"
+            "from belle_paire.structures import *\n"
+            "nat = NaturalNumbers()\n"
+            f"for expr in {BAD_INPUTS!r}:\n"
+            "    try:\n"
+            "        eval(expr)\n"
+            "    except ValueError:\n"
+            "        print('refused')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * len(BAD_INPUTS)
 
 
 def test_parity_presentation_membership():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,11 @@ from belle_paire.measure import (
     Rect,
     StepMap,
     _columns,
+    _normalize_columns,
+    _num,
+    _reduced,
+    _ys_intersect,
+    _ys_subtract,
     common_refinement,
     density_split,
     l1_distance,
@@ -17,7 +24,7 @@ from belle_paire.measure import (
     vertical_split,
 )
 
-from conftest import fracs01, grid_step_maps, rational_sets, step_maps
+from conftest import fracs01, grid_step_maps, rational_sets, rects, step_maps
 
 
 def reference_refinement(maps):
@@ -37,6 +44,72 @@ def reference_refinement(maps):
         acc = [(piece, key) for key, piece in nxt.items()]
     acc.sort(key=lambda cv: cv[0].columns[0][:2] + cv[0].columns[0][2][0])
     return acc
+
+
+def _reference_merge_ys(ivs):
+    ivs = sorted(iv for iv in ivs if iv[0] < iv[1])
+    out = []
+    for c, d in ivs:
+        if out and c <= out[-1][1]:
+            if d > out[-1][1]:
+                out[-1][1] = d
+        else:
+            out.append([c, d])
+    return tuple((c, d) for c, d in out)
+
+
+def _reference_scale(cols, k):
+    if k == 1:
+        return cols
+    return tuple((lo * k, hi * k, tuple((c * k, d * k) for c, d in ys))
+                 for lo, hi, ys in cols)
+
+
+def _reference_column_combine(cols_a, cols_b, yop):
+    xs = sorted({x for c in cols_a for x in (c[0], c[1])}
+                | {x for c in cols_b for x in (c[0], c[1])})
+    out = []
+    ai = bi = 0
+    for lo, hi in zip(xs, xs[1:]):
+        while ai < len(cols_a) and cols_a[ai][1] <= lo:
+            ai += 1
+        while bi < len(cols_b) and cols_b[bi][1] <= lo:
+            bi += 1
+        ya = cols_a[ai][2] if ai < len(cols_a) and cols_a[ai][0] <= lo else ()
+        yb = cols_b[bi][2] if bi < len(cols_b) and cols_b[bi][0] <= lo else ()
+        ys = yop(ya, yb)
+        if ys:
+            out.append((lo, hi, ys))
+    return _normalize_columns(out)
+
+
+def reference_combine(a, b, op):
+    """A set operation by one pairwise column walk, kept as a reference."""
+    yop = {"union": lambda ya, yb: _reference_merge_ys(list(ya) + list(yb)),
+           "intersect": _ys_intersect, "subtract": _ys_subtract}[op]
+    den = math.lcm(a._den, b._den)
+    return _reduced(den, _reference_column_combine(
+        _reference_scale(a._cols, den // a._den),
+        _reference_scale(b._cols, den // b._den), yop))
+
+
+def reference_from_rects(rects):
+    """from_rects by rescanning every rect per column, kept as a reference."""
+    rects = [(r.x0, r.x1, r.y0, r.y1) for r in rects]
+    den = math.lcm(*(x.denominator for r in rects for x in r))
+    rects = [tuple(_num(x, den) for x in r) for r in rects]
+    xs = sorted({x for r in rects for x in r[:2]})
+    cols = []
+    for lo, hi in zip(xs, xs[1:]):
+        ys = _reference_merge_ys([(y0, y1) for x0, x1, y0, y1 in rects
+                                  if x0 <= lo and x1 >= hi])
+        if ys:
+            cols.append((lo, hi, ys))
+    return _reduced(den, _normalize_columns(cols))
+
+
+def _same(s, t):
+    return (s._den, s._cols) == (t._den, t._cols)
 
 
 def reference_refusal(cells):
@@ -113,6 +186,45 @@ def test_overlapping_rects_fuse():
 def test_inclusion_exclusion(a, b):
     assert (a.union(b).measure
             == a.measure + b.measure - a.intersect(b).measure)
+
+
+@given(rational_sets(), rational_sets())
+def test_set_operations_match_pairwise_reference(a, b):
+    assert _same(a.union(b), reference_combine(a, b, "union"))
+    assert _same(a.intersect(b), reference_combine(a, b, "intersect"))
+    assert _same(a.subtract(b), reference_combine(a, b, "subtract"))
+    assert _same(a.complement(),
+                 reference_combine(RationalSet.unit_square(), a, "subtract"))
+
+
+@given(st.lists(rects(), max_size=6), rational_sets())
+def test_from_rects_matches_rescanning_reference(rs, a):
+    assert _same(RationalSet.from_rects(rs), reference_from_rects(rs))
+    assert _same(RationalSet.from_rects(a.rects), reference_from_rects(a.rects))
+    assert _same(RationalSet.from_rects(a.rects), a)
+
+
+@given(grid_step_maps(alphabet=2))
+def test_step_map_fusion_matches_pairwise_unions(m):
+    # one cell per rectangle, fused back by value
+    cells = [(RationalSet.from_rect(r.x0, r.x1, r.y0, r.y1), v)
+             for s, v in m.cells for r in s.rects]
+    fused = StepMap(cells)
+    assert fused == m
+    for v in m.values():
+        acc = RationalSet.empty()
+        for t, w in cells:
+            if w == v:
+                acc = reference_combine(acc, t, "union")
+        assert _same(fused.support_of(v), acc)
+
+
+@given(st.one_of(step_maps(), grid_step_maps()),
+       st.one_of(step_maps(), grid_step_maps()))
+def test_l1_distance_is_measure_of_disagreeing_pieces(f, g):
+    want = sum((s.measure for s, (a, b) in common_refinement([f, g]) if a != b),
+               Frac(0))
+    assert l1_distance(f, g) == want
 
 
 @given(rational_sets())

@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belle_paire.random_endo as random_endo
+from belle_paire.approx import (
+    OrbitClassifier,
+    approximate_by_automorphisms,
+    defect_profile,
+)
 from belle_paire.measure import (
     Frac,
     RationalSet,
@@ -12,8 +17,10 @@ from belle_paire.measure import (
     common_refinement,
     l1_distance,
     slice_profile,
+    vertical_split,
 )
 from belle_paire.random_endo import (
+    BudgetLine,
     NoRepresentativeMatch,
     PairModel,
     Refusal,
@@ -41,7 +48,7 @@ from belle_paire.structures import (
     window_permutation,
 )
 
-from conftest import grid_step_maps, step_maps
+from conftest import cut_points, grid_step_maps, step_maps
 
 NAT = NaturalNumbers()
 
@@ -320,6 +327,97 @@ def test_brute_force_builds_each_strip_once(monkeypatch):
                                   list(range(4)))
     assert d == Frac(1, 2)
     assert sorted(built) == strips
+
+
+def reference_max_strip_probe_distance(g_hat, h_hat, strips, alphabet):
+    """max_strip_probe_distance with each refinement piece intersected with
+    each strip, kept as a reference."""
+    pieces = common_refinement([g_hat, h_hat])
+    strip_mass = []
+    for s, _ in pieces:
+        row = []
+        for lo, hi in strips:
+            row.append(s.intersect(RationalSet.vertical_strip(lo, hi)).measure)
+        strip_mass.append(row)
+    total = Frac(0)
+    witness = []
+    for j, (lo, hi) in enumerate(strips):
+        best, best_a = Frac(0), alphabet[0]
+        for a in alphabet:
+            d = Frac(0)
+            for (s, (g, h)), row in zip(pieces, strip_mass):
+                if row[j] and g.apply(a) != h.apply(a):
+                    d += row[j]
+            if d > best:
+                best, best_a = d, a
+        total += best
+        witness.append((lo, hi, best_a))
+    return total, StepMap.from_vertical_strips(witness)
+
+
+def reference_approximate_random_endo(h_hat, reps, eps, window):
+    """approximate_random_endo with each g_hat cell intersected with each
+    piece, kept as a reference; returns (g_hat, bound, lines)."""
+    if reps is None:
+        reps = list(dict.fromkeys(h_hat.values()))
+    red = orbit_reduce(h_hat, reps, window)
+    out_cells = []
+    lines = []
+    for k, rep in enumerate(red.reps):
+        region = red.assignment.support_of(k)
+        if region.is_empty:
+            continue
+        cls = OrbitClassifier(rep)
+        base = defect_profile(rep, approximate_by_automorphisms(rep, 1, cls),
+                              window)
+        defect = base.max_defect
+        if defect == 0:
+            n_k = 1
+            sigmas = [rep]
+        else:
+            n_k = -(-defect * eps.denominator // eps.numerator)
+            sigmas = approximate_by_automorphisms(rep, n_k, cls)
+        pieces = vertical_split(region, [Frac(1, n_k)] * n_k)
+        for piece, sigma in zip(pieces, sigmas):
+            for s, g in red.g_hat.cells:
+                part = s.intersect(piece)
+                if not part.is_empty:
+                    out_cells.append((part, g.compose(sigma)))
+        lines.append(BudgetLine(k, rep.description, region.measure, defect,
+                                n_k, region.measure * Frac(defect, n_k)))
+    bound = sum((ln.contribution for ln in lines), Frac(0))
+    return StepMap(out_cells), bound, tuple(lines)
+
+
+def _descriptions(m):
+    return [(s, v.description) for s, v in m.cells]
+
+
+@settings(max_examples=60, deadline=None)
+@given(endo_maps, endo_maps, cut_points(), st.integers(1, 8))
+def test_max_strip_probe_distance_matches_reference(g_hat, h_hat, cuts, n):
+    strips = list(zip(cuts, cuts[1:]))
+    total, witness = max_strip_probe_distance(g_hat, h_hat, strips, range(n))
+    want, want_witness = reference_max_strip_probe_distance(
+        g_hat, h_hat, strips, range(n))
+    assert total == want
+    assert witness == want_witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(endo_maps, st.sampled_from([Frac(1, 2), Frac(1, 5), Frac(1, 12)]),
+       st.sampled_from([None, [identity_endo(NAT), successor_endo()],
+                        [successor_endo()]]))
+def test_approximate_random_endo_matches_reference(h_hat, eps, reps):
+    try:
+        want = reference_approximate_random_endo(h_hat, reps, eps, 12)
+    except NoRepresentativeMatch:
+        with pytest.raises(NoRepresentativeMatch):
+            approximate_random_endo(h_hat, reps, eps, 12)
+        return
+    cert = approximate_random_endo(h_hat, reps, eps, 12)
+    assert (cert.g_hat, cert.bound, cert.lines) == want
+    assert _descriptions(cert.g_hat) == _descriptions(want[0])
 
 
 def test_max_strip_probe_distance_additive():

@@ -19,7 +19,8 @@ undetermined and never guessed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import compress, groupby
 
 from .measure import Frac, StepMap
@@ -48,25 +49,43 @@ _KIND_NAMES = {_K_ORBIT: ORBIT, _K_SEMI: SEMI_ORBIT, _K_UNDET: UNDETERMINED}
 
 
 class OrbitClassifier:
-    """Memoized backward-walking orbit classification for one injection."""
+    """Memoized backward-walking orbit classification for one injection.
+
+    Points are handled as their codes k (tau.domain.point_at(k)) through
+    tau's code rules, so the walk builds no point; point() decodes a code
+    where a caller reads it, once per code.
+    """
 
     def __init__(self, tau: WindowInjection, max_steps: int = 100_000):
         self.tau = tau
         self.max_steps = max_steps
-        self._cls: dict = {}     # point -> (kind code, oid, position)
-        self._chains: dict = {}  # oid -> list of points for rooted chains
-        self._cycles: dict = {}  # oid -> list of points in forward order
+        self._cls: dict = {}     # code -> (kind code, oid, position)
+        self._chains: dict = {}  # oid -> list of codes for rooted chains
+        self._cycles: dict = {}  # oid -> list of codes in forward order
         self._next_oid = 0
-        self._img: dict = {}     # point -> tau's image of it
+        self._img: dict = {}     # code -> code of tau's image of it
+        self._points: dict = {}  # code -> decoded point
         self._ws_cache: dict = {}   # window size -> _Win
         self._validated: set = set()  # window sizes validate_window passed
 
-    def tau_image(self, x):
-        """tau.apply(x) memoized; every sigma of the family asks for it."""
-        y = self._img.get(x)
+    def point(self, k: int):
+        """The point with code k, decoded once per classifier."""
+        x = self._points.get(k)
+        if x is None:
+            x = self._points[k] = self.tau.domain.point_at(k)
+        return x
+
+    def _collision(self, k1, k2, y) -> NonInjectiveOnWindow:
+        """NonInjectiveOnWindow naming the points of the codes (k2 may be None)."""
+        return NonInjectiveOnWindow(self.point(k1),
+                                    None if k2 is None else self.point(k2),
+                                    self.point(y))
+
+    def tau_image(self, k: int) -> int:
+        """tau.apply_code(k) memoized; every sigma of the family asks for it."""
+        y = self._img.get(k)
         if y is None:
-            y = self.tau.apply(x)
-            self._img[x] = y
+            y = self._img[k] = self.tau.apply_code(k)
         return y
 
     def validate_window(self, n: int) -> None:
@@ -77,17 +96,18 @@ class OrbitClassifier:
         if n in self._validated:
             return
         seen = {}
-        for x in self.tau.domain.window(n):
-            y = self.tau_image(x)
+        for k in range(n):
+            y = self.tau_image(k)
             if y in seen:
-                raise NonInjectiveOnWindow(seen[y], x, y)
-            seen[y] = x
+                raise self._collision(seen[y], k, y)
+            seen[y] = k
         self._validated.add(n)
 
-    def classify(self, x):
+    def classify(self, x: int):
         got = self._cls.get(x)
         if got is not None:
             return got
+        preimage = self.tau.preimage_code
         path = [x]
         path_pos = {x: 0}
         while True:
@@ -96,7 +116,7 @@ class OrbitClassifier:
                 for p in path:
                     self._cls[p] = rec
                 return rec
-            prev = self.tau.preimage(path[-1])
+            prev = preimage(path[-1])
             if prev is None:
                 oid = self._next_oid
                 self._next_oid += 1
@@ -111,8 +131,8 @@ class OrbitClassifier:
                 if kind == _K_SEMI:
                     chain = self._chains[oid]
                     if len(chain) != pos + 1:
-                        raise NonInjectiveOnWindow(chain[pos + 1], path[-1],
-                                                   self.tau.apply(prev))
+                        raise self._collision(chain[pos + 1], path[-1],
+                                              self.tau_image(prev))
                     for off, p in enumerate(reversed(path), start=1):
                         chain.append(p)
                         self._cls[p] = (_K_SEMI, oid, pos + off)
@@ -120,14 +140,14 @@ class OrbitClassifier:
                 if kind == _K_ORBIT:
                     # a backward walk can only enter a cycle if two points
                     # share an image, i.e. the rule is not injective
-                    raise NonInjectiveOnWindow(path[-1], None, self.tau.apply(prev))
+                    raise self._collision(path[-1], None, self.tau_image(prev))
                 rec = (_K_UNDET, -1, -1)
                 for p in path:
                     self._cls[p] = rec
                 return rec
             if prev in path_pos:
                 if prev != x:
-                    raise NonInjectiveOnWindow(path[-1], None, prev)
+                    raise self._collision(path[-1], None, prev)
                 oid = self._next_oid
                 self._next_oid += 1
                 cyc = list(reversed(path))
@@ -141,8 +161,8 @@ class OrbitClassifier:
     def chain(self, oid) -> list:
         return self._chains[oid]
 
-    def chain_point(self, oid, pos: int):
-        """Point at a chain position, extending forward with tau as needed."""
+    def chain_point(self, oid, pos: int) -> int:
+        """Code at a chain position, extending forward with tau as needed."""
         chain = self._chains[oid]
         while len(chain) <= pos:
             nxt = self.tau_image(chain[-1])
@@ -156,33 +176,31 @@ class OrbitClassifier:
         """The _Win of the window [0, n), built once per n."""
         ws = self._ws_cache.get(n)
         if ws is None:
-            ws = _Win(self, tuple(self.tau.domain.window(n)))
-            self._ws_cache[n] = ws
+            ws = self._ws_cache[n] = _Win(self, n)
         return ws
 
 
 class _Win:
-    """One window as small int ids, laid out for the sigma rule.
+    """One window [0, n) of codes, laid out for the sigma rule.
 
-    Window point w has id w; tau images and chain points outside the window
-    get ids from len(pts) on.  tau_ids[w] is the id of tau(w), tau_set their
-    set and dups maps each id tau hits more than once to its count.  The
-    rooted chains through the window, each cut after its last window point,
-    lie end to end in chain_ids, longest first; groups holds (start, count,
-    length) for each run of chains of one length.
+    Window point w is its code w, and tau images and chain points outside
+    the window are their codes too, all n or more.  tau_ids[w] is the code
+    of tau(w), tau_set their set and dups maps each code tau hits more than
+    once to its count.  The rooted chains through the window, each cut
+    after its last window point, lie end to end in chain_ids, longest
+    first; groups holds (start, count, length) for each run of chains of
+    one length.
     """
 
-    __slots__ = ("pts", "tau_ids", "tau_set", "dups", "chain_ids", "groups",
+    __slots__ = ("n", "tau_ids", "tau_set", "dups", "chain_ids", "groups",
                  "undet_widx")
 
-    def __init__(self, cls: OrbitClassifier, pts: tuple):
-        self.pts = pts
+    def __init__(self, cls: OrbitClassifier, n: int):
+        self.n = n
         # classify every point before reading chains: a later point can
         # still extend a chain an earlier point lies on
-        recs = [cls.classify(p) for p in pts]
-        intern = {p: i for i, p in enumerate(pts)}
-        self.tau_ids = [intern.setdefault(cls.tau_image(p), len(intern))
-                        for p in pts]
+        recs = list(map(cls.classify, range(n)))
+        self.tau_ids = list(map(cls.tau_image, range(n)))
         lengths: dict = {}  # oid -> 1 + last window position on the chain
         for k, o, pos in recs:
             if k == _K_SEMI and lengths.get(o, 0) <= pos:
@@ -194,8 +212,7 @@ class _Win:
             oids = list(oids)
             self.groups.append((len(flat), len(oids), length))
             for o in oids:
-                flat += [intern.setdefault(p, len(intern))
-                         for p in cls.chain(o)[:length]]
+                flat += cls.chain(o)[:length]
         self.tau_set = set(self.tau_ids)
         self.dups = {y: c for y, c in Counter(self.tau_ids).items() if c > 1}
         self.chain_ids = flat
@@ -237,25 +254,27 @@ def orbit_decompose(tau: WindowInjection, window: int,
     """
     cls = classifier or OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
     cls.validate_window(window)
+    point = cls.point
     records = {}
     relabel: dict = {}
     roots: dict = {}
     cycles: dict = {}
     undet = []
-    for p in tau.domain.window(window):
-        k, o, pos = cls.classify(p)
-        if k == _K_UNDET:
+    for k in range(window):
+        p = point(k)
+        kind, o, pos = cls.classify(k)
+        if kind == _K_UNDET:
             records[p] = (UNDETERMINED, -1, -1)
             undet.append(p)
             continue
         if o not in relabel:
             rid = len(relabel)
             relabel[o] = rid
-            if k == _K_SEMI:
-                roots[rid] = cls.chain(o)[0]
+            if kind == _K_SEMI:
+                roots[rid] = point(cls.chain(o)[0])
             else:
-                cycles[rid] = tuple(cls._cycles[o])
-        records[p] = (_KIND_NAMES[k], relabel[o], pos)
+                cycles[rid] = tuple(map(point, cls._cycles[o]))
+        records[p] = (_KIND_NAMES[kind], relabel[o], pos)
     return OrbitDecomposition(window, tau.description, records, roots,
                               cycles, tuple(undet))
 
@@ -273,6 +292,8 @@ class CycleApproxBijection(WindowInjection):
         self.i = i
         tau = classifier.tau
         super().__init__(tau.domain, f"approx[{tau.description};n={n},i={i}]")
+        # apply and preimage on points decode through the classifier's memo
+        self.point_of = classifier.point
 
     @property
     def tau(self) -> WindowInjection:
@@ -281,29 +302,29 @@ class CycleApproxBijection(WindowInjection):
     def key(self):
         return ("approx", self.tau.key(), self.n, self.i)
 
-    def apply(self, x):
-        kind, oid, j = self.classifier.classify(x)
-        if kind != _K_SEMI:
-            return self.classifier.tau_image(x)
+    def apply_code(self, k):
+        cls = self.classifier
+        kind, oid, j = cls.classify(k)
         n, i = self.n, self.i
-        if j >= 1 and j % n == (i + 1) % n:
-            chain = self.classifier.chain(oid)
+        if kind == _K_SEMI and j >= 1 and j % n == (i + 1) % n:
+            chain = cls.chain(oid)
             return chain[0] if j == i + 1 else chain[j - n + 1]
-        return self.classifier.tau_image(x)
+        return cls.tau_image(k)
 
-    def preimage(self, y):
-        kind, oid, m = self.classifier.classify(y)
+    def preimage_code(self, k):
+        cls = self.classifier
+        kind, oid, m = cls.classify(k)
         if kind != _K_SEMI:
-            return self.tau.preimage(y)
+            return cls.tau.preimage_code(k)
         n, i = self.n, self.i
         if m == 0:
-            return self.classifier.chain_point(oid, i + 1)
+            return cls.chain_point(oid, i + 1)
         if m >= 2 and m % n == (i + 2) % n:
-            return self.classifier.chain_point(oid, m + n - 1)
-        return self.classifier.chain(oid)[m - 1]
+            return cls.chain_point(oid, m + n - 1)
+        return cls.chain(oid)[m - 1]
 
     def _moves(self, ws: _Win) -> tuple:
-        """Ids of the window points sigma_i moves off tau, and their images.
+        """Codes of the window points sigma_i moves off tau, and of their images.
 
         Those are the points at chain positions j = i+1, i+1+n, ...: the
         first goes to its chain's root, each later one to position j-n+1.
@@ -327,14 +348,14 @@ class CycleApproxBijection(WindowInjection):
                     moved += ids[b + i + 1:b + length:n]
                     images.append(ids[b])
                     images += ids[b + i + 2:b + length:n][:len(js) - 1]
-        nw = len(ws.pts)
+        nw = ws.n
         if moved and max(moved) >= nw:  # chain points outside the window
             keep = [w < nw for w in moved]
             moved, images = list(compress(moved, keep)), list(compress(images, keep))
         return moved, images
 
     def window_bijectivity(self, n: int) -> bool:
-        """Window bijectivity on [0, n), on window ids.
+        """Window bijectivity on [0, n), on codes.
 
         Checks that the images of all window points are distinct, that every
         undetermined point y (where sigma falls back to tau) has a preimage
@@ -353,10 +374,9 @@ class CycleApproxBijection(WindowInjection):
                 or any(old.count(y) < c - 1 + (y in new)
                        for y, c in ws.dups.items())):
             return False
-        pts = ws.pts
-        for y in [pts[w] for w in ws.undet_widx] + list(pts[::61]):
-            p = self.preimage(y)
-            if p is None or self.apply(p) != y:
+        for y in ws.undet_widx + list(range(0, n, 61)):
+            p = self.preimage_code(y)
+            if p is None or self.apply_code(p) != y:
                 return False
         return True
 
@@ -374,17 +394,30 @@ def approximate_by_automorphisms(tau: WindowInjection, n: int,
 
 @dataclass(frozen=True)
 class DefectProfile:
-    """Per-point disagreement counts of a bijection family against tau."""
+    """Per-point disagreement counts of a bijection family against tau.
 
-    pts: tuple
+    counts[k] belongs to the window point with code k and undetermined_codes
+    lists the codes of the undetermined points; pts, undetermined and
+    as_dict decode them through point_at when read.
+    """
+
     counts: tuple
-    undetermined: tuple
+    undetermined_codes: tuple
+    point_at: Callable = field(repr=False, compare=False)
+
+    @property
+    def pts(self) -> tuple:
+        return tuple(map(self.point_at, range(len(self.counts))))
+
+    @property
+    def undetermined(self) -> tuple:
+        return tuple(map(self.point_at, self.undetermined_codes))
 
     @property
     def max_defect(self) -> int:
-        und = set(self.undetermined)
-        determined = [c for p, c in zip(self.pts, self.counts) if p not in und]
-        return max(determined, default=0)
+        und = set(self.undetermined_codes)
+        return max((c for k, c in enumerate(self.counts) if k not in und),
+                   default=0)
 
     def as_dict(self) -> dict:
         return dict(zip(self.pts, self.counts))
@@ -403,12 +436,11 @@ def defect_profile(tau: WindowInjection, sigmas: list, window: int) -> DefectPro
         raise ValueError(f"not one classifier's sigma family for {tau.description}")
     ws = cls.window_struct(window)
     tau_ids = ws.tau_ids
-    counts = [0] * len(ws.pts)
+    counts = [0] * ws.n
     for s in sigmas:
         for w, y in zip(*s._moves(ws)):
             counts[w] += y != tau_ids[w]
-    undet = tuple(ws.pts[w] for w in ws.undet_widx)
-    return DefectProfile(ws.pts, tuple(counts), undet)
+    return DefectProfile(tuple(counts), tuple(ws.undet_widx), cls.point)
 
 
 def strip_lift(gs: list) -> StepMap:

@@ -19,6 +19,7 @@ from .measure import (
     Rect,
     StepMap,
     ZERO,
+    _columns,
     density_split,
     slice_profile,
 )
@@ -138,13 +139,26 @@ def verify_probability_identity(f: StepMap, spec: RealizationSpec,
     events = list(events)
     for b, _ in events:
         _require_vertical(b)
+    # one sweep of f against the home sets and every event's indicator:
+    # each left-hand side sums the areas of the value tuples it selects
+    homes = StepMap([(home, ci) for ci, (home, _) in enumerate(spec.groups)])
+    square = RationalSet.unit_square()
+    inside = [StepMap([(b, True), (square.subtract(b), False)]) for b, _ in events]
+    den, cols = _columns([f, homes] + inside)
+    area: dict = {}
+    for lo, hi, runs in cols:
+        for c, d, key in runs:
+            area[key] = area.get(key, 0) + (hi - lo) * (d - c)
+    lhs = [[0] * len(spec.groups) for _ in events]
+    for (v, ci, *flags), a in area.items():
+        for ei, (_, pred) in enumerate(events):
+            if flags[ei] and pred(v):
+                lhs[ei][ci] += a
     rows = []
     for ei, (b, pred) in enumerate(events):
         shadow = b.omega_shadow()
         for ci, (home, pieces) in enumerate(spec.groups):
-            lhs = sum((s.intersect(b).intersect(home).measure
-                       for s, v in f.cells if pred(v)), ZERO)
             rhs = sum((p.integral_over(shadow)
                        for v, p in pieces if pred(v)), ZERO)
-            rows.append(ReportRow(ei, ci, lhs, rhs))
+            rows.append(ReportRow(ei, ci, Fraction(lhs[ei][ci], den * den), rhs))
     return RealizationReport(all(r.matches for r in rows), tuple(rows))

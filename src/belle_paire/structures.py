@@ -2,8 +2,10 @@
 
 A carrier is a countable domain with a canonical enumeration; window(n)
 returns its first n points and every check in the library is relative to
-such a window.  Injections expose a partial preimage rule so orbits can be
-walked backwards without ever guessing.
+such a window.  The enumeration index k of a point (point_at(k), inverted
+by index_of) is its code.  Injections expose a partial preimage rule so
+orbits can be walked backwards without ever guessing, on points or on
+codes.
 """
 from __future__ import annotations
 
@@ -73,6 +75,10 @@ class Domain:
     def point_at(self, k: int):
         raise NotImplementedError
 
+    def index_of(self, point) -> int:
+        """The code k with point_at(k) == point."""
+        raise NotImplementedError
+
     def window(self, n: int) -> list:
         return [self.point_at(k) for k in range(n)]
 
@@ -104,6 +110,9 @@ class NaturalNumbers(Domain):
     def point_at(self, k):
         return k
 
+    def index_of(self, point):
+        return point
+
     def key(self):
         return ("nat",)
 
@@ -127,6 +136,9 @@ class FqVectors(Domain):
     def point_at(self, k):
         return FqVector.decode(self.q, k)
 
+    def index_of(self, point):
+        return point.encode()
+
     def key(self):
         return ("fqvec", self.q)
 
@@ -146,6 +158,12 @@ class DisjointUnion(Domain):
             return ("L", self.left.point_at(k // 2))
         return ("R", self.right.point_at(k // 2))
 
+    def index_of(self, point):
+        tag, v = point
+        if tag == "L":
+            return 2 * self.left.index_of(v)
+        return 2 * self.right.index_of(v) + 1
+
     def key(self):
         return ("union", self.left.key(), self.right.key())
 
@@ -164,6 +182,12 @@ class PairProduct(Domain):
         s = (isqrt(8 * k + 1) - 1) // 2
         i = k - s * (s + 1) // 2
         return (self.first.point_at(i), self.second.point_at(s - i))
+
+    def index_of(self, point):
+        b, a = point
+        i = self.first.index_of(b)
+        s = i + self.second.index_of(a)
+        return s * (s + 1) // 2 + i
 
     def key(self):
         return ("pair", self.first.key(), self.second.key())
@@ -203,6 +227,7 @@ class FqVector:
 
     @classmethod
     def decode(cls, q, k):
+        code = k
         entries = []
         i = 0
         while k:
@@ -210,10 +235,19 @@ class FqVector:
             if c:
                 entries.append((i, c))
             i += 1
-        return cls(q, tuple(entries))
+        v = cls(q, tuple(entries))
+        object.__setattr__(v, "_code", code)
+        return v
 
     def encode(self) -> int:
-        return sum(c * self.q ** i for i, c in self.entries)
+        """The code of the vector, its coefficients read as base-q digits;
+        kept on the vector, since every code rule reads it."""
+        try:
+            return self._code
+        except AttributeError:
+            code = sum(c * self.q ** i for i, c in self.entries)
+            object.__setattr__(self, "_code", code)
+            return code
 
     def coeff(self, i) -> int:
         for j, c in self.entries:
@@ -294,30 +328,54 @@ class NonInjectiveOnWindow(ValueError):
 class WindowInjection:
     """Injective self-map of a carrier, evaluable pointwise and lazily.
 
-    preimage returns None when the rule has no preimage (or cannot name one);
-    all soundness checks in the library are window-relative.
+    A subclass gives its rule once, on points (apply, preimage) or on codes
+    (apply_code, preimage_code: ints k standing for domain.point_at(k)), and
+    the other pair is derived here through point_at and index_of; defining
+    both, or neither, is a TypeError.  preimage returns None when the rule
+    has no preimage (or cannot name one); all soundness checks in the
+    library are window-relative, and the window [0, n) is the codes 0..n-1.
     """
 
     is_bijection = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for on_points, on_codes in (("apply", "apply_code"),
+                                    ("preimage", "preimage_code")):
+            p, c = getattr(cls, on_points), getattr(cls, on_codes)
+            derived_p = p is vars(WindowInjection)[on_points]
+            derived_c = c is vars(WindowInjection)[on_codes]
+            if derived_p == derived_c and p is not c:
+                raise TypeError(f"{cls.__name__} must define exactly one of "
+                                f"{on_points} and {on_codes}")
 
     def __init__(self, domain: Domain, description: str):
         self.domain = domain
         self.description = description
 
+    def point_of(self, k: int):
+        """The point with code k; the derived point rule decodes through it."""
+        return self.domain.point_at(k)
+
     def apply(self, x):
-        raise NotImplementedError
+        return self.point_of(self.apply_code(self.domain.index_of(x)))
 
     def preimage(self, y):
-        raise NotImplementedError
+        k = self.preimage_code(self.domain.index_of(y))
+        return None if k is None else self.point_of(k)
+
+    def apply_code(self, k: int) -> int:
+        return self.domain.index_of(self.apply(self.domain.point_at(k)))
+
+    def preimage_code(self, k: int):
+        x = self.preimage(self.domain.point_at(k))
+        return None if x is None else self.domain.index_of(x)
 
     def key(self) -> tuple:
         raise NotImplementedError
 
     def apply_window(self, pts: list) -> list:
         return [self.apply(x) for x in pts]
-
-    def preimage_window(self, pts: list) -> list:
-        return [self.preimage(y) for y in pts]
 
     def compose(self, inner: "WindowInjection") -> "WindowInjection":
         if isinstance(self, IdentityInjection):
@@ -334,22 +392,19 @@ class WindowInjection:
     def validate_window(self, n: int) -> None:
         """Raise NonInjectiveOnWindow if two window points share an image."""
         seen = {}
-        for x in self.domain.window(n):
-            y = self.apply(x)
+        for k in range(n):
+            y = self.apply_code(k)
             if y in seen:
-                raise NonInjectiveOnWindow(seen[y], x, y)
-            seen[y] = x
+                raise NonInjectiveOnWindow(*map(self.point_of, (seen[y], k, y)))
+            seen[y] = k
 
     def window_bijectivity(self, n: int) -> bool:
         """Window-relative bijectivity; subclasses may use faster exact paths."""
-        pts = self.domain.window(n)
-        seen = {}
-        for x, y in zip(pts, self.apply_window(pts)):
-            if y in seen:
-                return False
-            seen[y] = x
-        for y, x in zip(pts, self.preimage_window(pts)):
-            if x is None or self.apply(x) != y:
+        if len(set(map(self.apply_code, range(n)))) < n:
+            return False
+        for y in range(n):
+            x = self.preimage_code(y)
+            if x is None or self.apply_code(x) != y:
                 return False
         return True
 
@@ -369,11 +424,10 @@ class IdentityInjection(WindowInjection):
     def __init__(self, domain: Domain):
         super().__init__(domain, "identity")
 
-    def apply(self, x):
-        return x
+    def apply_code(self, k):
+        return k
 
-    def preimage(self, y):
-        return y
+    apply = preimage = preimage_code = apply_code
 
     def inverse(self):
         return self
@@ -392,11 +446,14 @@ class ShiftInjection(WindowInjection):
         super().__init__(NaturalNumbers(), name)
         self.offset = offset
 
-    def apply(self, x):
-        return x + self.offset
+    def apply_code(self, k):
+        return k + self.offset
 
-    def preimage(self, y):
-        return y - self.offset if y >= self.offset else None
+    def preimage_code(self, k):
+        return k - self.offset if k >= self.offset else None
+
+    # a natural is its own code
+    apply, preimage = apply_code, preimage_code
 
     def key(self):
         return ("shift", self.offset)
@@ -451,6 +508,14 @@ def window_permutation(domain: Domain, mapping: dict) -> TableInjection:
 
 
 # --- linear maps over F_q ------------------------------------------------
+
+def _code(digits: list, q: int) -> int:
+    """The code of the vector with these coefficients, lowest index first."""
+    k = 0
+    for c in reversed(digits):
+        k = k * q + c
+    return k
+
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
@@ -510,9 +575,13 @@ class LinearInjection(WindowInjection):
     D = max(len(images), max image index + 1, 1) columns; they reach only
     rows 0..D-1 under the identity tail and rows 0..D under the shift tail.
     Every later column is a tail column with its own unit row past the
-    block rows.  So preimage reads each entry of y past the block rows as
-    one tail coefficient and solves the block part through the transform
-    of one row reduction of [block | I], done here once.
+    block rows.  The rule is on codes: apply_code splits k into low =
+    k mod q**D (the block coordinates) and high = k div q**D (the tail
+    ones) and returns block(low) + high * q**(D+off), so the basis shift
+    (D = 1, off = 1) is k -> q*k.  preimage_code reads each digit of y past
+    the block rows as one tail coefficient and solves the low D+off digits
+    through the transform of one row reduction of [block | I], done here
+    once.
     """
 
     def __init__(self, q: int, images: tuple, tail: str = "identity"):
@@ -541,6 +610,10 @@ class LinearInjection(WindowInjection):
             raise ValueError("basis images are not linearly independent")
         self._block = d
         self._off = off
+        self._q_block = q ** d
+        self._q_rows = q ** n_rows
+        # per block column i, the nonzero (r, a) of its image
+        self._cols = tuple(self._basis_image_entries(i) for i in range(d))
         # per block row k, the nonzero (r, T[r][k]) of the transform T;
         # with full column rank, row r < d is the pivot row of column r
         self._tcols = tuple(
@@ -558,33 +631,31 @@ class LinearInjection(WindowInjection):
             return self.images[i].entries
         return ((i if self.tail == "identity" else i + 1, 1),)
 
-    def apply(self, v: FqVector) -> FqVector:
+    def _transform(self, low: int, cols: tuple) -> list:
+        """The D+off digits of sum(c_i * cols[i]) over the digits c_i of low."""
         q = self.q
-        acc: dict = {}
-        for i, c in v.entries:
-            for j, a in self._basis_image_entries(i):
-                acc[j] = (acc.get(j, 0) + a * c) % q
-        return FqVector(q, tuple(sorted((j, a) for j, a in acc.items() if a)))
-
-    def preimage(self, y: FqVector):
-        q, d, off, tcols = self.q, self._block, self._off, self._tcols
-        n_rows = d + off
-        acc: dict = {}
-        tail = []
-        for j, c in y.entries:
-            if j >= n_rows:
-                tail.append((j - off, c))
-                continue
-            for r, t in tcols[j]:
-                acc[r] = (acc.get(r, 0) + t * c) % q
-        head = []
-        for r, c in acc.items():
+        acc = [0] * (self._block + self._off)
+        i = 0
+        while low:
+            low, c = divmod(low, q)
             if c:
-                if r >= d:
-                    return None  # y's block part is outside the block's image
-                head.append((r, c))
-        head.sort()
-        return FqVector(q, tuple(head) + tuple(tail))
+                for r, a in cols[i]:
+                    acc[r] = (acc[r] + a * c) % q
+            i += 1
+        return acc
+
+    def apply_code(self, k: int) -> int:
+        high, low = divmod(k, self._q_block)
+        return (_code(self._transform(low, self._cols), self.q)
+                + high * self._q_rows)
+
+    def preimage_code(self, k: int):
+        high, low = divmod(k, self._q_rows)
+        d = self._block
+        acc = self._transform(low, self._tcols)
+        if any(acc[d:]):
+            return None  # k's block part is outside the block's image
+        return _code(acc[:d], self.q) + high * self._q_block
 
     def key(self):
         return ("linear", self.q, tuple(v.entries for v in self.images), self.tail)

@@ -16,6 +16,7 @@ from belle_paire.measure import StepMap, l1_distance
 from belle_paire.random_endo import apply_random_endo, constant_endo
 from belle_paire.structures import (
     FqVector,
+    FqVectors,
     NaturalNumbers,
     NonInjectiveOnWindow,
     TableInjection,
@@ -169,7 +170,7 @@ def counted(fn, calls):
 def test_shared_classifier_validates_window_once():
     tau = basis_shift_endo(2)
     applied, looked_up = [], []
-    tau.apply = counted(tau.apply, applied)
+    tau.apply_code = counted(tau.apply_code, applied)
     cls = OrbitClassifier(tau)
     cls.tau_image = counted(cls.tau_image, looked_up)
     sigmas = approximate_by_automorphisms(tau, 3, cls)
@@ -295,3 +296,55 @@ def test_strip_lift_strips_are_horizontal():
     g_hat = strip_lift(sig)
     for s, v in g_hat.cells:
         assert s.omega_shadow() == ((Fraction(0), Fraction(1)),)
+
+
+@pytest.mark.parametrize("tau", TAUS + [basis_shift_endo(3)], ids=lambda t: t.description)
+def test_sigma_code_rules_agree_with_point_rules(tau):
+    dom = tau.domain
+    for s in approximate_by_automorphisms(tau, 4):
+        for k, x in enumerate(dom.window(300)):
+            assert dom.index_of(s.apply(x)) == s.apply_code(k)
+            assert dom.index_of(s.preimage(x)) == s.preimage_code(k)
+            assert s.apply(s.preimage(x)) == x
+
+
+def test_classifier_walk_builds_no_vector(monkeypatch):
+    tau = basis_shift_endo(2)
+    window = tuple(tau.domain.window(600))
+    decoded, built = [], []
+    point_at, post_init = FqVectors.point_at, FqVector.__post_init__
+    monkeypatch.setattr(FqVectors, "point_at",
+                        lambda self, k: decoded.append(k) or point_at(self, k))
+    monkeypatch.setattr(FqVector, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    sigmas = approximate_by_automorphisms(tau, 5)
+    prof = defect_profile(tau, sigmas, 600)
+    assert all(s.window_bijectivity(600) for s in sigmas)
+    assert prof.max_defect == 1 and prof.undetermined == ()
+    assert decoded == [] and built == []
+    # the profile decodes its points only when they are read
+    assert prof.pts == window
+    assert sorted(decoded) == list(range(600))
+
+
+def test_sigma_points_decode_once_per_classifier(monkeypatch):
+    tau = basis_shift_endo(2)
+    sigmas = approximate_by_automorphisms(tau, 3)
+    pts = tau.domain.window(50)
+    decoded = []
+    point_at = FqVectors.point_at
+    monkeypatch.setattr(FqVectors, "point_at",
+                        lambda self, k: decoded.append(k) or point_at(self, k))
+    for _ in range(2):
+        for s in sigmas:
+            assert [s.preimage(s.apply(x)) for x in pts] == pts
+    assert len(decoded) == len(set(decoded))
+
+
+def test_fq_collision_names_points_not_codes():
+    e0, e1 = FqVector.basis(2, 0), FqVector.basis(2, 1)
+    bad = TableInjection(FqVectors(2), {e0: e1})  # e1 keeps its own image
+    with pytest.raises(NonInjectiveOnWindow,
+                       match="^e0 and e1 both map to e1$") as info:
+        approximate_by_automorphisms(bad, 2)
+    assert info.value.pair == (e0, e1) and info.value.image == e1

@@ -418,3 +418,33 @@ def test_bad_eps_exits_2(capsys):
         main(["no-such-command"])
     code = main(["--eps", "0.5", "bound"])
     assert code == 2
+
+
+OPTIMIZE_CASES = [
+    (["approx-endo", "--endo", "fq-shift:3", "--n", "7"], 0),
+    (["--window", "6000", "approx-endo", "--endo", "table:[[300,5000]]",
+      "--n", "1"], 3),
+    (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
+      "--pair2", "fq2:shift"], 0),
+    (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
+      "--pair2", "fq2:shift", "--obstruction",
+      '{"q": 2, "dim": 2, "grid": 2, "subspace": [[1, 0]]}'], 1),
+    (["--grid", "3", "search", "--q", "2", "--dim", "2"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,want", OPTIMIZE_CASES,
+                         ids=["approx-endo-fq", "table-collision", "pair-certify-fq2",
+                              "pair-certify-fq2-obstruction", "search"])
+def test_cli_output_is_the_same_under_optimize(argv, want):
+    # no check of the program lives in an assert, so python -O prints the
+    # same bytes and exits with the same code
+    src = str(Path(belle_paire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "belle_paire.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for flags in ([], ["-O"])]
+    plain, optimized = runs
+    assert plain.returncode == want, plain.stderr
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)

@@ -134,3 +134,41 @@ def test_sampled_specs_round_trip(seed):
     assert rep.ok
     total = sum((f.support_of(v).measure for v in values), Frac(0))
     assert total == 1
+
+
+def _pairwise_report_rows(f, spec, events):
+    """Every left-hand side by pairwise intersection of each cell of f with
+    the event and the home set."""
+    rows = []
+    for ei, (b, pred) in enumerate(events):
+        shadow = b.omega_shadow()
+        for ci, (home, pieces) in enumerate(spec.groups):
+            lhs = sum((s.intersect(b).intersect(home).measure
+                       for s, v in f.cells if pred(v)), Frac(0))
+            rhs = sum((p.integral_over(shadow)
+                       for v, p in pieces if pred(v)), Frac(0))
+            rows.append((ei, ci, lhs, rhs))
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_report_rows_match_pairwise_reference(seed, rotate):
+    spec = SampleStream(seed).realization_spec()
+    values = spec.values()
+    # the assembled map, and one with its values rotated so rows mismatch
+    f = assemble_realization(spec)
+    shifted = f.map_values(lambda v: values[(values.index(v) + rotate) % len(values)])
+    events = [(RationalSet.unit_square(), lambda v: True),
+              (RationalSet.empty(), lambda v: True),
+              (RationalSet.vertical_strip(Frac(0), Frac(1, 2)),
+               lambda v: v == values[0])]
+    events += [(RationalSet.vertical_strip(Frac(i, 7), Frac(i + 3, 7)),
+                lambda v, t=t: v == t) for i, t in enumerate(values[:4])]
+    events += [(RationalSet.unit_square(), lambda v, t=t: v != t)
+               for t in values[:3]]
+    for g in (f, shifted):
+        rep = verify_probability_identity(g, spec, events)
+        assert [(r.event_index, r.group_index, r.lhs, r.rhs)
+                for r in rep.rows] == _pairwise_report_rows(g, spec, events)
+        assert rep.ok == all(r.lhs == r.rhs for r in rep.rows)

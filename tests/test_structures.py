@@ -5,20 +5,25 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belle_paire
 from belle_paire.structures import (
+    ComposedInjection,
     DisjointUnion,
     FqVector,
     FqVectors,
     GeometrySpec,
+    InverseInjection,
     LinearInjection,
     NaturalNumbers,
     NonInjectiveOnWindow,
     PairProduct,
     TableInjection,
+    UnionInjection,
+    WindowInjection,
+    WreathInjection,
     basis_shift_endo,
     identity_endo,
     is_automorphism_on_window,
@@ -340,3 +345,130 @@ def test_linear_preimage_matches_dense_reference(seed):
             past_block += y.max_index >= block_rows
     # both the consistency rows and the tail coefficients were exercised
     assert no_preimage and past_block
+
+
+# --- the code layer: index_of and the code rules ---------------------------
+
+LEAF_DOMAINS = [NaturalNumbers(), FqVectors(2), FqVectors(3), FqVectors(5)]
+NESTED_DOMAINS = st.recursive(
+    st.sampled_from(LEAF_DOMAINS),
+    lambda inner: (st.builds(DisjointUnion, inner, inner)
+                   | st.builds(PairProduct, inner, inner)),
+    max_leaves=6)
+
+
+@given(NESTED_DOMAINS, st.integers(0, 10 ** 6))
+def test_index_of_inverts_point_at(dom, k):
+    assert dom.index_of(dom.point_at(k)) == k
+
+
+def test_index_of_on_every_leaf_and_nesting():
+    for dom in LEAF_DOMAINS + [
+            DisjointUnion(PairProduct(NaturalNumbers(), FqVectors(5)),
+                          DisjointUnion(FqVectors(2), NaturalNumbers())),
+            PairProduct(DisjointUnion(FqVectors(3), NaturalNumbers()),
+                        PairProduct(NaturalNumbers(), FqVectors(2)))]:
+        assert [dom.index_of(p) for p in dom.window(500)] == list(range(500))
+
+
+def _every_injection_class():
+    """One injection of each class, on carriers that exercise decoding."""
+    fq2, fq3 = FqVectors(2), FqVectors(3)
+    e = [FqVector.basis(3, i) for i in range(3)]
+    swap = linear_endo_from_basis_images(3, [e[1], e[0]])
+    table = window_permutation(fq2, {FqVector.basis(2, 0): FqVector.basis(2, 2),
+                                     FqVector.basis(2, 2): FqVector.basis(2, 0)})
+    nat = NaturalNumbers()
+    return [
+        identity_endo(fq3),
+        shift_endo(3),
+        TableInjection(nat, {2: 9, 9: 4}),
+        table,
+        basis_shift_endo(2),
+        swap,
+        ComposedInjection(basis_shift_endo(2), table),
+        InverseInjection(swap),
+        UnionInjection(DisjointUnion(nat, fq2), successor_endo(), basis_shift_endo(2)),
+        WreathInjection(PairProduct(nat, fq3), shift_endo(2),
+                        {1: basis_shift_endo(3)}, identity_endo(fq3)),
+    ]
+
+
+@pytest.mark.parametrize("h", _every_injection_class(), ids=lambda h: h.description)
+def test_code_rules_agree_with_point_rules(h):
+    dom = h.domain
+    pts = dom.window(400)
+    assert [dom.index_of(h.apply(x)) for x in pts] == list(map(h.apply_code, range(400)))
+    for k, y in enumerate(pts):
+        x, c = h.preimage(y), h.preimage_code(k)
+        assert (x is None) == (c is None)
+        if x is not None:
+            assert dom.index_of(x) == c and dom.point_at(c) == x
+
+
+def test_each_injection_class_defines_exactly_one_rule():
+    from belle_paire import approx  # noqa: F401  (CycleApproxBijection)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    base = vars(WindowInjection)
+    for cls in subclasses(WindowInjection):
+        for pair in (("apply", "apply_code"), ("preimage", "preimage_code")):
+            own = {getattr(cls, name) for name in pair} - {base[name] for name in pair}
+            assert len(own) == 1, (cls.__name__, pair)
+    with pytest.raises(TypeError):
+        type("Both", (WindowInjection,), {"apply": lambda s, x: x,
+                                          "apply_code": lambda s, k: k,
+                                          "preimage": lambda s, y: y})
+    with pytest.raises(TypeError):
+        type("Neither", (WindowInjection,), {"apply": lambda s, x: x})
+
+
+def _reference_apply(tau, v):
+    """The image by dict arithmetic on FqVector entries, column by column."""
+    q = tau.q
+    acc: dict = {}
+    for i, c in v.entries:
+        col = (tau.images[i].entries if i < len(tau.images)
+               else ((i if tau.tail == "identity" else i + 1, 1),))
+        for j, a in col:
+            acc[j] = (acc.get(j, 0) + a * c) % q
+    return FqVector(q, tuple(sorted((j, a) for j, a in acc.items() if a)))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_linear_code_rules_match_vector_reference(seed, offset):
+    # random full-rank blocks under both tails; codes from offset on, so
+    # digits far past the block are reached too
+    none = 0
+    for tau in _random_linear_maps(seed, 6):
+        for k in range(offset, offset + 60):
+            y = tau.domain.point_at(k)
+            assert tau.apply_code(k) == _reference_apply(tau, y).encode()
+            x = _reference_preimage(tau, y)
+            got = tau.preimage_code(k)
+            assert got == (None if x is None else x.encode()), (tau.key(), k)
+            none += got is None
+            assert tau.apply_code(tau.apply_code(k)) == _reference_apply(
+                tau, _reference_apply(tau, y)).encode()
+    assert none  # codes outside the block image were met
+
+
+def test_basis_shift_is_multiplication_by_q():
+    for q in (2, 3, 5):
+        tau = basis_shift_endo(q)
+        assert [tau.apply_code(k) for k in range(200)] == [q * k for k in range(200)]
+        assert [tau.preimage_code(k) for k in range(200)] == [
+            k // q if k % q == 0 else None for k in range(200)]
+
+
+def test_validate_window_names_vector_points():
+    e0, e1 = FqVector.basis(2, 0), FqVector.basis(2, 1)
+    bad = TableInjection(FqVectors(2), {e0: e1})  # e1 keeps its own image
+    with pytest.raises(NonInjectiveOnWindow, match="^e0 and e1 both map to e1$") as info:
+        bad.validate_window(4)
+    assert info.value.pair == (e0, e1) and info.value.image == e1

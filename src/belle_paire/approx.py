@@ -221,22 +221,45 @@ class _Win:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Window classification of an injection's orbit structure."""
+    """Window classification of an injection's orbit structure.
+
+    Held on codes, as DefectProfile is: code_records[k] is the (kind,
+    orbit_id, position) of the window point with code k.  records, roots,
+    cycles and undetermined decode through point_at when read; the counts
+    read codes.
+    """
 
     window: int
     tau_description: str
-    records: dict   # point -> (kind, orbit_id, position)
-    roots: dict     # orbit_id -> root point, for rooted chains
-    cycles: dict    # orbit_id -> tuple of points in forward order
-    undetermined: tuple
+    code_records: tuple
+    root_codes: dict    # orbit_id -> root code, for rooted chains
+    cycle_codes: dict   # orbit_id -> tuple of codes in forward order
+    undetermined_codes: tuple
+    point_at: Callable = field(repr=False, compare=False)
+
+    @property
+    def records(self) -> dict:
+        return dict(zip(map(self.point_at, range(self.window)), self.code_records))
+
+    @property
+    def roots(self) -> dict:
+        return {o: self.point_at(k) for o, k in self.root_codes.items()}
+
+    @property
+    def cycles(self) -> dict:
+        return {o: tuple(map(self.point_at, c)) for o, c in self.cycle_codes.items()}
+
+    @property
+    def undetermined(self) -> tuple:
+        return tuple(map(self.point_at, self.undetermined_codes))
 
     @property
     def orbit_count(self) -> int:
-        return len(self.cycles)
+        return len(self.cycle_codes)
 
     @property
     def semi_orbit_count(self) -> int:
-        return len(self.roots)
+        return len(self.root_codes)
 
     def position_of(self, x) -> int:
         return self.records[x][2]
@@ -254,29 +277,27 @@ def orbit_decompose(tau: WindowInjection, window: int,
     """
     cls = classifier or OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
     cls.validate_window(window)
-    point = cls.point
-    records = {}
+    records = []
     relabel: dict = {}
     roots: dict = {}
     cycles: dict = {}
     undet = []
     for k in range(window):
-        p = point(k)
         kind, o, pos = cls.classify(k)
         if kind == _K_UNDET:
-            records[p] = (UNDETERMINED, -1, -1)
-            undet.append(p)
+            records.append((UNDETERMINED, -1, -1))
+            undet.append(k)
             continue
         if o not in relabel:
             rid = len(relabel)
             relabel[o] = rid
             if kind == _K_SEMI:
-                roots[rid] = point(cls.chain(o)[0])
+                roots[rid] = cls.chain(o)[0]
             else:
-                cycles[rid] = tuple(map(point, cls._cycles[o]))
-        records[p] = (_KIND_NAMES[kind], relabel[o], pos)
-    return OrbitDecomposition(window, tau.description, records, roots,
-                              cycles, tuple(undet))
+                cycles[rid] = tuple(cls._cycles[o])
+        records.append((_KIND_NAMES[kind], relabel[o], pos))
+    return OrbitDecomposition(window, tau.description, tuple(records), roots,
+                              cycles, tuple(undet), cls.point)
 
 
 class CycleApproxBijection(WindowInjection):

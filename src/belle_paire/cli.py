@@ -187,7 +187,7 @@ def cmd_approx_endo(config: RunConfig) -> int:
     payload = {"tau": tau.description, "n": n, "window": config.window,
                "max_defect": prof.max_defect,
                "defect_histogram": {str(k): v for k, v in sorted(hist.items())},
-               "undetermined": len(prof.undetermined),
+               "undetermined": len(prof.undetermined_codes),
                "bijective": bijective,
                "orbits": dec.orbit_count,
                "semi_orbits": dec.semi_orbit_count,
@@ -252,8 +252,7 @@ def cmd_pair_certify(config: RunConfig) -> int:
 def cmd_pair_distance(config: RunConfig) -> int:
     pair1 = _parse_pair(config.raw.pair1, config.window)
     pair2 = _parse_pair(config.raw.pair2, config.window)
-    alphabet = pair1.domain.window(config.raw.alphabet)
-    gap = hausdorff_gap(pair1.image, pair2.image, alphabet)
+    gap = hausdorff_gap(pair1.image, pair2.image, config.raw.alphabet)
     payload = {"structure": pair1.structure, "window": config.window,
                "alphabet": config.raw.alphabet,
                "upper": frac_str(gap.upper), "lower": frac_str(gap.lower)}

@@ -137,7 +137,8 @@ def parity_presentation() -> PermGroupPresentation:
     dom = NaturalNumbers()
 
     def member(h, window):
-        return all(h.apply(x) % 2 == x % 2 for x in dom.window(window))
+        # a natural is its own code
+        return all(h.apply_code(k) % 2 == k % 2 for k in range(window))
 
     elements = {
         "identity": identity_endo(dom),

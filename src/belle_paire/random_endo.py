@@ -75,9 +75,10 @@ def constant_endo(h: WindowInjection) -> StepMap:
 
 def endos_agree_on_window(a_hat: StepMap, b_hat: StepMap, window: int) -> bool:
     """Cellwise pointwise agreement on the window (weaker than equality)."""
-    pts = validate_random_endo(a_hat).window(window)
-    return all(g.apply_window(pts) == h.apply_window(pts)
-               for _, (g, h) in common_refinement([a_hat, b_hat]))
+    validate_random_endo(a_hat)
+    return all(g.apply_code(k) == h.apply_code(k)
+               for _, (g, h) in common_refinement([a_hat, b_hat])
+               for k in range(window))
 
 
 def apply_random_endo(h_hat: StepMap, f: StepMap) -> StepMap:
@@ -103,11 +104,11 @@ def _factor_through(h: WindowInjection, rep: WindowInjection,
     The matched part sends rep(x) to h(x); window points missed by rep are
     matched, in enumeration order, to the points missed by h, which squares
     the table into a finite-support permutation.  Identity tables collapse
-    to the identity injection.
+    to the identity injection.  The table is built on codes and decoded
+    once for window_permutation.
     """
-    pts = h.domain.window(window)
-    him = h.apply_window(pts)
-    rim = rep.apply_window(pts)
+    him = list(map(h.apply_code, range(window)))
+    rim = list(map(rep.apply_code, range(window)))
     if len(set(rim)) != len(rim) or len(set(him)) != len(him):
         return None
     table = {}
@@ -125,8 +126,9 @@ def _factor_through(h: WindowInjection, rep: WindowInjection,
         return IdentityInjection(h.domain)
     if set(table) != set(table.values()):
         return None
-    g = window_permutation(h.domain, table)
-    assert all(g.apply(r) == v for r, v in zip(rim, him))
+    point = h.domain.point_at
+    g = window_permutation(h.domain, {point(x): point(y) for x, y in table.items()})
+    assert all(g.apply_code(r) == v for r, v in zip(rim, him))
     return g
 
 
@@ -155,15 +157,12 @@ def orbit_reduce(h_hat: StepMap, reps: list, window: int) -> OrbitReduction:
     """
     validate_random_endo(h_hat)
     reps = list(reps)
-    pts = None
-    rep_ims = []
+    ks = range(window)
+    rep_ims = [list(map(r.apply_code, ks)) for r in reps]
     g_cells = []
     a_cells = []
     for s, h in h_hat.cells:
-        if pts is None:
-            pts = h.domain.window(window)
-            rep_ims = [r.apply_window(pts) for r in reps]
-        him = h.apply_window(pts)
+        him = list(map(h.apply_code, ks))
         choice = next((k for k, rim in enumerate(rep_ims) if rim == him), None)
         if choice is not None:
             g_cells.append((s, IdentityInjection(h.domain)))
@@ -256,12 +255,13 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
 
 
 def _candidates(hs, alphabet) -> list:
-    """The preimages of the alphabet under the injections hs, each once."""
+    """The codes of the preimages of the alphabet (codes) under the
+    injections hs, each once."""
     candidates = []
     seen = set()
     for h in hs:
         for v in alphabet:
-            a = h.preimage(v)
+            a = h.preimage_code(v)
             if a is not None and a not in seen:
                 seen.add(a)
                 candidates.append(a)
@@ -322,11 +322,13 @@ def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
     point covers nothing, which is where the best cover starts, so only the
     preimages are tried.
     """
-    validate_random_endo(h_hat)
+    code = validate_random_endo(h_hat).index_of
     den, cols = _columns([f, h_hat])
     widths, keys, runs = _table(cols)
-    choices = [[k for k, (v, h) in enumerate(keys) if h.apply(a) == v]
-               for a in _candidates(h_hat.values(), set(f.values()))]
+    fcode = {v: code(v) for v in set(f.values())}  # each value encoded once
+    wanted = [(fcode[v], h) for v, h in keys]
+    choices = [[k for k, (y, h) in enumerate(wanted) if h.apply_code(a) == y]
+               for a in _candidates(h_hat.values(), set(fcode.values()))]
     return Frac(_uncovered(den, widths, runs, choices), den * den)
 
 
@@ -356,6 +358,7 @@ def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,
     sum of per-strip worst cases, read off one refinement that takes the
     strips as a third map.  Returns (max distance, witness probe).
     """
+    codes = list(map(validate_random_endo(g_hat).index_of, alphabet))
     strip_map = StepMap.from_vertical_strips(
         (lo, hi, j) for j, (lo, hi) in enumerate(strips))
     pieces = common_refinement([g_hat, h_hat, strip_map])
@@ -363,13 +366,14 @@ def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,
     witness = []
     for j, (lo, hi) in enumerate(strips):
         here = [(s.measure, g, h) for s, (g, h, i) in pieces if i == j]
-        best, best_a = Frac(0), alphabet[0]
-        for a in alphabet:
-            d = sum((m for m, g, h in here if g.apply(a) != h.apply(a)), Frac(0))
+        best, best_i = Frac(0), 0
+        for i, a in enumerate(codes):
+            d = sum((m for m, g, h in here
+                     if g.apply_code(a) != h.apply_code(a)), Frac(0))
             if d > best:
-                best, best_a = d, a
+                best, best_i = d, i
         total += best
-        witness.append((lo, hi, best_a))
+        witness.append((lo, hi, alphabet[best_i]))
     return total, StepMap.from_vertical_strips(witness)
 
 
@@ -391,8 +395,9 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
     dom = validate_random_endo(g_hat)
     if validate_random_endo(h_hat) != dom:
         raise StructuralMismatch("carriers differ")
-    if isinstance(alphabet, int):
-        alphabet = dom.window(alphabet)
+    # letters, images and candidates are all codes
+    alphabet = (range(alphabet) if isinstance(alphabet, int)
+                else list(map(dom.index_of, alphabet)))
     # one table of (g, h) runs serves both bounds: the cover at each omega
     # is intrinsic, so reading it on this finer partition changes nothing
     den, cols = _columns([g_hat, h_hat])
@@ -406,15 +411,15 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
     kh = [hpos[h] for _, h in keys]
     bad, lower = [], 0
     for a in alphabet:
-        g_im = [g.apply(a) for g in gs]
-        h_im = [h.apply(a) for h in hs]
+        g_im = [g.apply_code(a) for g in gs]
+        h_im = [h.apply_code(a) for h in hs]
         ga, ha = [g_im[i] for i in kg], [h_im[j] for j in kh]
         bad.append([k for k, (x, y) in enumerate(zip(ga, ha)) if x != y])
         # the constant probe a: g_hat(a) against the image of h_hat, and
         # h_hat(a) against the image of g_hat
-        to_h = [_agree(kh, [h.apply(b) for h in hs], ga)
+        to_h = [_agree(kh, [h.apply_code(b) for h in hs], ga)
                 for b in _candidates(hs, set(ga))]
-        to_g = [_agree(kg, [g.apply(b) for g in gs], ha)
+        to_g = [_agree(kg, [g.apply_code(b) for g in gs], ha)
                 for b in _candidates(gs, set(ha))]
         lower = max(lower, _uncovered(den, widths, runs, to_h),
                     _uncovered(den, widths, runs, to_g))

@@ -61,7 +61,8 @@ class SampleStream:
         dom = domain if domain is not None else NaturalNumbers()
         img = list(range(size))
         self.rng.shuffle(img)
-        mapping = {x: y for x, y in enumerate(img) if x != y}
+        point = dom.point_at  # img permutes the codes 0..size-1
+        mapping = {point(x): point(y) for x, y in enumerate(img) if x != y}
         return window_permutation(dom, mapping) if mapping else identity_endo(dom)
 
     def endo_over_reps(self, reps, cells: int, twist_size: int = 8,

@@ -113,8 +113,10 @@ def injection_to_json(h: WindowInjection) -> dict:
     if isinstance(h, ShiftInjection):
         return {"kind": "shift", "offset": h.offset}
     if isinstance(h, TableInjection):
+        code = h.domain.index_of  # the entries are codes
         return {"kind": "table",
-                "entries": sorted((x, h.apply(x)) for x in h.support),
+                "entries": sorted((code(x), h.apply_code(code(x)))
+                                  for x in h.support),
                 "carrier": _domain_to_json(h.domain)}
     if isinstance(h, LinearInjection):
         return {"kind": "linear", "q": h.q, "tail": h.tail,
@@ -131,7 +133,9 @@ def injection_from_json(d: dict) -> WindowInjection:
         return ShiftInjection(int(d["offset"]))
     if kind == "table":
         dom = domain_from_json(d.get("carrier", "nat"))
-        return TableInjection(dom, {int(x): int(y) for x, y in d["entries"]})
+        point = dom.point_at  # the entries are codes
+        return TableInjection(dom, {point(int(x)): point(int(y))
+                                    for x, y in d["entries"]})
     if kind == "linear":
         q = int(d["q"])
         images = tuple(FqVector.from_coeffs(q, row) for row in d["images"])

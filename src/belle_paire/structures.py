@@ -3,9 +3,9 @@
 A carrier is a countable domain with a canonical enumeration; window(n)
 returns its first n points and every check in the library is relative to
 such a window.  The enumeration index k of a point (point_at(k), inverted
-by index_of) is its code.  Injections expose a partial preimage rule so
-orbits can be walked backwards without ever guessing, on points or on
-codes.
+by index_of) is its code.  Injections are rules on codes, with a partial
+preimage rule so orbits can be walked backwards without ever guessing;
+points are decoded only where a caller reads them.
 """
 from __future__ import annotations
 
@@ -178,16 +178,25 @@ class PairProduct(Domain):
         self.first = first
         self.second = second
 
-    def point_at(self, k):
+    @staticmethod
+    def split(k: int) -> tuple:
+        """The codes (i, j) of the two coordinates of the pair with code k."""
         s = (isqrt(8 * k + 1) - 1) // 2
         i = k - s * (s + 1) // 2
-        return (self.first.point_at(i), self.second.point_at(s - i))
+        return i, s - i
+
+    @staticmethod
+    def join(i: int, j: int) -> int:
+        s = i + j
+        return s * (s + 1) // 2 + i
+
+    def point_at(self, k):
+        i, j = self.split(k)
+        return (self.first.point_at(i), self.second.point_at(j))
 
     def index_of(self, point):
         b, a = point
-        i = self.first.index_of(b)
-        s = i + self.second.index_of(a)
-        return s * (s + 1) // 2 + i
+        return self.join(self.first.index_of(b), self.second.index_of(a))
 
     def key(self):
         return ("pair", self.first.key(), self.second.key())
@@ -227,6 +236,8 @@ class FqVector:
 
     @classmethod
     def decode(cls, q, k):
+        if k < 0:
+            raise ValueError(f"codes are naturals, got {k}")
         code = k
         entries = []
         i = 0
@@ -262,27 +273,6 @@ class FqVector:
     @property
     def max_index(self):
         return self.entries[-1][0] if self.entries else -1
-
-    def add(self, other: "FqVector") -> "FqVector":
-        if self.q != other.q:
-            raise ValueError(f"mixed fields: F_{self.q} and F_{other.q}")
-        acc = dict(self.entries)
-        for i, c in other.entries:
-            acc[i] = (acc.get(i, 0) + c) % self.q
-        return FqVector(self.q, tuple(sorted((i, c) for i, c in acc.items() if c)))
-
-    def scale(self, c: int) -> "FqVector":
-        c %= self.q
-        if c == 0:
-            return FqVector.zero(self.q)
-        return FqVector(self.q, tuple((i, (a * c) % self.q) for i, a in self.entries))
-
-    def shift(self, offset: int) -> "FqVector":
-        """Move every basis index up by offset (down needs coeff(0..) == 0)."""
-        if self.entries and self.entries[0][0] + offset < 0:
-            raise ValueError(f"shift by {offset} moves e{self.entries[0][0]} "
-                             "below e0")
-        return FqVector(self.q, tuple((i + offset, c) for i, c in self.entries))
 
     def dense(self, dim: int) -> tuple:
         if self.max_index >= dim:
@@ -326,35 +316,24 @@ class NonInjectiveOnWindow(ValueError):
 
 
 class WindowInjection:
-    """Injective self-map of a carrier, evaluable pointwise and lazily.
+    """Injective self-map of a carrier, given as a rule on codes.
 
-    A subclass gives its rule once, on points (apply, preimage) or on codes
-    (apply_code, preimage_code: ints k standing for domain.point_at(k)), and
-    the other pair is derived here through point_at and index_of; defining
-    both, or neither, is a TypeError.  preimage returns None when the rule
-    has no preimage (or cannot name one); all soundness checks in the
-    library are window-relative, and the window [0, n) is the codes 0..n-1.
+    A subclass defines apply_code and preimage_code on the ints k that stand
+    for domain.point_at(k); preimage_code returns None when the rule has no
+    preimage (or cannot name one).  apply, preimage and apply_window are the
+    one point boundary: they encode with index_of, run the code rule and
+    decode with point_of.  All soundness checks in the library are
+    window-relative, and the window [0, n) is the codes 0..n-1.
     """
 
     is_bijection = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for on_points, on_codes in (("apply", "apply_code"),
-                                    ("preimage", "preimage_code")):
-            p, c = getattr(cls, on_points), getattr(cls, on_codes)
-            derived_p = p is vars(WindowInjection)[on_points]
-            derived_c = c is vars(WindowInjection)[on_codes]
-            if derived_p == derived_c and p is not c:
-                raise TypeError(f"{cls.__name__} must define exactly one of "
-                                f"{on_points} and {on_codes}")
 
     def __init__(self, domain: Domain, description: str):
         self.domain = domain
         self.description = description
 
     def point_of(self, k: int):
-        """The point with code k; the derived point rule decodes through it."""
+        """The point with code k; the point rules decode through it."""
         return self.domain.point_at(k)
 
     def apply(self, x):
@@ -363,13 +342,6 @@ class WindowInjection:
     def preimage(self, y):
         k = self.preimage_code(self.domain.index_of(y))
         return None if k is None else self.point_of(k)
-
-    def apply_code(self, k: int) -> int:
-        return self.domain.index_of(self.apply(self.domain.point_at(k)))
-
-    def preimage_code(self, k: int):
-        x = self.preimage(self.domain.point_at(k))
-        return None if x is None else self.domain.index_of(x)
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -469,28 +441,30 @@ class TableInjection(WindowInjection):
 
     def __init__(self, domain: Domain, mapping: dict, _bijection=None):
         table = dict(mapping)
-        inv: dict = {}
+        code = domain.index_of
+        fwd, back = {}, {}  # the table on codes, both ways
         for x, y in table.items():
-            if y in inv:
-                raise ValueError(f"table sends {inv[y]} and {x} to {y}")
-            inv[y] = x
-        self._table = table
-        self._inv = inv
+            kx, ky = code(x), code(y)
+            if ky in back:
+                raise ValueError(f"table sends {domain.point_at(back[ky])} and "
+                                 f"{x} to {y}")
+            fwd[kx], back[ky] = ky, kx
+        self._table, self._fwd, self._back = table, fwd, back
         if _bijection is None:
-            _bijection = set(table) == set(inv)
+            _bijection = fwd.keys() == back.keys()
         self.is_bijection = _bijection
         items = ",".join(f"{x}>{y}" for x, y in sorted(table.items(), key=repr))
         super().__init__(domain, f"table{{{items}}}")
 
-    def apply(self, x):
-        return self._table.get(x, x)
+    def apply_code(self, k):
+        return self._fwd.get(k, k)
 
-    def preimage(self, y):
-        if y in self._inv:
-            return self._inv[y]
-        if y in self._table:
-            return None  # identity image was overridden and nothing else hits y
-        return y
+    def preimage_code(self, k):
+        if k in self._back:
+            return self._back[k]
+        if k in self._fwd:
+            return None  # identity image was overridden and nothing else hits k
+        return k
 
     def key(self):
         return ("table", self.domain.key(), tuple(sorted(self._table.items(), key=repr)))
@@ -517,10 +491,6 @@ def _code(digits: list, q: int) -> int:
     return k
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 def _row_reduce(rows: list[list[int]], p: int, n_cols: int | None = None):
     """Reduced row echelon form over F_p, pivoting on the first n_cols columns.
 
@@ -538,7 +508,7 @@ def _row_reduce(rows: list[list[int]], p: int, n_cols: int | None = None):
         if pr is None:
             continue
         mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = _inv_mod(mat[rank][c], p)
+        inv = pow(mat[rank][c], p - 2, p)
         mat[rank] = [(v * inv) % p for v in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][c]:
@@ -546,10 +516,6 @@ def _row_reduce(rows: list[list[int]], p: int, n_cols: int | None = None):
                 mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
         rank += 1
     return mat, rank
-
-
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    return _row_reduce(rows, p)[1]
 
 
 def subspace_membership(v: FqVector, gens: list[FqVector]) -> bool:
@@ -560,8 +526,8 @@ def subspace_membership(v: FqVector, gens: list[FqVector]) -> bool:
     if dim == 0:
         return v.is_zero
     rows = [list(g.dense(dim)) for g in gens]
-    base = _rank_mod(rows, v.q) if rows else 0
-    ext = _rank_mod(rows + [list(v.dense(dim))], v.q)
+    base = _row_reduce(rows, v.q)[1] if rows else 0
+    ext = _row_reduce(rows + [list(v.dense(dim))], v.q)[1]
     return ext == base
 
 
@@ -683,14 +649,12 @@ class ComposedInjection(WindowInjection):
         self.inner = inner
         self.is_bijection = outer.is_bijection and inner.is_bijection
 
-    def apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
+    def apply_code(self, k):
+        return self.outer.apply_code(self.inner.apply_code(k))
 
-    def preimage(self, y):
-        mid = self.outer.preimage(y)
-        if mid is None:
-            return None
-        return self.inner.preimage(mid)
+    def preimage_code(self, k):
+        mid = self.outer.preimage_code(k)
+        return None if mid is None else self.inner.preimage_code(mid)
 
     def key(self):
         return ("compose", self.outer.key(), self.inner.key())
@@ -707,16 +671,16 @@ class InverseInjection(WindowInjection):
 
     is_bijection = True
 
-    def apply(self, x):
-        y = self.inner.preimage(x)
+    def apply_code(self, k):
+        y = self.inner.preimage_code(k)
         if y is None:
             raise ValueError(
-                f"{self.inner.description} has no preimage at {x}; "
+                f"{self.inner.description} has no preimage at {self.point_of(k)}; "
                 "bijection presentation is unsound here")
         return y
 
-    def preimage(self, y):
-        return self.inner.apply(y)
+    def preimage_code(self, k):
+        return self.inner.apply_code(k)
 
     def inverse(self):
         return self.inner
@@ -739,17 +703,15 @@ class UnionInjection(WindowInjection):
         self.right = right
         self.is_bijection = left.is_bijection and right.is_bijection
 
-    def apply(self, x):
-        tag, v = x
-        if tag == "L":
-            return ("L", self.left.apply(v))
-        return ("R", self.right.apply(v))
+    # code 2c is ('L', left point c) and code 2c+1 is ('R', right point c)
+    def apply_code(self, k):
+        c, tag = divmod(k, 2)
+        return 2 * (self.right if tag else self.left).apply_code(c) + tag
 
-    def preimage(self, y):
-        tag, v = y
-        part = self.left if tag == "L" else self.right
-        w = part.preimage(v)
-        return None if w is None else (tag, w)
+    def preimage_code(self, k):
+        c, tag = divmod(k, 2)
+        w = (self.right if tag else self.left).preimage_code(c)
+        return None if w is None else 2 * w + tag
 
     def key(self):
         return ("unionmap", self.left.key(), self.right.key())
@@ -770,6 +732,8 @@ class WreathInjection(WindowInjection):
         self.h_part = h_part
         self.coords = dict(coords)
         self.default = default
+        # the fibre maps by the code of b
+        self._fibres = {domain.first.index_of(b): g for b, g in coords.items()}
         self._ck = tuple(sorted(((repr(b), b, g.key()) for b, g in coords.items())))
         names = ",".join(f"{b}:{g.description}" for _, b, gk in self._ck
                          for g in [coords[b]])
@@ -781,17 +745,18 @@ class WreathInjection(WindowInjection):
     def coord(self, b) -> WindowInjection:
         return self.coords.get(b, self.default)
 
-    def apply(self, x):
-        b, a = x
-        return (self.h_part.apply(b), self.coord(b).apply(a))
+    def apply_code(self, k):
+        b, a = PairProduct.split(k)
+        return PairProduct.join(self.h_part.apply_code(b),
+                                self._fibres.get(b, self.default).apply_code(a))
 
-    def preimage(self, y):
-        b1, a1 = y
-        b = self.h_part.preimage(b1)
+    def preimage_code(self, k):
+        b1, a1 = PairProduct.split(k)
+        b = self.h_part.preimage_code(b1)
         if b is None:
             return None
-        a = self.coord(b).preimage(a1)
-        return None if a is None else (b, a)
+        a = self._fibres.get(b, self.default).preimage_code(a1)
+        return None if a is None else PairProduct.join(b, a)
 
     def key(self):
         return ("wreathmap", self.h_part.key(),

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from belle_paire.measure import RationalSet, Rect, StepMap
+from belle_paire.structures import FqVector
 
 # small denominators keep the column arithmetic honest but fast
 fracs01 = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -49,3 +51,17 @@ def grid_step_maps(draw, alphabet=4, den=6):
             v = draw(st.integers(0, alphabet - 1))
             cells.append((RationalSet.from_rect(x0, x1, y0, y1), v))
     return StepMap(cells)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """The codes FqVector.decode builds a vector for while the test runs."""
+    codes = []
+    decode = FqVector.decode.__func__
+
+    def counting(cls, q, k):
+        codes.append(k)
+        return decode(cls, q, k)
+
+    monkeypatch.setattr(FqVector, "decode", classmethod(counting))
+    return codes

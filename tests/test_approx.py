@@ -241,6 +241,18 @@ def test_orbit_decompose_reuses_a_classifier(tau):
     assert orbit_decompose(tau, 120, classifier=cls) == orbit_decompose(tau, 120)
 
 
+def test_orbit_decompose_counts_read_codes(decode_calls):
+    e = [FqVector.basis(2, i) for i in range(3)]
+    tau = window_permutation(FqVectors(2), {e[0]: e[1], e[1]: e[2], e[2]: e[0]})
+    decode_calls.clear()
+    dec = orbit_decompose(tau, 64)
+    # one 3-cycle and 61 fixed points
+    assert (dec.orbit_count, dec.semi_orbit_count) == (62, 0)
+    assert decode_calls == []
+    assert sorted(map(repr, dec.cycles[dec.records[e[0]][1]])) == ["e0", "e1", "e2"]
+    assert dec.position_of(FqVector.basis(2, 5)) == 0
+
+
 def test_orbit_decompose_validates_through_the_classifier():
     bad = TableInjection(NaturalNumbers(), {300: 5000})  # collides with 5000
     cls = OrbitClassifier(bad)

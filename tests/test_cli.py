@@ -208,6 +208,27 @@ def test_search_stdout_is_frozen(capsys, case):
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
 
 
+# stdout and exit codes of the combinators and gap commands as recorded
+# before injections became code rules
+FROZEN_CLI = json.loads(
+    (Path(__file__).parent / "cli_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", FROZEN_CLI,
+                         ids=[" ".join(c["argv"]) for c in FROZEN_CLI])
+def test_cli_stdout_is_frozen(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
+
+
+def test_approx_endo_decodes_only_the_preview_points(capsys, decode_calls):
+    code, blob = run_json(capsys, "--window", "2000", "approx-endo",
+                          "--endo", "fq-shift:3", "--n", "7")
+    assert (code, blob["max_defect"], blob["bijective"]) == (0, 1, True)
+    assert blob["semi_orbits"] > 0
+    # the 8 preview points and, for the 4 previewed sigmas, their images
+    assert 8 <= len(decode_calls) <= 8 + 4 * 8
+
+
 @pytest.mark.parametrize("q,dim,grid,gap", [
     (2, 2, 5, "4/5"), (2, 2, 6, "2/3"), (2, 2, 8, "3/4"),
     (3, 2, 3, "1"), (3, 2, 4, "3/4"), (2, 3, 3, "1"),

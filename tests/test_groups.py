@@ -25,7 +25,8 @@ from belle_paire.random_endo import (
     endos_agree_on_window,
     max_strip_probe_distance,
 )
-from belle_paire.structures import identity_endo, successor_endo
+from belle_paire.structures import (NaturalNumbers, identity_endo, successor_endo,
+                                   window_permutation)
 
 HALF_STRIPS = [(Frac(0), Frac(1, 2)), (Frac(1, 2), Frac(1))]
 
@@ -89,6 +90,9 @@ def test_parity_presentation_membership():
     assert pres.member(pres.elements["identity"], 40)
     assert pres.member(pres.elements["shift2"], 40)
     assert not pres.member(successor_endo(), 40)
+    # a swap of 5 and 6 breaks parity only inside windows that reach 5
+    swap = window_permutation(NaturalNumbers(), {5: 6, 6: 5})
+    assert pres.member(swap, 5) and not pres.member(swap, 6)
 
 
 def test_direct_product_splits_budget():

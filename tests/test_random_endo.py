@@ -40,8 +40,11 @@ from belle_paire.random_endo import (
 )
 from belle_paire.sampling import SampleStream
 from belle_paire.structures import (
+    FqVector,
+    FqVectors,
     IdentityInjection,
     NaturalNumbers,
+    basis_shift_endo,
     identity_endo,
     shift_endo,
     successor_endo,
@@ -516,3 +519,44 @@ def test_certify_search_backed_refusal():
 def test_pair_model_validates_window():
     with pytest.raises(ValueError):
         PairModel("fqvec(2)", 50, constant_endo(successor_endo()))
+
+
+def test_random_endo_builds_no_point(decode_calls):
+    # the fq2 identity pair against its shift approximant, as pair-certify
+    # builds it; everything is set up before counting starts
+    fq2 = FqVectors(2)
+    shift = constant_endo(basis_shift_endo(2))
+    ident = constant_endo(identity_endo(fq2))
+    approx = approximate_random_endo(shift, None, Fraction(1, 10), 40)
+    f = StepMap.uniform_strips([FqVector.basis(2, 0), FqVector.basis(2, 2),
+                                FqVector.from_coeffs(2, [1, 1, 0, 1])])
+    two = StepMap.uniform_strips([basis_shift_endo(2), identity_endo(fq2)])
+    decode_calls.clear()
+    assert hausdorff_gap(approx.g_hat, shift, 40).upper <= Fraction(1, 10)
+    assert decode_calls == []
+    alphabet = fq2.window(16)
+    decode_calls.clear()
+    d, witness = max_strip_probe_distance(
+        approx.g_hat, shift, [(Fraction(0), Fraction(1, 2)),
+                              (Fraction(1, 2), Fraction(1))], alphabet)
+    assert 0 < d <= Fraction(1, 10)
+    assert decode_calls == []
+    # the witness letters are the caller's points
+    assert set(witness.values()) <= set(alphabet)
+    assert all(isinstance(a, FqVector) for a in witness.values())
+    assert dist_to_image(f, shift) > 0 and dist_to_image(f, approx.g_hat) > 0
+    assert decode_calls == []
+    red = orbit_reduce(two, [basis_shift_endo(2), identity_endo(fq2)], 40)
+    assert red.assignment.values() == (0, 1)
+    assert endos_agree_on_window(red.reconstruct(), two, 40)
+    assert decode_calls == []
+    assert orbit_reduce(ident, [identity_endo(fq2)], 40).window == 40
+    assert decode_calls == []
+    # a twisted cell: only the finished twist table is decoded
+    e = [FqVector.basis(2, i) for i in range(2)]
+    twisted = constant_endo(window_permutation(fq2, {e[0]: e[1], e[1]: e[0]})
+                            .compose(basis_shift_endo(2)))
+    red = orbit_reduce(twisted, [basis_shift_endo(2)], 40)
+    twist = red.g_hat.values()[0]
+    assert twist.support and len(decode_calls) == 2 * len(twist.support)
+    assert endos_agree_on_window(red.reconstruct(), twisted, 40)

@@ -36,6 +36,7 @@ from belle_paire.serialize import (
     store_baseline,
 )
 from belle_paire.structures import (
+    FqVector,
     FqVectors,
     NaturalNumbers,
     TableInjection,
@@ -72,6 +73,8 @@ def test_profile_round_trip():
     successor_endo(),
     shift_endo(4),
     TableInjection(NaturalNumbers(), {0: 2, 2: 0}),
+    TableInjection(FqVectors(2), {FqVector.basis(2, 0): FqVector.basis(2, 2),
+                                  FqVector.basis(2, 2): FqVector.basis(2, 0)}),
     basis_shift_endo(2),
 ], ids=lambda h: h.description)
 def test_injection_round_trip(h):
@@ -79,6 +82,24 @@ def test_injection_round_trip(h):
     assert back == h
     for x in h.domain.window(20):
         assert back.apply(x) == h.apply(x)
+
+
+def test_table_entries_are_codes():
+    e = [FqVector.basis(2, i) for i in range(3)]
+    h = TableInjection(FqVectors(2), {e[0]: e[2], e[2]: e[0]})
+    assert injection_to_json(h)["entries"] == [(1, 4), (4, 1)]
+    with pytest.raises(ValueError):
+        injection_from_json({"kind": "table", "carrier": "fqvec(2)",
+                             "entries": [[-1, 2]]})
+
+
+def test_sampled_twists_permute_codes():
+    fq3 = FqVectors(3)
+    twist = SampleStream(5).finite_permutation(9, fq3)
+    assert sorted(map(fq3.index_of, twist.support)) == sorted(
+        fq3.index_of(twist.apply(x)) for x in twist.support)
+    assert all(fq3.index_of(x) < 9 for x in twist.support)
+    assert twist.window_bijectivity(9)
 
 
 def test_endo_round_trip():

@@ -18,7 +18,6 @@ undetermined and never guessed.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import compress, groupby
@@ -173,7 +172,10 @@ class OrbitClassifier:
         return chain[pos]
 
     def window_struct(self, n: int) -> "_Win":
-        """The _Win of the window [0, n), built once per n."""
+        """The _Win of the window [0, n), built once per n.
+
+        Raises NonInjectiveOnWindow if two window points share an image.
+        """
         ws = self._ws_cache.get(n)
         if ws is None:
             ws = self._ws_cache[n] = _Win(self, n)
@@ -185,22 +187,24 @@ class _Win:
 
     Window point w is its code w, and tau images and chain points outside
     the window are their codes too, all n or more.  tau_ids[w] is the code
-    of tau(w), tau_set their set and dups maps each code tau hits more than
-    once to its count.  The rooted chains through the window, each cut
-    after its last window point, lie end to end in chain_ids, longest
-    first; groups holds (start, count, length) for each run of chains of
-    one length.
+    of tau(w) and tau_set their set; they are distinct, as tau is checked
+    injective on the window before anything else.  The rooted chains
+    through the window, each cut after its last window point, lie end to
+    end in chain_ids, longest first; groups holds (start, count, length)
+    for each run of chains of one length.
     """
 
-    __slots__ = ("n", "tau_ids", "tau_set", "dups", "chain_ids", "groups",
-                 "undet_widx")
+    __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
 
     def __init__(self, cls: OrbitClassifier, n: int):
         self.n = n
+        self.tau_ids = list(map(cls.tau_image, range(n)))
+        self.tau_set = set(self.tau_ids)
+        if len(self.tau_set) < n:
+            cls.validate_window(n)  # names the first collision
         # classify every point before reading chains: a later point can
         # still extend a chain an earlier point lies on
         recs = list(map(cls.classify, range(n)))
-        self.tau_ids = list(map(cls.tau_image, range(n)))
         lengths: dict = {}  # oid -> 1 + last window position on the chain
         for k, o, pos in recs:
             if k == _K_SEMI and lengths.get(o, 0) <= pos:
@@ -213,8 +217,6 @@ class _Win:
             self.groups.append((len(flat), len(oids), length))
             for o in oids:
                 flat += cls.chain(o)[:length]
-        self.tau_set = set(self.tau_ids)
-        self.dups = {y: c for y, c in Counter(self.tau_ids).items() if c > 1}
         self.chain_ids = flat
         self.undet_widx = [w for w, r in enumerate(recs) if r[0] == _K_UNDET]
 
@@ -321,7 +323,7 @@ class CycleApproxBijection(WindowInjection):
         return self.classifier.tau
 
     def key(self):
-        return ("approx", self.tau.key(), self.n, self.i)
+        return ("approx", self.tau._key, self.n, self.i)
 
     def apply_code(self, k):
         cls = self.classifier
@@ -382,18 +384,16 @@ class CycleApproxBijection(WindowInjection):
         undetermined point y (where sigma falls back to tau) has a preimage
         p with apply(p) == y, and the same round trip at every 61st window
         point as a spot check.  Determined points have preimages by the
-        cycle structure.  The images are tau's but at the moved points, so
-        distinctness is read from those and tau's repeated images alone.
+        cycle structure.  The images are tau's but at the moved points, and
+        tau is injective on the window (window_struct checks it), so
+        distinctness is read from the moved points alone.
         """
         ws = self.classifier.window_struct(n)
         moved, images = self._moves(ws)
-        old = list(map(ws.tau_ids.__getitem__, moved))
+        old = set(map(ws.tau_ids.__getitem__, moved))
         new = set(images)
-        # no new image repeats or is also the image of a point that stays;
-        # an image tau repeats keeps one unmoved preimage at most, none if new
-        if (len(new) < len(images) or not (new & ws.tau_set) <= set(old)
-                or any(old.count(y) < c - 1 + (y in new)
-                       for y, c in ws.dups.items())):
+        # no new image repeats or is also the image of a point that stays
+        if len(new) < len(images) or not (new & ws.tau_set) <= old:
             return False
         for y in ws.undet_widx + list(range(0, n, 61)):
             p = self.preimage_code(y)
@@ -452,7 +452,7 @@ def defect_profile(tau: WindowInjection, sigmas: list, window: int) -> DefectPro
     reported separately and excluded from max_defect.
     """
     cls = getattr(sigmas[0], "classifier", None) if sigmas else None
-    if (cls is None or cls.tau.key() != tau.key()
+    if (cls is None or cls.tau != tau
             or any(getattr(s, "classifier", None) is not cls for s in sigmas)):
         raise ValueError(f"not one classifier's sigma family for {tau.description}")
     ws = cls.window_struct(window)

@@ -218,7 +218,7 @@ def wreath_element(P: PermGroupPresentation, h_part: WindowInjection,
     if not isinstance(dom, PairProduct):
         raise ValueError(f"{P.name} is not presented on a pair product")
     default = default if default is not None else identity_endo(dom.second)
-    coords = {b: g for b, g in coords.items() if g.key() != default.key()}
+    coords = {b: g for b, g in coords.items() if g != default}
     return WreathInjection(dom, h_part, coords, default)
 
 
@@ -276,7 +276,7 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
             table.update({b: g for b, g in orig.coords.items()
                           if b not in coord_set})
             table = {b: g for b, g in table.items()
-                     if g.key() != orig.default.key()}
+                     if g != orig.default}
             cells.append((s, WreathInjection(dom, hp, table, orig.default)))
         notes += (f"coordinates materialized: {m}; residual tail "
                   f"{Frac(1, 2 ** (m + 1)) * eps}",)
@@ -296,7 +296,7 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
     for nm, h in H.elements.items():
         elements[f"H.{nm}"] = WreathInjection(dom, h, {}, gid)
     for nm, g in G.elements.items():
-        if g.key() != gid.key():
+        if g != gid:
             elements[f"b0.{nm}"] = WreathInjection(dom, hid, {coords[0]: g}, gid)
     return PermGroupPresentation(f"wreath({G.name},{H.name},m={m})", dom,
                                  approx, member=member, elements=elements)

@@ -101,6 +101,20 @@ def test_window_bijectivity_rejects_colliding_images(monkeypatch):
         assert not sigma.window_bijectivity(100)
 
 
+def test_window_struct_validates_the_callers_window():
+    # the family passes its 256-point check; 300 and 5000 collide past it
+    tau = TableInjection(NaturalNumbers(), {300: 5000})
+    sigmas = approximate_by_automorphisms(tau, 2)
+    cls = sigmas[0].classifier
+    for check in (lambda: cls.window_struct(6000),
+                  lambda: defect_profile(tau, sigmas, 6000),
+                  lambda: sigmas[1].window_bijectivity(6000)):
+        with pytest.raises(NonInjectiveOnWindow, match="300 and 5000 both map to 5000"):
+            check()
+    assert 6000 not in cls._ws_cache
+    assert defect_profile(tau, sigmas, 4000).max_defect == 0
+
+
 def pointwise_bijectivity(sigma, window, undetermined):
     """window_bijectivity's checks, made from apply and preimage alone."""
     pts = sigma.domain.window(window)

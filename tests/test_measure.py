@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belle_paire.measure import (
+    SWEEP_CACHE_SIZE,
     DensityMismatch,
     Frac,
     Profile,
@@ -15,6 +16,7 @@ from belle_paire.measure import (
     _normalize_columns,
     _num,
     _reduced,
+    _sweep,
     _ys_intersect,
     _ys_subtract,
     common_refinement,
@@ -373,7 +375,7 @@ def _rect(x0, x1, y0, y1):
     return RationalSet.from_rect(Frac(x0), Frac(x1), Frac(y0), Frac(y1))
 
 
-@pytest.mark.parametrize("cells, message", [
+STEP_MAP_REFUSALS = [
     # under-covering: the right half is missing
     ([(_rect(0, "1/2", 0, 1), 0)], "cells measure 1/2, expected 1"),
     # overlapping and over-covering: the measure is reported first
@@ -386,10 +388,59 @@ def _rect(x0, x1, y0, y1):
       (_rect("1/4", "1/2", "1/4", "1/2"), 1)], "cells overlap"),
     # cells of one value fuse before any check
     ([(_rect(0, "1/2", 0, 1), 0), (_rect("1/2", 1, 0, 1), 0)], None),
-])
+]
+
+
+@pytest.mark.parametrize("cells, message", STEP_MAP_REFUSALS)
 def test_step_map_refusals_match_reference(cells, message):
     assert reference_refusal(cells) == message
     assert refusal(cells) == message
+
+
+@pytest.mark.parametrize("cells, message",
+                         [(c, m) for c, m in STEP_MAP_REFUSALS if m is not None])
+def test_step_map_refusals_hold_on_a_kept_sweep(cells, message):
+    # the second construction reads the first one's sweep and still refuses
+    _sweep.cache_clear()
+    assert refusal(cells) == message
+    hits = _sweep.cache_info().hits
+    assert refusal(cells) == message
+    assert _sweep.cache_info().hits > hits
+
+
+def test_equal_set_tuples_share_one_sweep():
+    def sets():
+        return (_rect(0, "1/2", 0, "1/3"), RationalSet.vertical_strip(Frac(1, 4), 1),
+                _rect("1/3", 1, "1/2", 1))
+
+    a, b = sets(), sets()
+    assert a == b and not any(x is y for x, y in zip(a, b))
+    _sweep.cache_clear()
+    first = _sweep(a)
+    assert _sweep(b) is first
+    info = _sweep.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert 0 < info.maxsize == SWEEP_CACHE_SIZE <= 512
+    # a kept sweep is shared, so nothing in it can be mutated
+    den, steps = first
+    assert type(steps) is tuple and steps
+    for step in steps:
+        assert type(step) is tuple and type(step[2]) is tuple
+        assert all(type(sl) is tuple for sl in step[2])
+
+
+@given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=2, max_size=3))
+@settings(max_examples=60)
+def test_kept_sweeps_change_no_result(maps):
+    # each result with a cleared cache, then again from the kept sweep
+    for compute in (lambda: common_refinement(maps),
+                    lambda: l1_distance(maps[0], maps[1])):
+        _sweep.cache_clear()
+        cold = compute()
+        hits = _sweep.cache_info().hits
+        warm = compute()
+        assert _sweep.cache_info().hits > hits
+        assert warm == cold
 
 
 @given(grid_step_maps(), rational_sets(), st.integers(0, 3))

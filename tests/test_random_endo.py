@@ -44,6 +44,8 @@ from belle_paire.structures import (
     FqVectors,
     IdentityInjection,
     NaturalNumbers,
+    NonInjectiveOnWindow,
+    TableInjection,
     basis_shift_endo,
     identity_endo,
     shift_endo,
@@ -148,6 +150,16 @@ def test_approximate_automorphism_passthrough():
     cert = approximate_random_endo(constant_endo(auto), None, Frac(1, 7), 100)
     assert cert.bound == 0
     assert cert.g_hat == constant_endo(auto)
+
+
+def test_approximate_refuses_a_collision_past_the_first_256_points():
+    # 300 and 5000 both map to 5000: the whole window 6000 is checked, not
+    # only the 256 points approximate_by_automorphisms validates
+    h_hat = constant_endo(TableInjection(NAT, {300: 5000}))
+    with pytest.raises(NonInjectiveOnWindow, match="300 and 5000 both map to 5000"):
+        approximate_random_endo(h_hat, None, Frac(1, 2), 6000)
+    # on a window below 5000 the table is injective and is certified
+    assert approximate_random_endo(h_hat, None, Frac(1, 2), 4000).bound == 0
 
 
 def test_approximate_probe_distances_within_bound():

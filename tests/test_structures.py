@@ -15,11 +15,13 @@ from belle_paire.structures import (
     FqVector,
     FqVectors,
     GeometrySpec,
+    IdentityInjection,
     InverseInjection,
     LinearInjection,
     NaturalNumbers,
     NonInjectiveOnWindow,
     PairProduct,
+    ShiftInjection,
     TableInjection,
     UnionInjection,
     WindowInjection,
@@ -456,7 +458,8 @@ def test_code_rules_agree_with_point_rules(h):
             assert dom.index_of(x) == c and dom.point_at(c) == x
 
 
-def test_every_injection_class_is_a_code_rule():
+def _injection_classes() -> list:
+    """Every subclass of WindowInjection, CycleApproxBijection included."""
     from belle_paire.approx import CycleApproxBijection
 
     def subclasses(cls):
@@ -464,10 +467,14 @@ def test_every_injection_class_is_a_code_rule():
             yield sub
             yield from subclasses(sub)
 
-    base = vars(WindowInjection)
     classes = list(subclasses(WindowInjection))
     assert CycleApproxBijection in classes
-    for cls in classes:
+    return classes
+
+
+def test_every_injection_class_is_a_code_rule():
+    base = vars(WindowInjection)
+    for cls in _injection_classes():
         for on_points, on_codes in (("apply", "apply_code"),
                                     ("preimage", "preimage_code")):
             # the base class has no code rule of its own
@@ -476,6 +483,63 @@ def test_every_injection_class_is_a_code_rule():
             # a point rule is the base's derived one or an alias of the code rule
             assert getattr(cls, on_points) in (base[on_points], rule), (
                 cls.__name__, on_points)
+
+
+def _equal_injection_builds() -> dict:
+    """Per injection class, builders of equal injections from fresh parts."""
+    from belle_paire.approx import CycleApproxBijection, approximate_by_automorphisms
+
+    nat, fq2 = NaturalNumbers, lambda: FqVectors(2)
+    e = [FqVector.basis(2, i) for i in range(3)]
+    entries = [(3, 7), (7, 12), (12, 3), (20, 21)]
+    swap = lambda: window_permutation(fq2(), {e[0]: e[2], e[2]: e[0]})
+    cycle = lambda: window_permutation(nat(), {0: 1, 1: 2, 2: 0})
+    fibres = lambda: {1: basis_shift_endo(2), 4: swap()}
+    return {
+        IdentityInjection: [lambda: identity_endo(FqVectors(3))],
+        ShiftInjection: [lambda: shift_endo(2)],
+        # one table inserted in two orders
+        TableInjection: [lambda: TableInjection(nat(), dict(entries)),
+                         lambda: TableInjection(nat(), dict(reversed(entries)))],
+        LinearInjection: [lambda: linear_endo_from_basis_images(2, [e[1], e[0]])],
+        ComposedInjection: [
+            lambda: ComposedInjection(basis_shift_endo(2), swap()),
+            lambda: ComposedInjection(linear_endo_from_basis_images(2, (), "shift"),
+                                      window_permutation(fq2(), {e[2]: e[0], e[0]: e[2]}))],
+        InverseInjection: [lambda: InverseInjection(cycle())],
+        UnionInjection: [lambda: UnionInjection(DisjointUnion(nat(), fq2()),
+                                                successor_endo(), swap())],
+        WreathInjection: [
+            lambda: WreathInjection(PairProduct(nat(), fq2()), cycle(), fibres(),
+                                    identity_endo(fq2())),
+            lambda: WreathInjection(PairProduct(nat(), fq2()), cycle(),
+                                    dict(reversed(fibres().items())), identity_endo(fq2()))],
+        CycleApproxBijection: [
+            lambda: approximate_by_automorphisms(
+                ComposedInjection(cycle(), successor_endo()), 3)[1]],
+    }
+
+
+def test_injection_keys_are_computed_once_and_agree():
+    builds = _equal_injection_builds()
+    assert set(builds) == set(_injection_classes())
+    for cls, makers in builds.items():
+        # every maker twice: separately built instances
+        xs = [make() for make in makers for _ in range(2)]
+        assert len({id(x) for x in xs}) == len(xs)
+        for x in xs:
+            assert type(x) is cls
+            assert hash(x) == hash(x.key())
+            # the key is read once per instance and equals a fresh one
+            assert x._key is x._key
+            assert x._key == x.key()
+        for x in xs:
+            for y in xs:
+                assert x == y and hash(x) == hash(y), cls.__name__
+    # and a different rule of each kind is unequal
+    assert TableInjection(NaturalNumbers(), {3: 7, 7: 3}) != builds[TableInjection][0]()
+    assert ComposedInjection(basis_shift_endo(2), basis_shift_endo(2)) != (
+        builds[ComposedInjection][0]())
 
 
 def _reference_apply(tau, v):

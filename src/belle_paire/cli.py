@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 refusal or budget violation or baseline mismatch,
-2 malformed input, 3 precondition failure (non-injective endo, search
-guard).  All emitted numbers are exact rationals; reruns with the same
-arguments produce byte-identical output.
+Exit codes: 0 success; 1 only for a computed refusal, budget violation or
+baseline mismatch, with its payload on stdout; 2 malformed input (any
+ValueError or OSError: bad values, grammar or JSON, a zero denominator, a
+non-natural table point, a group expression nested too deep, an unreadable
+file); 3 a failed precondition (CliPrecondition, NonInjectiveOnWindow,
+StructuralMismatch, SearchGuardExceeded).  main() is the one place that maps
+exceptions to these codes.  All emitted numbers are exact rationals; reruns
+with the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .approx import (
     OrbitClassifier,
@@ -66,7 +68,7 @@ from .structures import (
     successor_endo,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class CliInputError(ValueError):
@@ -77,30 +79,8 @@ class CliPrecondition(ValueError):
     """Violated precondition (injectivity, guards): exit 3."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run parameters shared by the subcommands."""
-
-    subcommand: str
-    window: int
-    grid: int
-    eps: Fraction
-    seed: int
-    format: str
-    raw: argparse.Namespace
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if args.window < 1:
-            raise CliInputError("--window must be >= 1")
-        if getattr(args, "alphabet", 1) < 1:
-            raise CliInputError("--alphabet must be >= 1")
-        return cls(args.cmd, args.window, args.grid,
-                   parse_frac(args.eps), args.seed, args.format, args)
-
-
-def _emit(config: RunConfig, payload: dict, csv_table=None) -> None:
-    if config.format == "csv" and csv_table is not None:
+def _emit(args: argparse.Namespace, payload: dict, csv_table=None) -> None:
+    if args.format == "csv" and csv_table is not None:
         header, rows = csv_table
         sys.stdout.write(rows_to_csv(header, rows))
     else:
@@ -121,13 +101,14 @@ def parse_endo(text: str):
     if text.startswith("fq-shift:"):
         return basis_shift_endo(int(text[9:]))
     if text.startswith("table:"):
+        nat = NaturalNumbers()
         try:
             entries = json.loads(text[6:])
-            pairs = [(int(x), int(y)) for x, y in entries]
+            pairs = [(nat.index_of(x), nat.index_of(y)) for x, y in entries]
         except (ValueError, TypeError) as e:
             raise CliInputError(f"bad table payload: {e}") from None
         try:
-            return TableInjection(NaturalNumbers(), dict(pairs))
+            return TableInjection(nat, dict(pairs))
         except ValueError as e:
             raise CliPrecondition(str(e)) from None
     raise CliInputError(f"unknown endo {text!r}")
@@ -165,26 +146,22 @@ def _parse_pair(text: str, window: int) -> PairModel:
 
 # --- subcommands --------------------------------------------------------------
 
-def cmd_approx_endo(config: RunConfig) -> int:
-    tau = parse_endo(config.raw.endo)
-    n = config.raw.n
+def cmd_approx_endo(args: argparse.Namespace) -> int:
+    tau = parse_endo(args.endo)
+    n = args.n
     if n < 1:
         raise CliInputError("--n must be >= 1")
     cls = OrbitClassifier(tau)
-    try:
-        cls.validate_window(config.window)
-        sigmas = approximate_by_automorphisms(tau, n, cls)
-        prof = defect_profile(tau, sigmas, config.window)
-        bijective = all(s.window_bijectivity(config.window) for s in sigmas)
-    except NonInjectiveOnWindow as e:
-        raise CliPrecondition(str(e)) from None
+    sigmas = approximate_by_automorphisms(tau, n, cls)
+    prof = defect_profile(tau, sigmas, args.window)
+    bijective = all(s.window_bijectivity(args.window) for s in sigmas)
     hist = Counter(prof.counts)
-    dec = orbit_decompose(tau, min(config.window, 2000), classifier=cls)
-    preview_pts = tau.domain.window(min(config.window, 8))
+    dec = orbit_decompose(tau, min(args.window, 2000), classifier=cls)
+    preview_pts = tau.domain.window(min(args.window, 8))
     previews = [{"sigma": i,
                  "images": [[repr(x), repr(s.apply(x))] for x in preview_pts]}
                 for i, s in enumerate(sigmas[:4])]
-    payload = {"tau": tau.description, "n": n, "window": config.window,
+    payload = {"tau": tau.description, "n": n, "window": args.window,
                "max_defect": prof.max_defect,
                "defect_histogram": {str(k): v for k, v in sorted(hist.items())},
                "undetermined": len(prof.undetermined_codes),
@@ -193,81 +170,79 @@ def cmd_approx_endo(config: RunConfig) -> int:
                "semi_orbits": dec.semi_orbit_count,
                "sigma_previews": previews}
     rows = [(i, s.description) for i, s in enumerate(sigmas)]
-    _emit(config, payload, (["sigma", "description"], rows))
+    _emit(args, payload, (["sigma", "description"], rows))
     return 0 if prof.max_defect <= 1 and bijective else 1
 
 
-def cmd_lift(config: RunConfig) -> int:
-    tau = parse_endo(config.raw.endo)
-    n = config.raw.n
-    alphabet = tau.domain.window(config.raw.alphabet)
-    try:
-        sigmas = approximate_by_automorphisms(tau, n)
-    except NonInjectiveOnWindow as e:
-        raise CliPrecondition(str(e)) from None
-    g_hat = strip_lift(sigmas)
-    h_hat = constant_endo(tau)
+def _lift_distances(tau, sigmas, alphabet):
+    """(a, L1 distance of the strip lift of sigmas from tau on the constant a)."""
+    g_hat, h_hat = strip_lift(sigmas), constant_endo(tau)
+    for a in alphabet:
+        f = StepMap.constant(a)
+        yield a, l1_distance(apply_random_endo(g_hat, f),
+                             apply_random_endo(h_hat, f))
+
+
+def cmd_lift(args: argparse.Namespace) -> int:
+    tau = parse_endo(args.endo)
+    n = args.n
+    sigmas = approximate_by_automorphisms(tau, n)
     worst = Frac(0)
     formula_ok = True
     rows = []
-    for a in alphabet:
-        f = StepMap.constant(a)
-        d = l1_distance(apply_random_endo(g_hat, f), apply_random_endo(h_hat, f))
+    for a, d in _lift_distances(tau, sigmas, tau.domain.window(args.alphabet)):
         cell = Frac(sum(1 for s in sigmas if s.apply(a) != tau.apply(a)), n)
         formula_ok = formula_ok and d == cell
         worst = max(worst, d)
         rows.append((repr(a), d))
     payload = {"tau": tau.description, "n": n,
-               "alphabet": config.raw.alphabet,
+               "alphabet": args.alphabet,
                "max_distance": frac_str(worst), "bound": frac_str(Frac(1, n)),
                "matches_cell_formula": formula_ok,
                "within_bound": worst <= Frac(1, n)}
-    _emit(config, payload, (["point", "distance"], rows))
+    _emit(args, payload, (["point", "distance"], rows))
     return 0 if formula_ok and worst <= Frac(1, n) else 1
 
 
-def cmd_pair_certify(config: RunConfig) -> int:
-    pair1 = _parse_pair(config.raw.pair1, config.window)
-    pair2 = _parse_pair(config.raw.pair2, config.window)
+def cmd_pair_certify(args: argparse.Namespace) -> int:
+    pair1 = _parse_pair(args.pair1, args.window)
+    pair2 = _parse_pair(args.pair2, args.window)
     obstruction = None
-    if config.raw.obstruction:
+    if args.obstruction:
         try:
-            ob = json.loads(config.raw.obstruction)
+            ob = json.loads(args.obstruction)
             obstruction = {"q": int(ob["q"]), "dim": int(ob["dim"]),
                            "grid": int(ob["grid"]),
                            "subspace": [tuple(map(int, g))
                                         for g in ob["subspace"]]}
         except (ValueError, TypeError, KeyError) as e:
             raise CliInputError(f"bad obstruction descriptor: {e}") from None
-    result = certify_epsilon_isomorphism(pair1, pair2, config.eps, obstruction)
+    result = certify_epsilon_isomorphism(pair1, pair2, args.eps, obstruction)
     payload = certificate_to_json(result)
-    out = config.raw.out
+    out = args.out
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(json_dumps(payload))
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if result.ok else 1
 
 
-def cmd_pair_distance(config: RunConfig) -> int:
-    pair1 = _parse_pair(config.raw.pair1, config.window)
-    pair2 = _parse_pair(config.raw.pair2, config.window)
-    gap = hausdorff_gap(pair1.image, pair2.image, config.raw.alphabet)
-    payload = {"structure": pair1.structure, "window": config.window,
-               "alphabet": config.raw.alphabet,
+def cmd_pair_distance(args: argparse.Namespace) -> int:
+    pair1 = _parse_pair(args.pair1, args.window)
+    pair2 = _parse_pair(args.pair2, args.window)
+    gap = hausdorff_gap(pair1.image, pair2.image, args.alphabet)
+    payload = {"structure": pair1.structure, "window": args.window,
+               "alphabet": args.alphabet,
                "upper": frac_str(gap.upper), "lower": frac_str(gap.lower)}
-    _emit(config, payload,
+    _emit(args, payload,
           (["side", "value"],
            [("upper", gap.upper), ("lower", gap.lower)]))
     return 0
 
 
-def cmd_compose(config: RunConfig) -> int:
-    try:
-        pres = parse_group_expr(config.raw.expr)
-    except ValueError as e:
-        raise CliInputError(str(e)) from None
-    name = config.raw.element
+def cmd_compose(args: argparse.Namespace) -> int:
+    pres = parse_group_expr(args.expr)
+    name = args.element
     if name is None:
         named = sorted(n for n in pres.elements
                        if not n.rsplit(".", 1)[-1] == "identity")
@@ -276,22 +251,22 @@ def cmd_compose(config: RunConfig) -> int:
         raise CliInputError(f"unknown element {name!r}; known: "
                             f"{', '.join(sorted(pres.elements))}")
     h_hat = constant_endo(pres.elements[name])
-    cert = pres.approximate(h_hat, config.eps, config.window)
-    strips = [(Frac(i, config.grid), Frac(i + 1, config.grid))
-              for i in range(config.grid)]
-    alphabet = pres.domain.window(config.raw.alphabet)
+    cert = pres.approximate(h_hat, args.eps, args.window)
+    strips = [(Frac(i, args.grid), Frac(i + 1, args.grid))
+              for i in range(args.grid)]
+    alphabet = pres.domain.window(args.alphabet)
     measured, witness = max_strip_probe_distance(cert.g_hat, h_hat, strips,
                                                  alphabet)
-    payload = {"expr": config.raw.expr, "element": name,
+    payload = {"expr": args.expr, "element": name,
                "certificate": certificate_to_json(cert),
                "measured_max": frac_str(measured),
-               "probe_strips": config.grid,
-               "probe_alphabet": config.raw.alphabet,
-               "within_budget": measured <= config.eps}
+               "probe_strips": args.grid,
+               "probe_alphabet": args.alphabet,
+               "within_budget": measured <= args.eps}
     rows = [(label, share) for label, share in cert.allocations] or \
            [("total", cert.bound)]
-    _emit(config, payload, (["part", "budget"], rows))
-    return 0 if measured <= config.eps else 1
+    _emit(args, payload, (["part", "budget"], rows))
+    return 0 if measured <= args.eps else 1
 
 
 def _parse_geometry(text: str) -> GeometrySpec:
@@ -305,9 +280,9 @@ def _parse_geometry(text: str) -> GeometrySpec:
         raise CliInputError(f"bad geometry {text!r}: {e}") from None
 
 
-def cmd_bound(config: RunConfig) -> int:
-    geom = _parse_geometry(config.raw.geometry)
-    deltas = [parse_frac(d) for d in (config.raw.delta or ["1/2", "1/4", "1/8"])]
+def cmd_bound(args: argparse.Namespace) -> int:
+    geom = _parse_geometry(args.geometry)
+    deltas = [parse_frac(d) for d in (args.delta or ["1/2", "1/4", "1/8"])]
     ks = {}
     for d in deltas:
         try:
@@ -315,16 +290,16 @@ def cmd_bound(config: RunConfig) -> int:
         except ValueError as e:
             ks[frac_str(d)] = str(e)
     rows = []
-    for n in range(1, config.raw.n_max + 1):
+    for n in range(1, args.n_max + 1):
         rows.append((n, epsilon_lower_bound(n, False),
                      epsilon_lower_bound(n, True)))
-    payload = {"geometry": config.raw.geometry,
+    payload = {"geometry": args.geometry,
                "bounds": [{"n": n, "lower": frac_str(lo), "modular": frac_str(mo)}
                           for n, lo, mo in rows],
                "min_k": ks,
                "closed_set_sizes": {str(d): closed_set_size(geom, d)
                                     for d in range(0, 5)}}
-    _emit(config, payload, (["n", "lower_bound", "modular_bound"], rows))
+    _emit(args, payload, (["n", "lower_bound", "modular_bound"], rows))
     return 0
 
 
@@ -351,57 +326,53 @@ def _parse_subspace(text: str, dim: int) -> list:
     return gens
 
 
-def cmd_search(config: RunConfig) -> int:
-    raw = config.raw
-    if raw.pure:
+def _baseline_status(key: str, res) -> str:
+    """match, MISMATCH or untracked: res against the search baseline key."""
+    try:
+        base = load_baseline("search")[key]
+    except (FileNotFoundError, KeyError):
+        return "untracked"
+    match = (parse_frac(base["gap"]) == res.gap
+             and base["candidates"] == res.candidates_checked)
+    return "match" if match else "MISMATCH"
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    if args.pure:
         try:
-            m, subset = (int(x) for x in raw.pure.split(","))
+            m, subset = (int(x) for x in args.pure.split(","))
         except ValueError:
             raise CliInputError("--pure takes 'm,subset_size'") from None
-        try:
-            res = exhaustive_pair_search_pure(m, config.grid, subset)
-        except SearchGuardExceeded as e:
-            raise CliPrecondition(str(e)) from None
+        res = exhaustive_pair_search_pure(m, args.grid, subset)
         key = None
     else:
-        gens = _parse_subspace(raw.subspace, raw.dim)
-        try:
-            res = exhaustive_pair_search(raw.q, raw.dim, config.grid, gens)
-        except SearchGuardExceeded as e:
-            raise CliPrecondition(str(e)) from None
-        key = raw.baseline_key
-        if key is None and raw.subspace == "e0":
-            key = f"q{raw.q}_dim{raw.dim}_grid{config.grid}_span_e0"
-        if key is None and raw.subspace == "full":
-            key = f"q{raw.q}_dim{raw.dim}_grid{config.grid}_full"
+        gens = _parse_subspace(args.subspace, args.dim)
+        res = exhaustive_pair_search(args.q, args.dim, args.grid, gens)
+        key = args.baseline_key
+        if key is None and args.subspace == "e0":
+            key = f"q{args.q}_dim{args.dim}_grid{args.grid}_span_e0"
+        if key is None and args.subspace == "full":
+            key = f"q{args.q}_dim{args.dim}_grid{args.grid}_full"
     payload = search_result_to_json(res)
     status = "untracked"
     if key is not None:
-        try:
-            base = load_baseline("search")[key]
-        except (FileNotFoundError, KeyError):
-            base = None
-        if base is not None:
-            match = (parse_frac(base["gap"]) == res.gap
-                     and base["candidates"] == res.candidates_checked)
-            status = "match" if match else "MISMATCH"
+        status = _baseline_status(key, res)
         payload["baseline_key"] = key
     payload["baseline"] = status
-    _emit(config, payload,
+    _emit(args, payload,
           (["field", "value"], sorted((k, str(v)) for k, v in payload.items())))
     return 1 if status == "MISMATCH" else 0
 
 
-def cmd_realize(config: RunConfig) -> int:
-    raw = config.raw
-    if raw.spec:
-        with open(raw.spec, encoding="utf-8") as fh:
+def cmd_realize(args: argparse.Namespace) -> int:
+    if args.spec:
+        with open(args.spec, encoding="utf-8") as fh:
             try:
                 spec = realization_spec_from_json(json.load(fh))
             except (ValueError, KeyError, TypeError) as e:
                 raise CliInputError(f"bad realization spec: {e}") from None
     else:
-        spec = SampleStream(config.seed).realization_spec()
+        spec = SampleStream(args.seed).realization_spec()
     f = assemble_realization(spec)
     values = spec.values()
     events = [(RationalSet.unit_square(), lambda v: True),
@@ -417,11 +388,11 @@ def cmd_realize(config: RunConfig) -> int:
                          "lhs": frac_str(r.lhs), "rhs": frac_str(r.rhs)}
                         for r in report.rows]}
     rows = [(r.event_index, r.group_index, r.lhs, r.rhs) for r in report.rows]
-    _emit(config, payload, (["event", "group", "lhs", "rhs"], rows))
+    _emit(args, payload, (["event", "group", "lhs", "rhs"], rows))
     return 0 if report.ok else 1
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     checks = []
 
     def check(name, fn):
@@ -440,24 +411,17 @@ def cmd_verify(config: RunConfig) -> int:
     def lift_ok():
         tau = shift_endo(2)
         sig = approximate_by_automorphisms(tau, 10)
-        g_hat, h_hat = strip_lift(sig), constant_endo(tau)
-        for a in range(30):
-            f = StepMap.constant(a)
-            d = l1_distance(apply_random_endo(g_hat, f),
-                            apply_random_endo(h_hat, f))
-            if d > Frac(1, 10):
-                return False
-        return True
+        return all(d <= Frac(1, 10)
+                   for _, d in _lift_distances(tau, sig, range(30)))
 
     def search_ok():
         res1 = exhaustive_pair_search(2, 2, 2, [(1, 0)])
         res2 = exhaustive_pair_search(2, 2, 2, [(1, 0)])
-        base = load_baseline("search")["q2_dim2_grid2_span_e0"]
-        return (res1 == res2 and res1.gap == parse_frac(base["gap"])
-                and res1.candidates_checked == base["candidates"])
+        return (res1 == res2
+                and _baseline_status("q2_dim2_grid2_span_e0", res1) == "match")
 
     def realize_ok():
-        spec = SampleStream(config.seed).realization_spec()
+        spec = SampleStream(args.seed).realization_spec()
         f = assemble_realization(spec)
         events = [(RationalSet.unit_square(), lambda v: True)]
         return verify_probability_identity(f, spec, events).ok
@@ -480,7 +444,7 @@ def cmd_verify(config: RunConfig) -> int:
                           for n, ok, err in checks],
                "all_ok": all(ok for _, ok, _ in checks)}
     rows = [(n, "pass" if ok else "FAIL", err) for n, ok, err in checks]
-    _emit(config, payload, (["check", "status", "error"], rows))
+    _emit(args, payload, (["check", "status", "error"], rows))
     return 0 if payload["all_ok"] else 1
 
 
@@ -560,23 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that maps exceptions to exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return args.func(config)
-    except CliInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CliPrecondition as e:
+        if args.window < 1:
+            raise CliInputError("--window must be >= 1")
+        if getattr(args, "alphabet", 1) < 1:
+            raise CliInputError("--alphabet must be >= 1")
+        args.eps = parse_frac(args.eps)
+        return args.func(args)
+    # every precondition type is a ValueError, so this clause comes first
+    except (CliPrecondition, NonInjectiveOnWindow, StructuralMismatch,
+            SearchGuardExceeded) as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return 3
-    except (NonInjectiveOnWindow, StructuralMismatch, SearchGuardExceeded) as e:
-        print(f"precondition failed: {e}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -358,6 +358,9 @@ def finite_index_supergroup(H: PermGroupPresentation,
 
 # --- tiny prefix grammar for the CLI ---------------------------------------
 
+# deepest combinator nesting parse_group_expr accepts; it recurses once a level
+MAX_EXPR_DEPTH = 32
+
 PRESETS = {
     "pure": pure_set_presentation,
     "parity": parity_presentation,
@@ -371,6 +374,9 @@ def _split_args(body: str) -> list:
     for c in body:
         if c == "(":
             depth += 1
+            if depth >= MAX_EXPR_DEPTH:
+                raise ValueError(f"group expression nests deeper than "
+                                 f"{MAX_EXPR_DEPTH} levels")
         elif c == ")":
             depth -= 1
             if depth < 0:

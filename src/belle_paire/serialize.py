@@ -72,7 +72,10 @@ def parse_frac(s) -> Fraction:
     s = s.strip()
     if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
         raise ValueError(f"not a 'p/q' rational: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def rational_set_to_json(s: RationalSet) -> dict:
@@ -102,7 +105,7 @@ def _domain_to_json(dom: Domain) -> str:
 def domain_from_json(name: str) -> Domain:
     if name == "nat":
         return NaturalNumbers()
-    if name.startswith("fqvec(") and name.endswith(")"):
+    if isinstance(name, str) and name.startswith("fqvec(") and name.endswith(")"):
         return FqVectors(int(name[6:-1]))
     raise ValueError(f"unknown carrier {name!r}")
 
@@ -125,19 +128,27 @@ def injection_to_json(h: WindowInjection) -> dict:
     raise ValueError(f"no JSON form for injection {h.description!r}")
 
 
+def _json_int(v, what: str) -> int:
+    """v if it is a JSON integer; a float, string or bool is refused."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def injection_from_json(d: dict) -> WindowInjection:
     kind = d["kind"]
     if kind == "identity":
         return IdentityInjection(domain_from_json(d.get("carrier", "nat")))
     if kind == "shift":
-        return ShiftInjection(int(d["offset"]))
+        return ShiftInjection(_json_int(d["offset"], "offset"))
     if kind == "table":
         dom = domain_from_json(d.get("carrier", "nat"))
         point = dom.point_at  # the entries are codes
-        return TableInjection(dom, {point(int(x)): point(int(y))
+        return TableInjection(dom, {point(_json_int(x, "table entry")):
+                                    point(_json_int(y, "table entry"))
                                     for x, y in d["entries"]})
     if kind == "linear":
-        q = int(d["q"])
+        q = _json_int(d["q"], "q")
         images = tuple(FqVector.from_coeffs(q, row) for row in d["images"])
         return LinearInjection(q, images, d.get("tail", "identity"))
     raise ValueError(f"unknown injection kind {kind!r}")
@@ -160,7 +171,7 @@ def pair_model_to_json(pm) -> dict:
 
 def pair_model_from_json(d: dict):
     from .random_endo import PairModel
-    return PairModel(d["structure"], int(d["window"]),
+    return PairModel(d["structure"], _json_int(d["window"], "window"),
                      endo_from_json(d["image"]))
 
 

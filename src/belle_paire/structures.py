@@ -111,6 +111,8 @@ class NaturalNumbers(Domain):
         return k
 
     def index_of(self, point):
+        if type(point) is not int or point < 0:
+            raise ValueError(f"{point!r} is not a natural number")
         return point
 
     def key(self):

@@ -441,6 +441,51 @@ def test_bad_eps_exits_2(capsys):
     assert code == 2
 
 
+def _pair_file(rect, injection):
+    return {"structure": "nat", "window": 100,
+            "image": {"cells": [[{"rects": [rect]}, injection]]}}
+
+
+# pair files the argv lists below name as @<key>
+PAIR_FILES = {
+    "rect-zero-denominator.json": _pair_file(["0", "1/0", "0", "1"],
+                                             {"kind": "shift", "offset": 1}),
+    "float-offset.json": _pair_file(["0", "1", "0", "1"],
+                                    {"kind": "shift", "offset": 1.5}),
+}
+
+
+def with_pair_files(argv, directory):
+    for name, blob in PAIR_FILES.items():
+        (directory / name).write_text(json.dumps(blob))
+    return [f"@{directory / a[1:]}" if a[1:] in PAIR_FILES else a for a in argv]
+
+
+# inputs that once exited 1 with a traceback or 0 with a wrong result
+MENDED_INPUTS = {
+    "eps-zero-denominator": ["--eps", "1/0", "compose", "--expr", "pure"],
+    "delta-zero-denominator": ["bound", "--delta", "1/0"],
+    "rect-zero-denominator": ["pair-certify", "--pair1",
+                              "@rect-zero-denominator.json",
+                              "--pair2", "pure:identity"],
+    "deep-expr": ["compose", "--expr",
+                  "product(" * 1200 + "pure" + ",pure)" * 1200],
+    "negative-table-point": ["--window", "6", "approx-endo", "--endo",
+                             "table:[[-1,2]]", "--n", "2"],
+    "float-offset": ["pair-certify", "--pair1", "@float-offset.json",
+                     "--pair2", "pure:successor"],
+}
+
+
+@pytest.mark.parametrize("argv", MENDED_INPUTS.values(), ids=MENDED_INPUTS)
+def test_mended_inputs_exit_2(capsys, tmp_path, argv):
+    code = main(with_pair_files(argv, tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 OPTIMIZE_CASES = [
     (["approx-endo", "--endo", "fq-shift:3", "--n", "7"], 0),
     (["--window", "6000", "approx-endo", "--endo", "table:[[300,5000]]",
@@ -451,15 +496,17 @@ OPTIMIZE_CASES = [
       "--pair2", "fq2:shift", "--obstruction",
       '{"q": 2, "dim": 2, "grid": 2, "subspace": [[1, 0]]}'], 1),
     (["--grid", "3", "search", "--q", "2", "--dim", "2"], 0),
-]
+] + [(argv, 2) for argv in MENDED_INPUTS.values()]
 
 
 @pytest.mark.parametrize("argv,want", OPTIMIZE_CASES,
                          ids=["approx-endo-fq", "table-collision", "pair-certify-fq2",
-                              "pair-certify-fq2-obstruction", "search"])
-def test_cli_output_is_the_same_under_optimize(argv, want):
+                              "pair-certify-fq2-obstruction", "search",
+                              *MENDED_INPUTS])
+def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     # no check of the program lives in an assert, so python -O prints the
     # same bytes and exits with the same code
+    argv = with_pair_files(argv, tmp_path)
     src = str(Path(belle_paire.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     runs = [subprocess.run([sys.executable, *flags, "-m", "belle_paire.cli", *argv],

@@ -9,6 +9,7 @@ import pytest
 import belle_paire
 
 from belle_paire.groups import (
+    MAX_EXPR_DEPTH,
     GroupCertificate,
     direct_product,
     finite_index_supergroup,
@@ -193,6 +194,17 @@ def test_parse_group_expr_errors():
         parse_group_expr("wreath(pure)")
     with pytest.raises(ValueError):
         parse_group_expr("product(pure")
+
+
+def nested_products(depth):
+    return "product(" * depth + "pure" + ",pure)" * depth
+
+
+def test_parse_group_expr_refuses_deep_nesting_before_recursing():
+    assert "product" in parse_group_expr(nested_products(MAX_EXPR_DEPTH)).name
+    for depth in (MAX_EXPR_DEPTH + 1, 1200):
+        with pytest.raises(ValueError, match="nests deeper than"):
+            parse_group_expr(nested_products(depth))
 
 
 def test_nested_combinator_budget():

@@ -54,6 +54,9 @@ def test_frac_round_trip():
         parse_frac("0.5")
     with pytest.raises(ValueError):
         parse_frac(0.5)
+    for text in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_frac(text)
 
 
 def test_rational_set_round_trip():
@@ -91,6 +94,34 @@ def test_table_entries_are_codes():
     with pytest.raises(ValueError):
         injection_from_json({"kind": "table", "carrier": "fqvec(2)",
                              "entries": [[-1, 2]]})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("offset", 1.5), ("offset", "1"), ("offset", True),
+    ("q", 2.0), ("window", 20.5), ("entries", [[0, 1.0], [1, 0]]),
+    ("entries", [[0, "1"], [1, 0]]),
+])
+def test_non_integer_json_numbers_are_rejected(field, value):
+    shift = {"kind": "shift", "offset": 1}
+    blobs = {"offset": shift,
+             "q": injection_to_json(basis_shift_endo(2)),
+             "window": shift,
+             "entries": {"kind": "table", "entries": [[0, 1], [1, 0]]}}
+    inj = dict(blobs[field])
+    pair = {"structure": "nat", "window": 20,
+            "image": {"cells": [[{"rects": [["0", "1", "0", "1"]]}, inj]]}}
+    if field == "window":
+        pair["window"] = value
+    else:
+        inj[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        pair_model_from_json(pair)
+
+
+@pytest.mark.parametrize("carrier", [0, {}, None])
+def test_non_string_carrier_is_rejected(carrier):
+    with pytest.raises(ValueError, match="unknown carrier"):
+        injection_from_json({"kind": "identity", "carrier": carrier})
 
 
 def test_sampled_twists_permute_codes():

@@ -180,6 +180,14 @@ def test_table_colliding_with_identity_detected_on_window():
         h.validate_window(10)
 
 
+@pytest.mark.parametrize("point", [-1, 1.5, "2", True, None])
+def test_natural_index_of_rejects_non_naturals(point):
+    with pytest.raises(ValueError, match="is not a natural number"):
+        NaturalNumbers().index_of(point)
+    with pytest.raises(ValueError, match="is not a natural number"):
+        TableInjection(NaturalNumbers(), {point: 2})
+
+
 def test_window_permutation_requires_permutation():
     with pytest.raises(ValueError):
         window_permutation(NaturalNumbers(), {0: 1})

@@ -49,7 +49,6 @@ from .approx import (
     strip_lift,
 )
 from .random_endo import (
-    ApproximationCertificate,
     BudgetLine,
     Certificate,
     GapBounds,
@@ -69,7 +68,6 @@ from .random_endo import (
     orbit_reduce,
 )
 from .groups import (
-    GroupCertificate,
     NoCosetFactorization,
     PermGroupPresentation,
     direct_product,
@@ -115,14 +113,14 @@ __all__ = [
     "CycleApproxBijection", "DefectProfile", "OrbitClassifier",
     "OrbitDecomposition", "approximate_by_automorphisms", "defect_profile",
     "orbit_decompose", "strip_lift",
-    "ApproximationCertificate", "BudgetLine", "Certificate", "GapBounds",
-    "PairModel", "Refusal", "StructuralMismatch", "approximate_random_endo",
+    "BudgetLine", "Certificate", "GapBounds", "PairModel", "Refusal",
+    "StructuralMismatch", "approximate_random_endo",
     "apply_random_endo", "brute_force_dist_to_image",
     "certify_epsilon_isomorphism", "compose_random_endos", "constant_endo",
     "dist_to_image", "endos_agree_on_window", "hausdorff_gap",
     "max_strip_probe_distance", "orbit_reduce",
-    "GroupCertificate", "NoCosetFactorization", "PermGroupPresentation",
-    "direct_product", "finite_index_supergroup", "fq_presentation",
+    "NoCosetFactorization", "PermGroupPresentation", "direct_product",
+    "finite_index_supergroup", "fq_presentation",
     "parity_presentation", "parse_group_expr", "pure_set_presentation",
     "wreath_product",
     "ClosedSetChain", "SearchGuardExceeded", "SearchResult",

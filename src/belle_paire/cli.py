@@ -47,6 +47,7 @@ from .random_endo import (
 from .realization import assemble_realization, verify_probability_identity
 from .sampling import SampleStream
 from .serialize import (
+    _json_int,
     certificate_to_json,
     frac_str,
     json_dumps,
@@ -211,10 +212,10 @@ def cmd_pair_certify(args: argparse.Namespace) -> int:
     if args.obstruction:
         try:
             ob = json.loads(args.obstruction)
-            obstruction = {"q": int(ob["q"]), "dim": int(ob["dim"]),
-                           "grid": int(ob["grid"]),
-                           "subspace": [tuple(map(int, g))
-                                        for g in ob["subspace"]]}
+            obstruction = {k: _json_int(ob[k], k) for k in ("q", "dim", "grid")}
+            obstruction["subspace"] = [
+                tuple(_json_int(c, "subspace entry") for c in g)
+                for g in ob["subspace"]]
         except (ValueError, TypeError, KeyError) as e:
             raise CliInputError(f"bad obstruction descriptor: {e}") from None
     result = certify_epsilon_isomorphism(pair1, pair2, args.eps, obstruction)

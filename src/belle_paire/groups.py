@@ -31,14 +31,13 @@ from .structures import (
     window_permutation,
 )
 from .random_endo import (
-    BudgetLine,
+    Certificate,
     StructuralMismatch,
     approximate_random_endo,
     validate_random_endo,
 )
 
 __all__ = [
-    "GroupCertificate",
     "PermGroupPresentation",
     "NoCosetFactorization",
     "pure_set_presentation",
@@ -62,31 +61,6 @@ class NoCosetFactorization(ValueError):
         super().__init__(f"no coset representative factors {description}")
 
 
-class GroupCertificate:
-    """Automorphism-valued approximant with exact budget accounting.
-
-    residual is un-materialized budget mass (the wreath tail series); notes
-    record scope restrictions such as which coordinates were materialized.
-    """
-
-    def __init__(self, g_hat: StepMap, bound, eps, window: int, lines=(),
-                 residual=ZERO, notes=(), allocations=()):
-        self.g_hat = g_hat
-        self.bound = _frac(bound)
-        self.eps = _frac(eps)
-        self.window = window
-        self.lines = tuple(lines)
-        self.residual = _frac(residual)
-        self.notes = tuple(notes)
-        self.allocations = tuple(allocations)  # (part label, budget share)
-        if self.bound > self.eps:
-            raise ValueError(f"bound {self.bound} exceeds eps {self.eps}")
-
-    @property
-    def ok(self) -> bool:
-        return self.bound <= self.eps
-
-
 def _always(h: WindowInjection, window: int) -> bool:
     return True
 
@@ -104,7 +78,7 @@ class PermGroupPresentation:
         if any(g.domain != domain for g in self.elements.values()):
             raise ValueError(f"{name}: an element lives on another carrier")
 
-    def approximate(self, h_hat: StepMap, eps, window: int) -> GroupCertificate:
+    def approximate(self, h_hat: StepMap, eps, window: int) -> Certificate:
         if validate_random_endo(h_hat) != self.domain:
             raise StructuralMismatch("random endo lives on a different carrier")
         return self.approximator(h_hat, _frac(eps), window)
@@ -114,9 +88,8 @@ class PermGroupPresentation:
 
 
 def _generic_approximator(h_hat, eps, window):
-    cert = approximate_random_endo(h_hat, None, eps, window)
-    return GroupCertificate(cert.g_hat, cert.bound, cert.eps, cert.window,
-                            cert.lines)
+    return replace(approximate_random_endo(h_hat, None, eps, window),
+                   residual=ZERO)
 
 
 def pure_set_presentation() -> PermGroupPresentation:
@@ -187,7 +160,7 @@ def direct_product(G: PermGroupPresentation,
         cr = H.approximator(rights, eps / 2, window)
         g_hat = StepMap([(s, UnionInjection(dom, l, r))
                          for s, (l, r) in common_refinement([cl.g_hat, cr.g_hat])])
-        return GroupCertificate(
+        return Certificate(
             g_hat, cl.bound + cr.bound, eps, window,
             _tag(cl.lines, "left") + _tag(cr.lines, "right"),
             cl.residual + cr.residual, cl.notes + cr.notes,
@@ -280,8 +253,8 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
             cells.append((s, WreathInjection(dom, hp, table, orig.default)))
         notes += (f"coordinates materialized: {m}; residual tail "
                   f"{Frac(1, 2 ** (m + 1)) * eps}",)
-        return GroupCertificate(StepMap(cells), bound, eps, window, lines,
-                                residual, notes, allocations)
+        return Certificate(StepMap(cells), bound, eps, window, lines,
+                           residual, notes, tuple(allocations))
 
     def member(v, window):
         try:
@@ -341,7 +314,7 @@ def finite_index_supergroup(H: PermGroupPresentation,
         ch = H.approximator(StepMap(part_cells), eps, window)
         g_hat = StepMap([(s, reps[j].compose(hp)) for s, (j, hp)
                          in common_refinement([StepMap(idx_cells), ch.g_hat])])
-        return GroupCertificate(
+        return Certificate(
             g_hat, ch.bound, eps, window, _tag(ch.lines, "H"),
             ch.residual, ch.notes + (f"coset reps: {len(reps)}",),
             (("H", eps),))

@@ -31,7 +31,7 @@ __all__ = [
     "OrbitReduction",
     "orbit_reduce",
     "BudgetLine",
-    "ApproximationCertificate",
+    "Certificate",
     "approximate_random_endo",
     "dist_to_image",
     "brute_force_dist_to_image",
@@ -39,7 +39,6 @@ __all__ = [
     "GapBounds",
     "hausdorff_gap",
     "PairModel",
-    "Certificate",
     "Refusal",
     "certify_epsilon_isomorphism",
 ]
@@ -192,23 +191,35 @@ class BudgetLine:
 
 
 @dataclass(frozen=True)
-class ApproximationCertificate:
+class Certificate:
     """Automorphism-valued approximant with its exact certified bound.
 
     The bound covers every vertical-strip probe whose values lie in the
-    stated window alphabet: l1_distance(g_hat(f), target(f)) <= bound <= eps.
+    stated window alphabet: l1_distance(g_hat(f), target(f)) <= bound <= eps,
+    and a bound above eps is refused at construction, so every certificate
+    is ok.  The group approximators set residual, the un-materialized budget
+    mass (the wreath tail series), and may add notes on scope and the
+    (part label, budget share) allocations of their split.
     """
 
     g_hat: StepMap
     bound: Fraction
     eps: Fraction
     window: int
-    lines: tuple
-    reduction: OrbitReduction
+    lines: tuple = ()
+    residual: Fraction | None = None
+    notes: tuple = ()
+    allocations: tuple = ()
+
+    ok = True
+
+    def __post_init__(self):
+        if self.bound > self.eps:
+            raise ValueError(f"bound {self.bound} exceeds eps {self.eps}")
 
 
 def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
-                            ) -> ApproximationCertificate:
+                            ) -> Certificate:
     """Approximate a random endomorphism by an automorphism-valued one.
 
     With reps=None every distinct cell value serves as its own
@@ -230,13 +241,13 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
         if region.is_empty:
             continue
         cls = OrbitClassifier(rep)
-        base = defect_profile(rep, approximate_by_automorphisms(rep, 1, cls),
-                              window)
-        defect = base.max_defect
+        base = approximate_by_automorphisms(rep, 1, cls)
+        defect = defect_profile(rep, base, window).max_defect
         if defect == 0:
-            # the rep is already a window automorphism; keep it as is
+            # no window point is moved off rep, but a window point may still
+            # lack a preimage; then the one-sigma family stands in for rep
             n_k = 1
-            sigmas = [rep]
+            sigmas = [rep] if rep.window_bijectivity(window) else base
         else:
             # smallest n with defect/n <= eps
             n_k = -(-defect * eps.denominator // eps.numerator)
@@ -246,12 +257,11 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
         lines.append(BudgetLine(k, rep.description, region.measure, defect,
                                 n_k, region.measure * Frac(defect, n_k)))
     bound = sum((ln.contribution for ln in lines), Frac(0))
-    assert bound <= eps
     # the pieces tile the square, so one refinement against g_hat gives
     # every (cell, piece) part that carries g . sigma
     g_hat = StepMap([(s, g.compose(sigma)) for s, (g, sigma)
                      in common_refinement([red.g_hat, StepMap(sigma_cells)])])
-    return ApproximationCertificate(g_hat, bound, eps, window, tuple(lines), red)
+    return Certificate(g_hat, bound, eps, window, tuple(lines))
 
 
 def _candidates(hs, alphabet) -> list:
@@ -455,19 +465,6 @@ class PairModel:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    g_hat: StepMap
-    upper: Fraction
-    eps: Fraction
-    window: int
-    lines: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.upper <= self.eps
-
-
-@dataclass(frozen=True)
 class Refusal:
     reason: str
     eps: Fraction
@@ -503,7 +500,7 @@ def certify_epsilon_isomorphism(pair1: PairModel, pair2: PairModel, eps,
                       "candidates": res.candidates_checked})
     if pair1.image == pair2.image:
         ident = constant_endo(IdentityInjection(pair1.domain))
-        return Certificate(ident, Frac(0), eps, pair1.window, ())
+        return Certificate(ident, Frac(0), eps, pair1.window)
     if not all(v.is_bijection for v in pair1.image.values()):
         return Refusal("the first pair's image is not presented by "
                        "bijections, so it cannot be peeled off", eps, {})

@@ -194,20 +194,19 @@ def _jsonable(v):
 
 
 def certificate_to_json(cert) -> dict:
-    """Uniform JSON for approximation/group certificates and refusals."""
-    if hasattr(cert, "reason"):  # a refusal
+    """JSON for a Certificate or a Refusal."""
+    if not cert.ok:
         return {"kind": "refusal", "reason": cert.reason,
                 "eps": frac_str(cert.eps), "evidence": _jsonable(cert.evidence)}
-    bound = cert.upper if hasattr(cert, "upper") else cert.bound
-    out = {"kind": "certificate", "bound": frac_str(bound),
+    out = {"kind": "certificate", "bound": frac_str(cert.bound),
            "eps": frac_str(cert.eps), "window": cert.window,
            "cells": len(cert.g_hat.cells),
            "lines": [_line_to_json(l) for l in cert.lines]}
-    if getattr(cert, "residual", None) is not None:
+    if cert.residual is not None:
         out["residual"] = frac_str(cert.residual)
-    if getattr(cert, "notes", None):
+    if cert.notes:
         out["notes"] = list(cert.notes)
-    if getattr(cert, "allocations", None):
+    if cert.allocations:
         out["allocations"] = [[label, frac_str(share)]
                               for label, share in cert.allocations]
     return out

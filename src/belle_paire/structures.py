@@ -139,6 +139,8 @@ class FqVectors(Domain):
         return FqVector.decode(self.q, k)
 
     def index_of(self, point):
+        if not isinstance(point, FqVector) or point.q != self.q:
+            raise ValueError(f"{point!r} is not a vector over F_{self.q}")
         return point.encode()
 
     def key(self):
@@ -417,7 +419,7 @@ class IdentityInjection(WindowInjection):
     def apply_code(self, k):
         return k
 
-    apply = preimage = preimage_code = apply_code
+    preimage_code = apply_code
 
     def inverse(self):
         return self
@@ -441,9 +443,6 @@ class ShiftInjection(WindowInjection):
 
     def preimage_code(self, k):
         return k - self.offset if k >= self.offset else None
-
-    # a natural is its own code
-    apply, preimage = apply_code, preimage_code
 
     def key(self):
         return ("shift", self.offset)

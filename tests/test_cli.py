@@ -461,7 +461,7 @@ def with_pair_files(argv, directory):
     return [f"@{directory / a[1:]}" if a[1:] in PAIR_FILES else a for a in argv]
 
 
-# inputs that once exited 1 with a traceback or 0 with a wrong result
+# inputs that once exited 1 with a traceback, or 0 or 1 with a wrong result
 MENDED_INPUTS = {
     "eps-zero-denominator": ["--eps", "1/0", "compose", "--expr", "pure"],
     "delta-zero-denominator": ["bound", "--delta", "1/0"],
@@ -474,6 +474,10 @@ MENDED_INPUTS = {
                              "table:[[-1,2]]", "--n", "2"],
     "float-offset": ["pair-certify", "--pair1", "@float-offset.json",
                      "--pair2", "pure:successor"],
+    "float-obstruction": ["--eps", "1/4", "--window", "40", "pair-certify",
+                          "--pair1", "fq2:identity", "--pair2", "fq2:shift",
+                          "--obstruction", '{"q": 2.7, "dim": 2.2, "grid": 2.9, '
+                                           '"subspace": [[1.5, 0]]}'],
 }
 
 

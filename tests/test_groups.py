@@ -10,7 +10,6 @@ import belle_paire
 
 from belle_paire.groups import (
     MAX_EXPR_DEPTH,
-    GroupCertificate,
     direct_product,
     finite_index_supergroup,
     fq_presentation,
@@ -21,6 +20,7 @@ from belle_paire.groups import (
 )
 from belle_paire.measure import Frac, StepMap, l1_distance
 from belle_paire.random_endo import (
+    Certificate,
     apply_random_endo,
     constant_endo,
     endos_agree_on_window,
@@ -49,13 +49,14 @@ def test_presentation_approximates_own_elements():
 
 def test_certificate_bound_gate():
     with pytest.raises(ValueError):
-        GroupCertificate(constant_endo(identity_endo()), Frac(1, 2),
-                         Frac(1, 4), 10)
+        Certificate(constant_endo(identity_endo()), Frac(1, 2),
+                    Frac(1, 4), 10)
 
 
-# each line trips one input gate of groups, realization or sampling
+# each line trips one input gate of random_endo, groups, realization or
+# sampling
 BAD_INPUTS = [
-    "GroupCertificate(constant_endo(identity_endo()), Frac(1, 2), Frac(1, 4), 10)",
+    "Certificate(constant_endo(identity_endo()), Frac(1, 2), Frac(1, 4), 10)",
     "PermGroupPresentation('bad', nat, None, elements={'b': basis_shift_endo(2)})",
     "wreath_element(pure_set_presentation(), successor_endo(), {})",
     "finite_index_supergroup(pure_set_presentation(), [basis_shift_endo(2)])",
@@ -70,7 +71,7 @@ def test_input_gates_hold_under_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("from belle_paire.groups import *\n"
             "from belle_paire.measure import Frac, Profile\n"
-            "from belle_paire.random_endo import constant_endo\n"
+            "from belle_paire.random_endo import Certificate, constant_endo\n"
             "from belle_paire.realization import RealizationSpec\n"
             "from belle_paire.sampling import SampleStream\n"
             "from belle_paire.structures import *\n"

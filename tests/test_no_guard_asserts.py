@@ -14,7 +14,6 @@ PACKAGE = Path(belle_paire.__file__).resolve().parent
 ALLOWED = {
     ("geometry.py", "averaging_witness"): 1,       # a minimum is <= the mean
     ("random_endo.py", "_factor_through"): 1,      # g . rep = h on the window
-    ("random_endo.py", "approximate_random_endo"): 1,  # each n_k meets eps
     ("realization.py", "assemble_realization"): 2,  # the split's own identity
 }
 

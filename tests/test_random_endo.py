@@ -152,6 +152,21 @@ def test_approximate_automorphism_passthrough():
     assert cert.g_hat == constant_endo(auto)
 
 
+def test_approximation_values_are_window_bijections():
+    # table{39>5000} moves no window point off its one-sigma family, but
+    # 39 has no preimage under it, so the table cannot be kept as is
+    h_hat = constant_endo(TableInjection(NAT, {39: 5000}))
+    cert = approximate_random_endo(h_hat, None, Frac(1, 10), 40)
+    pair_cert = certify_epsilon_isomorphism(
+        PairModel("nat", 40, constant_endo(identity_endo(NAT))),
+        PairModel("nat", 40, h_hat), Frac(1, 10))
+    assert cert.bound == 0 and pair_cert.ok
+    for g in cert.g_hat.values() + pair_cert.g_hat.values():
+        for k in range(40):
+            x = g.preimage_code(k)
+            assert x is not None and g.apply_code(x) == k, (g, k)
+
+
 def test_approximate_refuses_a_collision_past_the_first_256_points():
     # 300 and 5000 both map to 5000: the whole window 6000 is checked, not
     # only the 256 points approximate_by_automorphisms validates
@@ -489,14 +504,14 @@ def test_certify_identical_pairs_is_free():
     res = certify_epsilon_isomorphism(pair(successor_endo()),
                                       pair(successor_endo()), Frac(1, 100))
     assert res.ok
-    assert res.upper == 0
+    assert res.bound == 0
 
 
 def test_certify_within_budget():
     res = certify_epsilon_isomorphism(pair(identity_endo(NAT)),
                                       pair(successor_endo()), Frac(1, 10))
     assert res.ok
-    assert res.upper <= Frac(1, 10)
+    assert res.bound <= Frac(1, 10)
     assert res.g_hat.cells  # a usable map comes back
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from belle_paire.groups import parse_group_expr
 from belle_paire.measure import Frac, Profile, RationalSet, StepMap
 from belle_paire.random_endo import (
     PairModel,
@@ -165,6 +166,25 @@ def test_certificate_json_and_schema():
     blob2 = certificate_to_json(ref)
     jsonschema.validate(blob2, schema)
     assert blob2["kind"] == "refusal"
+
+    # one certificate type: each construction keeps its own optional keys
+    base = {"kind", "bound", "eps", "window", "cells", "lines"}
+    certs = {"approximator": (cert, base),
+             "pair": (certify_epsilon_isomorphism(p2, p1, Frac(1, 4)), base)}
+    split = base | {"residual", "allocations"}
+    for expr, element, keys in [
+            ("pure", "successor", base | {"residual"}),
+            ("product(pure,pure)", "L.successor", split),
+            ("wreath(pure,pure,m=2)", "b0.successor", split | {"notes"}),
+            ("findex(parity,shift2)", "coset0", split | {"notes"})]:
+        pres = parse_group_expr(expr)
+        certs[expr] = (pres.approximate(constant_endo(pres.elements[element]),
+                                        Frac(1, 8), 40), keys)
+    for name, (c, keys) in certs.items():
+        blob = certificate_to_json(c)
+        jsonschema.validate(blob, schema)
+        assert set(blob) == keys, name
+        assert parse_frac(blob["bound"]) == c.bound <= c.eps, name
 
 
 def test_realization_spec_round_trip_and_schema():

@@ -188,6 +188,23 @@ def test_natural_index_of_rejects_non_naturals(point):
         TableInjection(NaturalNumbers(), {point: 2})
 
 
+def test_point_rules_check_their_points():
+    # the identity and shift rules on codes are the point rules too, yet
+    # their points still go through index_of
+    calls = [lambda: successor_endo().apply(-1),
+             lambda: shift_endo(2).preimage(-5),
+             lambda: identity_endo().apply(-1),
+             lambda: basis_shift_endo(2).apply(FqVector(3, ((0, 2),))),
+             lambda: basis_shift_endo(2).apply(5)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert successor_endo().apply(3) == 4
+    assert shift_endo(2).preimage(5) == 3 and shift_endo(2).preimage(1) is None
+    assert identity_endo().apply(7) == 7
+    assert basis_shift_endo(2).apply(FqVector.basis(2, 0)) == FqVector.basis(2, 1)
+
+
 def test_window_permutation_requires_permutation():
     with pytest.raises(ValueError):
         window_permutation(NaturalNumbers(), {0: 1})

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from math import factorial, prod
@@ -224,8 +225,14 @@ def averaging_witness(chain: ClosedSetChain, traces, C: RationalSet) -> tuple:
 SEARCH_GUARD = 10_000_000
 
 
-def gl_matrices(dim: int, q: int) -> list:
-    """All invertible dim x dim matrices over F_q, in lexicographic order."""
+@lru_cache(maxsize=4)
+def gl_matrices(dim: int, q: int) -> tuple:
+    """All invertible dim x dim matrices over F_q, in lexicographic order.
+
+    Kept, as a tuple, for the last four (dim, q): every search of a
+    (dim, q) reads the same group, and it enumerates the group only after
+    the guard has bounded its order.
+    """
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     mats = []
@@ -233,7 +240,7 @@ def gl_matrices(dim: int, q: int) -> list:
         rows = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
         if _det_nonzero(rows, q):
             mats.append(tuple(tuple(r) for r in rows))
-    return mats
+    return tuple(mats)
 
 
 def _gl_order(dim: int, q: int) -> int:

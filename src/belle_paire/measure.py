@@ -8,12 +8,22 @@ called omega (first) and omega' (second) throughout.
 Inside the layer a set keeps its coordinates as ints over one least common
 denominator.  One sweep over the joint omega breakpoints of several sets,
 on the lcm of their denominators, serves the set operations, unions of many
-sets, step-map validation, common refinements and the L1 distance.  The
-last SWEEP_CACHE_SIZE sweeps are kept, one per tuple of sets: a sweep
-depends only on each set's canonical (den, cols), on which sets hash and
-compare, and sets are immutable, so a kept sweep is exactly the one that
-would be recomputed.  Step maps built on the same cells with other values
-(a brute-force scoring, say) reuse one sweep.
+sets, step-map validation, common refinements and the L1 distance.
+
+What step maps read off a sweep is kept as a layout, one per tuple of
+per-map cell-set tuples, for the last SWEEP_CACHE_SIZE tuples: per omega
+column, the runs that tile its slice, each with the index of the cell of
+every map that covers it.  Each part a reader needs is derived once: from
+the sweep, a map's tiling verdict and cell order and the union of its
+same-valued cells; from the runs, the refinement pieces, the area per index
+tuple and the table of runs per column.  A layout depends only on each
+set's canonical (den, cols), on which sets hash and compare, and sets are
+immutable, so a kept layout is exactly the one that would be recomputed.
+Values enter only after the lookup, and grouping by index is grouping by
+value: a step map fuses equal values, so the cells of one map carry
+pairwise distinct values.  Step maps built on the same cells with other
+values (a brute-force scoring, say) share one layout.
+
 Everything the public API returns (columns, rects, slices, shadows,
 measures) is a Fraction.
 """
@@ -21,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -330,23 +340,14 @@ class RationalSet:
         return f"RationalSet({parts})"
 
 
-# Sweeps kept by _sweep.  An oracle job (criterion 08's brute force) makes
-# about 1,050 sweeps of about 12 set tuples; over 200 such jobs, keeping
-# 128, 256 or 512 left 2,482, 1,833 or 1,603 sweeps of 210,019 to compute,
-# with peak RSS 19.5, 19.7 and 20.3 MB.
-SWEEP_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=SWEEP_CACHE_SIZE)
 def _sweep(sets: tuple) -> tuple:
     """Sweep the joint omega breakpoints of sets on one denominator.
 
     Returns (den, steps): den is the lcm of the sets' denominators, and steps
     holds, for each interval [lo, hi) between consecutive joint breakpoints
     (ints over den), the sorted (c, d, owner) slices of every set over it,
-    owner being the set's index in sets.  The sweep is kept per set tuple
-    (see the module docstring) and shared, so everything returned is a
-    tuple.
+    owner being the set's index in sets.  A _Layout keeps its sweep, so
+    everything returned is a tuple.
     """
     den = lcm(*(s._den for s in sets))
     cols = []
@@ -369,12 +370,16 @@ def _sweep(sets: tuple) -> tuple:
     return den, tuple(steps)
 
 
-def _union(sets: Sequence[RationalSet]) -> RationalSet:
-    """The union of sets, read off one sweep."""
-    den, steps = _sweep(tuple(sets))
+def _merged(den: int, steps) -> RationalSet:
+    """The union of the swept sets."""
     return _reduced(den, _normalize_columns(
         [(lo, hi, _merge_ys((c, d) for c, d, _ in slices))
          for lo, hi, slices in steps]))
+
+
+def _union(sets: Sequence[RationalSet]) -> RationalSet:
+    """The union of sets, read off one sweep."""
+    return _merged(*_sweep(tuple(sets)))
 
 
 def _first_key(cols, f: int = 1) -> tuple:
@@ -554,34 +559,24 @@ class StepMap:
     must be hashable.
     """
 
-    __slots__ = ("_cells", "_hash")
+    __slots__ = ("_cells", "_sets", "_values", "_hash")
 
     def __init__(self, cells: Iterable):
         by_value: dict = {}
         for s, v in cells:
             if not isinstance(s, RationalSet):
                 raise ValueError("cell supports must be RationalSet")
-            if not s.is_empty:
+            if s._cols:
                 by_value.setdefault(v, []).append(s)
-        merged = [(ss[0] if len(ss) == 1 else _union(ss), v)
-                  for v, ss in by_value.items()]
-        # one sweep sums the cells' measures and finds overlaps: within a
-        # column, a slice that starts before the previous one ends overlaps it
-        den, steps = _sweep(tuple(s for s, _ in merged))
-        area, overlap = 0, False
-        for lo, hi, slices in steps:
-            end = 0
-            for c, d, _ in slices:
-                overlap = overlap or c < end
-                end = d
-                area += (hi - lo) * (d - c)
-        total = Fraction(area, den * den)
-        if total != 1:
-            raise ValueError(f"cells measure {total}, expected 1")
-        if overlap:
-            raise ValueError("cells overlap")
-        merged.sort(key=lambda cv: _first_key(cv[0]._cols, den // cv[0]._den))
-        self._cells = tuple(merged)
+        sets = tuple(ss[0] if len(ss) == 1 else _layout((tuple(ss),)).union
+                     for ss in by_value.values())
+        refusal, order = _layout((sets,)).tiling
+        if refusal:
+            raise ValueError(refusal)
+        values = tuple(by_value)
+        self._sets = tuple(map(sets.__getitem__, order))
+        self._values = tuple(map(values.__getitem__, order))
+        self._cells = tuple(zip(self._sets, self._values))
         self._hash = None
 
     @classmethod
@@ -610,7 +605,7 @@ class StepMap:
         return self._cells
 
     def values(self) -> tuple:
-        return tuple(v for _, v in self._cells)
+        return self._values
 
     def value_at(self, x, y):
         for s, v in self._cells:
@@ -639,6 +634,143 @@ class StepMap:
         return f"StepMap({len(self._cells)} cells, values={self.values()!r})"
 
 
+class _Layout:
+    """One sweep of a tuple of per-map cell-set tuples, and its parts.
+
+    Holds den and the sweep, and derives each part below once, on first
+    use.  A layout is kept per tuple of cell-set tuples (see _layout) and
+    shared, so every part is a tuple.  Values never enter it: each run and
+    piece carries an index tuple, index[k] being the position of the cell of
+    map k that covers it, and callers look the values up.  That is exact
+    because a StepMap fuses equal values: the cells of one map carry
+    pairwise distinct values, so an index tuple fixes its value tuple, and
+    grouping by index equals grouping by value.
+    """
+
+    def __init__(self, sets: tuple):
+        self._sets = sets
+        self.den, self._steps = _sweep(tuple(chain.from_iterable(sets)))
+
+    @cached_property
+    def union(self) -> RationalSet:
+        """The union of the one cell-set tuple."""
+        return _merged(self.den, self._steps)
+
+    @cached_property
+    def tiling(self) -> tuple:
+        """(refusal, order) of the one cell-set tuple.
+
+        refusal is None when the cells tile the square and otherwise the
+        reason, the measure checked first; order sorts the cells by their
+        first rectangle, the canonical order of a StepMap.
+        """
+        # within a column, a slice that starts before the previous one ends
+        # overlaps it
+        den = self.den
+        area, overlap = 0, False
+        for lo, hi, slices in self._steps:
+            end = 0
+            for c, d, _ in slices:
+                overlap = overlap or c < end
+                end = d
+                area += (hi - lo) * (d - c)
+        total = Fraction(area, den * den)
+        refusal = (f"cells measure {total}, expected 1" if total != 1
+                   else "cells overlap" if overlap else None)
+        (cells,) = self._sets
+        order = sorted(range(len(cells)),
+                       key=lambda i: _first_key(cells[i]._cols, den // cells[i]._den))
+        return refusal, tuple(order)
+
+    @cached_property
+    def runs(self) -> tuple:
+        """Per elementary omega column, (lo, hi, runs): the runs (c, d, index)
+        that tile the column's slice [0, den) in order of c."""
+        # every map tiles each column, so walking the slices in order of c and
+        # noting each map's current cell gives the runs of the column
+        owners = [(k, i) for k, cells in enumerate(self._sets)
+                  for i in range(len(cells))]
+        den = self.den
+        current = [None] * len(self._sets)
+        cols = []
+        for lo, hi, slices in self._steps:
+            runs = []
+            i, n = 0, len(slices)
+            while i < n:
+                c = slices[i][0]
+                while i < n and slices[i][0] == c:
+                    k, j = owners[slices[i][2]]
+                    current[k] = j
+                    i += 1
+                runs.append((c, slices[i][0] if i < n else den, tuple(current)))
+            cols.append((lo, hi, tuple(runs)))
+        return tuple(cols)
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """The (support, index) pieces of the common refinement, in order of
+        their first rectangle."""
+        by_key: dict = {}
+        for lo, hi, runs in self.runs:
+            here: dict = {}
+            for c, d, key in runs:
+                here.setdefault(key, []).append((c, d))
+            for key, ys in here.items():
+                by_key.setdefault(key, []).append((lo, hi, tuple(ys)))
+        pieces = []
+        for key, cs in by_key.items():
+            cs = _normalize_columns(cs)
+            pieces.append((_first_key(cs), _reduced(self.den, cs), key))
+        pieces.sort(key=itemgetter(0))
+        return tuple((s, key) for _, s, key in pieces)
+
+    @cached_property
+    def areas(self) -> tuple:
+        """(index, area) pairs, the area an int over den**2."""
+        area: dict = {}
+        for lo, hi, runs in self.runs:
+            for c, d, key in runs:
+                area[key] = area.get(key, 0) + (hi - lo) * (d - c)
+        return tuple(area.items())
+
+    @cached_property
+    def table(self) -> tuple:
+        """(widths, keys, runs): widths[i] is column i's omega width, keys the
+        distinct index tuples, and runs[k] the (i, length) pairs giving how
+        much of column i's slice carries keys[k]."""
+        index: dict = {}
+        per_key: list = []
+        for i, (_, _, col) in enumerate(self.runs):
+            for c, d, key in col:
+                k = index.get(key)
+                if k is None:
+                    k = index[key] = len(per_key)
+                    per_key.append({})
+                lengths = per_key[k]
+                lengths[i] = lengths.get(i, 0) + d - c
+        widths = tuple(hi - lo for lo, hi, _ in self.runs)
+        return widths, tuple(index), tuple(tuple(ls.items()) for ls in per_key)
+
+
+# Layouts kept by _layout.  An oracle job (criterion 08's brute force) reads
+# about 1,050 layouts of about 12 cell-set tuples; over 200 such jobs,
+# keeping 128, 256 or 512 left 2,482, 1,833 or 1,603 layouts of 210,019 to
+# compute, with peak RSS 18.9, 19.1 and 19.7 MB.
+SWEEP_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SWEEP_CACHE_SIZE)
+def _layout(sets: tuple) -> _Layout:
+    """The layout of a tuple of cell-set tuples, kept for the last
+    SWEEP_CACHE_SIZE tuples (see the module docstring)."""
+    return _Layout(sets)
+
+
+def _layout_of(maps: Sequence[StepMap]) -> _Layout:
+    """The layout of the maps' cell sets."""
+    return _layout(tuple(m._sets for m in maps))
+
+
 def _columns(maps: Sequence[StepMap]) -> tuple:
     """The maps' values along one sweep of their joint omega breakpoints.
 
@@ -647,24 +779,23 @@ def _columns(maps: Sequence[StepMap]) -> tuple:
     runs (c, d, values) that tile the column's slice [0, den) in order of c,
     values[k] being maps[k]'s value on the run.
     """
-    owners = [(k, v) for k, m in enumerate(maps) for _, v in m.cells]
-    den, steps = _sweep(tuple(s for m in maps for s, _ in m.cells))
-    # every map tiles each column, so walking the slices in order of c and
-    # noting each map's current value gives the runs of the column
-    current = [None] * len(maps)
-    cols = []
-    for lo, hi, slices in steps:
-        runs = []
-        i, n = 0, len(slices)
-        while i < n:
-            c = slices[i][0]
-            while i < n and slices[i][0] == c:
-                k, v = owners[slices[i][2]]
-                current[k] = v
-                i += 1
-            runs.append((c, slices[i][0] if i < n else den, tuple(current)))
-        cols.append((lo, hi, runs))
-    return den, cols
+    lay = _layout_of(maps)
+    vals = [m._values for m in maps]
+    return lay.den, [(lo, hi, [(c, d, tuple(map(getitem, vals, key)))
+                               for c, d, key in runs])
+                     for lo, hi, runs in lay.runs]
+
+
+def _table(maps: Sequence[StepMap]) -> tuple:
+    """The maps' runs tabulated by index tuple.
+
+    Returns (den, widths, keys, runs): widths[i] is column i's omega width
+    (an int over den), keys the distinct index tuples, whose k-th entry is
+    a position in maps[k].values(), and runs[j] the (i, length) pairs giving
+    how much of column i's slice carries keys[j].
+    """
+    lay = _layout_of(maps)
+    return (lay.den, *lay.table)
 
 
 def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
@@ -676,25 +807,14 @@ def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:
     """
     if not maps:
         return [(RationalSet.unit_square(), ())]
-    den, cols = _columns(maps)
-    by_key: dict = {}
-    for lo, hi, runs in cols:
-        here: dict = {}
-        for c, d, key in runs:
-            here.setdefault(key, []).append((c, d))
-        for key, ys in here.items():
-            by_key.setdefault(key, []).append((lo, hi, tuple(ys)))
-    pieces = []
-    for key, cs in by_key.items():
-        cs = _normalize_columns(cs)
-        pieces.append((_first_key(cs), _reduced(den, cs), key))
-    pieces.sort(key=itemgetter(0))
-    return [(s, key) for _, s, key in pieces]
+    vals = [m._values for m in maps]
+    return [(s, tuple(map(getitem, vals, key)))
+            for s, key in _layout_of(maps).pieces]
 
 
 def l1_distance(f: StepMap, g: StepMap) -> Fraction:
     """Measure of the set where f and g disagree; a metric on step maps."""
-    den, cols = _columns([f, g])
-    area = sum((hi - lo) * (d - c) for lo, hi, runs in cols
-               for c, d, (a, b) in runs if a != b)
-    return Fraction(area, den * den)
+    lay = _layout_of([f, g])
+    fv, gv = f._values, g._values
+    area = sum(a for (i, j), a in lay.areas if fv[i] != gv[j])
+    return Fraction(area, lay.den * lay.den)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .measure import (Frac, RationalSet, StepMap, _columns, _frac,
+from .measure import (Frac, RationalSet, StepMap, _frac, _table,
                       common_refinement, l1_distance, vertical_split)
 from .structures import (Domain, IdentityInjection, TableInjection,
                          WindowInjection, window_permutation)
@@ -278,27 +278,6 @@ def _candidates(hs, alphabet) -> list:
     return candidates
 
 
-def _table(cols) -> tuple:
-    """A _columns table with its value tuples interned.
-
-    Returns (widths, keys, runs): widths[i] is column i's omega width,
-    keys the distinct value tuples, and runs[k] the (i, length) pairs
-    giving how much of column i's slice carries keys[k].
-    """
-    index: dict = {}
-    per_key: list = []
-    for i, (_, _, col) in enumerate(cols):
-        for c, d, key in col:
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(per_key)
-                per_key.append({})
-            lengths = per_key[k]
-            lengths[i] = lengths.get(i, 0) + d - c
-    widths = [hi - lo for lo, hi, _ in cols]
-    return widths, list(index), [list(lengths.items()) for lengths in per_key]
-
-
 def _best_cover(n: int, runs: list, choices) -> list:
     """Per column, the most slice length covered by the keys of one choice."""
     best = [0] * n
@@ -333,12 +312,12 @@ def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
     preimages are tried.
     """
     code = validate_random_endo(h_hat).index_of
-    den, cols = _columns([f, h_hat])
-    widths, keys, runs = _table(cols)
-    fcode = {v: code(v) for v in set(f.values())}  # each value encoded once
-    wanted = [(fcode[v], h) for v, h in keys]
+    den, widths, keys, runs = _table([f, h_hat])
+    fcode = list(map(code, f.values()))  # f's values are distinct
+    hs = h_hat.values()
+    wanted = [(fcode[i], hs[j]) for i, j in keys]
     choices = [[k for k, (y, h) in enumerate(wanted) if h.apply_code(a) == y]
-               for a in _candidates(h_hat.values(), set(fcode.values()))]
+               for a in _candidates(hs, set(fcode))]
     return Frac(_uncovered(den, widths, runs, choices), den * den)
 
 
@@ -410,15 +389,12 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
                 else list(map(dom.index_of, alphabet)))
     # one table of (g, h) runs serves both bounds: the cover at each omega
     # is intrinsic, so reading it on this finer partition changes nothing
-    den, cols = _columns([g_hat, h_hat])
-    widths, keys, runs = _table(cols)
-    # each distinct g and h is applied once per letter and per candidate;
-    # kg[k], kh[k] locate key k's values among them
-    gpos = {g: i for i, g in enumerate(dict.fromkeys(g_hat.values()))}
-    hpos = {h: j for j, h in enumerate(dict.fromkeys(h_hat.values()))}
-    gs, hs = list(gpos), list(hpos)
-    kg = [gpos[g] for g, _ in keys]
-    kh = [hpos[h] for _, h in keys]
+    den, widths, keys, runs = _table([g_hat, h_hat])
+    # a step map's values are distinct, so each g and h is applied once per
+    # letter and per candidate; kg[k], kh[k] are key k's cell indices
+    gs, hs = g_hat.values(), h_hat.values()
+    kg = [i for i, _ in keys]
+    kh = [j for _, j in keys]
     bad, lower = [], 0
     for a in alphabet:
         g_im = [g.apply_code(a) for g in gs]

@@ -169,6 +169,9 @@ def test_gl_matrices_counts():
     assert len(gl_matrices(2, 2)) == 6
     assert len(gl_matrices(2, 3)) == 48
     assert len(gl_matrices(3, 2)) == 168
+    # kept per (dim, q), so a caller cannot change what the next one reads
+    assert type(gl_matrices(2, 3)) is tuple
+    assert gl_matrices(2, 3) is gl_matrices(2, 3)
 
 
 def test_search_flagship_instance():

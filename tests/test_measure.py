@@ -13,10 +13,11 @@ from belle_paire.measure import (
     Rect,
     StepMap,
     _columns,
+    _layout,
     _normalize_columns,
     _num,
     _reduced,
-    _sweep,
+    _table,
     _ys_intersect,
     _ys_subtract,
     common_refinement,
@@ -400,12 +401,19 @@ def test_step_map_refusals_match_reference(cells, message):
 @pytest.mark.parametrize("cells, message",
                          [(c, m) for c, m in STEP_MAP_REFUSALS if m is not None])
 def test_step_map_refusals_hold_on_a_kept_sweep(cells, message):
-    # the second construction reads the first one's sweep and still refuses
-    _sweep.cache_clear()
+    # the second construction reads the first one's layout and still refuses
+    _layout.cache_clear()
     assert refusal(cells) == message
-    hits = _sweep.cache_info().hits
+    hits = _layout.cache_info().hits
     assert refusal(cells) == message
-    assert _sweep.cache_info().hits > hits
+    assert _layout.cache_info().hits > hits
+
+
+def _only_tuples(x):
+    """Whether x holds no list, dict or set at any depth."""
+    if isinstance(x, tuple):
+        return all(map(_only_tuples, x))
+    return not isinstance(x, (list, dict, set))
 
 
 def test_equal_set_tuples_share_one_sweep():
@@ -415,32 +423,92 @@ def test_equal_set_tuples_share_one_sweep():
 
     a, b = sets(), sets()
     assert a == b and not any(x is y for x, y in zip(a, b))
-    _sweep.cache_clear()
-    first = _sweep(a)
-    assert _sweep(b) is first
-    info = _sweep.cache_info()
+    _layout.cache_clear()
+    first = _layout((a,))
+    assert _layout((b,)) is first
+    info = _layout.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert 0 < info.maxsize == SWEEP_CACHE_SIZE <= 512
-    # a kept sweep is shared, so nothing in it can be mutated
-    den, steps = first
-    assert type(steps) is tuple and steps
-    for step in steps:
-        assert type(step) is tuple and type(step[2]) is tuple
-        assert all(type(sl) is tuple for sl in step[2])
+    assert first.union == RationalSet.from_rects(r for s in a for r in s.rects)
+    assert first.tiling[0] == "cells measure 5/4, expected 1"
+    # a kept layout is shared, so nothing in it can be mutated, and every
+    # reader hands out a fresh list
+    f = StepMap([(a[0], 0), (_rect(0, "1/2", "1/3", 1), 1),
+                 (RationalSet.vertical_strip(Frac(1, 2), 1), 2)])
+    g = StepMap.from_horizontal_strips([(0, Frac(1, 4), "a"), (Frac(1, 4), 1, "b")])
+    pieces = common_refinement([f, g])
+    l1_distance(f, g)
+    _columns([f, g])
+    _table([f, g])
+    again = common_refinement([f, g])
+    assert again == pieces and again is not pieces
+    pieces.clear()
+    assert common_refinement([f, g]) == again
+    lay = _layout(tuple(tuple(s for s, _ in m.cells) for m in (f, g)))
+    parts = vars(lay)
+    assert {"runs", "pieces", "areas", "table"} <= set(parts)
+    assert all(_only_tuples(x) for x in parts.values())
+    assert all(_only_tuples(x) for x in vars(first).values())
 
 
 @given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=2, max_size=3))
 @settings(max_examples=60)
 def test_kept_sweeps_change_no_result(maps):
-    # each result with a cleared cache, then again from the kept sweep
+    # each result with a cleared cache, then again from the kept layout
     for compute in (lambda: common_refinement(maps),
-                    lambda: l1_distance(maps[0], maps[1])):
-        _sweep.cache_clear()
+                    lambda: l1_distance(maps[0], maps[1]),
+                    lambda: _columns(maps)):
+        _layout.cache_clear()
         cold = compute()
-        hits = _sweep.cache_info().hits
+        hits = _layout.cache_info().hits
         warm = compute()
-        assert _sweep.cache_info().hits > hits
+        assert _layout.cache_info().hits > hits
         assert warm == cold
+
+
+def _pointwise(maps):
+    """The maps' value tuples at the centre of each cell of the grid of
+    their least common denominator, read off value_at alone."""
+    den = math.lcm(*(x.denominator for m in maps for s, _ in m.cells
+                     for lo, hi, ys in s.columns for x in (lo, hi, *sum(ys, ()))))
+    return den, {(a, b): tuple(m.value_at(Frac(2 * a + 1, 2 * den),
+                                          Frac(2 * b + 1, 2 * den)) for m in maps)
+                 for a in range(den) for b in range(den)}
+
+
+@given(grid_step_maps(), grid_step_maps(), st.data())
+@settings(max_examples=60)
+def test_kept_layouts_never_leak_values(m, g, data):
+    # on m's cells: m itself, its values rotated among the cells, and one
+    # cell taking another's value, which fuses the two; each is computed
+    # after the one before it has filled the cache
+    sets, vals = [s for s, _ in m.cells], list(m.values())
+    i, j = data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=2, max_size=2))
+    fused = vals[:]
+    fused[i] = vals[j]
+    computations = (lambda f: common_refinement([f, g]),
+                    lambda f: l1_distance(f, g),
+                    lambda f: _columns([f, g]))
+    _layout.cache_clear()
+    for f in (m, StepMap(zip(sets, vals[1:] + vals[:1])), StepMap(zip(sets, fused))):
+        warm = [compute(f) for compute in computations]
+        _layout.cache_clear()
+        assert [compute(f) for compute in computations] == warm
+        den, at = _pointwise([f, g])
+        pieces, dist, (cden, cols) = warm
+        assert {key: s for s, key in pieces} == {
+            key: RationalSet.from_rects(
+                Rect(Frac(a, den), Frac(a + 1, den), Frac(b, den), Frac(b + 1, den))
+                for (a, b), k in at.items() if k == key)
+            for key in set(at.values())}
+        assert dist == Frac(sum(x != y for x, y in at.values()), den * den)
+        # the sweep's lcm is the grid's, and every grid cell inside a run
+        # carries the run's values
+        assert cden == den
+        for lo, hi, runs in cols:
+            for c, d, key in runs:
+                assert all(at[a, b] == key
+                           for a in range(lo, hi) for b in range(c, d))
 
 
 @given(grid_step_maps(), rational_sets(), st.integers(0, 3))

@@ -33,7 +33,6 @@ from .structures import (
     WindowInjection,
     basis_shift_endo,
     identity_endo,
-    is_automorphism_on_window,
     shift_endo,
     successor_endo,
     window_permutation,
@@ -108,7 +107,7 @@ __all__ = [
     "IdentityInjection", "LinearInjection", "NaturalNumbers",
     "NonInjectiveOnWindow", "PairProduct", "ShiftInjection",
     "TableInjection", "WindowInjection", "basis_shift_endo", "identity_endo",
-    "is_automorphism_on_window", "shift_endo", "successor_endo",
+    "shift_endo", "successor_endo",
     "window_permutation",
     "CycleApproxBijection", "DefectProfile", "OrbitClassifier",
     "OrbitDecomposition", "approximate_by_automorphisms", "defect_profile",

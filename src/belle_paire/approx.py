@@ -65,7 +65,6 @@ class OrbitClassifier:
         self._img: dict = {}     # code -> code of tau's image of it
         self._points: dict = {}  # code -> decoded point
         self._ws_cache: dict = {}   # window size -> _Win
-        self._validated: set = set()  # window sizes validate_window passed
 
     def point(self, k: int):
         """The point with code k, decoded once per classifier."""
@@ -86,21 +85,6 @@ class OrbitClassifier:
         if y is None:
             y = self._img[k] = self.tau.apply_code(k)
         return y
-
-    def validate_window(self, n: int) -> None:
-        """tau.validate_window(n) through the tau_image memo, once per n.
-
-        Raises NonInjectiveOnWindow if two window points share an image.
-        """
-        if n in self._validated:
-            return
-        seen = {}
-        for k in range(n):
-            y = self.tau_image(k)
-            if y in seen:
-                raise self._collision(seen[y], k, y)
-            seen[y] = k
-        self._validated.add(n)
 
     def classify(self, x: int):
         got = self._cls.get(x)
@@ -201,7 +185,7 @@ class _Win:
         self.tau_ids = list(map(cls.tau_image, range(n)))
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:
-            cls.validate_window(n)  # names the first collision
+            cls.tau.validate_window(n)  # names the first collision
         # classify every point before reading chains: a later point can
         # still extend a chain an earlier point lies on
         recs = list(map(cls.classify, range(n)))
@@ -263,9 +247,6 @@ class OrbitDecomposition:
     def semi_orbit_count(self) -> int:
         return len(self.root_codes)
 
-    def position_of(self, x) -> int:
-        return self.records[x][2]
-
 
 def orbit_decompose(tau: WindowInjection, window: int,
                     max_steps: int | None = None,
@@ -278,7 +259,7 @@ def orbit_decompose(tau: WindowInjection, window: int,
     NonInjectiveOnWindow when two window points share an image.
     """
     cls = classifier or OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
-    cls.validate_window(window)
+    cls.window_struct(window)
     records = []
     relabel: dict = {}
     roots: dict = {}
@@ -303,9 +284,12 @@ def orbit_decompose(tau: WindowInjection, window: int,
 
 
 class CycleApproxBijection(WindowInjection):
-    """sigma_i of the approximating family for one injection."""
+    """sigma_i of the approximating family for one injection.
 
-    is_bijection = True
+    injective and is_bijection are tau's injective: with tau injective on
+    the whole carrier, sigma_i is a bijection of the carrier by construction
+    (finite cycles on rooted chains, tau elsewhere).
+    """
 
     def __init__(self, classifier: OrbitClassifier, n: int, i: int):
         if not 0 <= i < n:
@@ -314,6 +298,7 @@ class CycleApproxBijection(WindowInjection):
         self.n = n
         self.i = i
         tau = classifier.tau
+        self.is_bijection = self.injective = tau.injective
         super().__init__(tau.domain, f"approx[{tau.description};n={n},i={i}]")
         # apply and preimage on points decode through the classifier's memo
         self.point_of = classifier.point
@@ -378,24 +363,28 @@ class CycleApproxBijection(WindowInjection):
         return moved, images
 
     def window_bijectivity(self, n: int) -> bool:
-        """Window bijectivity on [0, n), on codes.
+        """Window bijectivity on [0, n), on codes, exact for every window code.
 
-        Checks that the images of all window points are distinct, that every
-        undetermined point y (where sigma falls back to tau) has a preimage
-        p with apply(p) == y, and the same round trip at every 61st window
-        point as a spot check.  Determined points have preimages by the
-        cycle structure.  The images are tau's but at the moved points, and
-        tau is injective on the window (window_struct checks it), so
-        distinctness is read from the moved points alone.
+        Raises NonInjectiveOnWindow if tau is not injective on the window.
+        A tau injective only on a window gets the base class's check of
+        every code: its chains can leave the window and come back.  With
+        tau injective on the carrier, sigma is a bijection by construction,
+        so what is checked is that the images of all window points are
+        distinct and that every undetermined point y (where sigma falls back
+        to tau) has a preimage p with apply(p) == y.  The images are tau's
+        but at the moved points, so distinctness is read from the moved
+        points alone.
         """
         ws = self.classifier.window_struct(n)
+        if not self.injective:
+            return super().window_bijectivity(n)
         moved, images = self._moves(ws)
         old = set(map(ws.tau_ids.__getitem__, moved))
         new = set(images)
         # no new image repeats or is also the image of a point that stays
         if len(new) < len(images) or not (new & ws.tau_set) <= old:
             return False
-        for y in ws.undet_widx + list(range(0, n, 61)):
+        for y in ws.undet_widx:
             p = self.preimage_code(y)
             if p is None or self.apply_code(p) != y:
                 return False
@@ -409,7 +398,6 @@ def approximate_by_automorphisms(tau: WindowInjection, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     cls = classifier or OrbitClassifier(tau)
-    cls.validate_window(256)
     return [CycleApproxBijection(cls, n, i) for i in range(n)]
 
 

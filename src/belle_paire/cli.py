@@ -187,6 +187,7 @@ def _lift_distances(tau, sigmas, alphabet):
 def cmd_lift(args: argparse.Namespace) -> int:
     tau = parse_endo(args.endo)
     n = args.n
+    tau.validate_window(args.alphabet)  # the lift reads the alphabet's points
     sigmas = approximate_by_automorphisms(tau, n)
     worst = Frac(0)
     formula_ok = True

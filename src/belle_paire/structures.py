@@ -34,9 +34,7 @@ __all__ = [
     "identity_endo",
     "shift_endo",
     "basis_shift_endo",
-    "linear_endo_from_basis_images",
     "window_permutation",
-    "is_automorphism_on_window",
     "subspace_membership",
     "is_prime",
     "is_prime_power",
@@ -81,12 +79,6 @@ class Domain:
 
     def window(self, n: int) -> list:
         return [self.point_at(k) for k in range(n)]
-
-    def iter_points(self):
-        k = 0
-        while True:
-            yield self.point_at(k)
-            k += 1
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -320,7 +312,7 @@ class NonInjectiveOnWindow(ValueError):
 
 
 class WindowInjection:
-    """Injective self-map of a carrier, given as a rule on codes.
+    """Self-map of a carrier, given as a rule on codes.
 
     A subclass defines apply_code and preimage_code on the ints k that stand
     for domain.point_at(k); preimage_code returns None when the rule has no
@@ -328,9 +320,15 @@ class WindowInjection:
     one point boundary: they encode with index_of, run the code rule and
     decode with point_of.  All soundness checks in the library are
     window-relative, and the window [0, n) is the codes 0..n-1.
+
+    injective says the rule is injective on the whole carrier.  Each rule
+    works it out from its own definition; no caller sets it.  It is false
+    only where injectivity may fail: a table that does not permute its
+    support is injective at most on a window, as validate_window checks.
     """
 
     is_bijection = False
+    injective = True
 
     def __init__(self, domain: Domain, description: str):
         self.domain = domain
@@ -382,7 +380,12 @@ class WindowInjection:
             seen[y] = k
 
     def window_bijectivity(self, n: int) -> bool:
-        """Window-relative bijectivity; subclasses may use faster exact paths."""
+        """Whether every code of [0, n) has a distinct image and a preimage
+        that maps back to it, checked code by code.
+
+        Exact for any rule, one injective only on a window included;
+        subclasses may use faster exact paths.
+        """
         if len(set(map(self.apply_code, range(n)))) < n:
             return False
         for y in range(n):
@@ -451,9 +454,10 @@ class ShiftInjection(WindowInjection):
 class TableInjection(WindowInjection):
     """Finite lookup table extended by the identity off its support.
 
-    The stored rule is total; whether it is injective is a window question
-    (validate_window), since a table hitting an untouched point collides with
-    the identity there.
+    The stored rule is total.  It is injective on the whole carrier iff the
+    table permutes its support; otherwise some key goes to a point off the
+    support, which the identity also fixes, and whether the collision lies
+    in a window is a window question (validate_window).
     """
 
     def __init__(self, domain: Domain, mapping: dict, _bijection=None):
@@ -469,7 +473,7 @@ class TableInjection(WindowInjection):
         self._table, self._fwd, self._back = table, fwd, back
         if _bijection is None:
             _bijection = fwd.keys() == back.keys()
-        self.is_bijection = _bijection
+        self.is_bijection = self.injective = _bijection
         items = ",".join(f"{x}>{y}" for x, y in sorted(table.items(), key=repr))
         super().__init__(domain, f"table{{{items}}}")
 
@@ -649,10 +653,6 @@ def basis_shift_endo(q: int) -> LinearInjection:
     return LinearInjection(q, (), tail="shift")
 
 
-def linear_endo_from_basis_images(q: int, images, tail: str = "identity") -> LinearInjection:
-    return LinearInjection(q, tuple(images), tail)
-
-
 class ComposedInjection(WindowInjection):
     """outer after inner."""
 
@@ -665,6 +665,7 @@ class ComposedInjection(WindowInjection):
         self.outer = outer
         self.inner = inner
         self.is_bijection = outer.is_bijection and inner.is_bijection
+        self.injective = outer.injective and inner.injective
 
     def apply_code(self, k):
         return self.outer.apply_code(self.inner.apply_code(k))
@@ -685,6 +686,7 @@ class InverseInjection(WindowInjection):
             raise ValueError(f"{inner.description} is not presented as a bijection")
         super().__init__(inner.domain, f"inverse({inner.description})")
         self.inner = inner
+        self.injective = inner.injective
 
     is_bijection = True
 
@@ -719,6 +721,7 @@ class UnionInjection(WindowInjection):
         self.left = left
         self.right = right
         self.is_bijection = left.is_bijection and right.is_bijection
+        self.injective = left.injective and right.injective
 
     # code 2c is ('L', left point c) and code 2c+1 is ('R', right point c)
     def apply_code(self, k):
@@ -758,6 +761,8 @@ class WreathInjection(WindowInjection):
                          f"wreath[{h_part.description};{names};*:{default.description}]")
         self.is_bijection = (h_part.is_bijection and default.is_bijection
                              and all(g.is_bijection for g in coords.values()))
+        self.injective = (h_part.injective and default.injective
+                          and all(g.injective for g in coords.values()))
 
     def coord(self, b) -> WindowInjection:
         return self.coords.get(b, self.default)
@@ -789,8 +794,3 @@ def successor_endo() -> ShiftInjection:
 
 def shift_endo(offset: int) -> ShiftInjection:
     return ShiftInjection(offset)
-
-
-def is_automorphism_on_window(h: WindowInjection, n: int) -> bool:
-    """Window-relative bijectivity: injective there, preimages exist there."""
-    return h.window_bijectivity(n)

@@ -20,6 +20,7 @@ from belle_paire.structures import (
     NaturalNumbers,
     NonInjectiveOnWindow,
     TableInjection,
+    WindowInjection,
     basis_shift_endo,
     shift_endo,
     successor_endo,
@@ -102,7 +103,7 @@ def test_window_bijectivity_rejects_colliding_images(monkeypatch):
 
 
 def test_window_struct_validates_the_callers_window():
-    # the family passes its 256-point check; 300 and 5000 collide past it
+    # building the family checks nothing; 300 and 5000 collide at 5000
     tau = TableInjection(NaturalNumbers(), {300: 5000})
     sigmas = approximate_by_automorphisms(tau, 2)
     cls = sigmas[0].classifier
@@ -115,12 +116,12 @@ def test_window_struct_validates_the_callers_window():
     assert defect_profile(tau, sigmas, 4000).max_defect == 0
 
 
-def pointwise_bijectivity(sigma, window, undetermined):
-    """window_bijectivity's checks, made from apply and preimage alone."""
+def pointwise_bijectivity(sigma, window):
+    """Window bijectivity from apply and preimage alone, at every window point."""
     pts = sigma.domain.window(window)
     if len({sigma.apply(p) for p in pts}) < len(pts):
         return False
-    for y in list(undetermined) + pts[::61]:
+    for y in pts:
         p = sigma.preimage(y)
         if p is None or sigma.apply(p) != y:
             return False
@@ -135,8 +136,7 @@ TABLE_POINTS = st.integers(250, 320)
                 unique_by=(lambda e: e[0], lambda e: e[1])))
 @settings(max_examples=60, deadline=None)
 def test_window_checks_match_pointwise_on_tables(window, entries):
-    # tables that collide, or whose chains leave the window, only past the
-    # 256 points approximate_by_automorphisms validates
+    # tables whose chains leave the window, and that may collide past it
     tau = TableInjection(NaturalNumbers(), dict(entries))
     cls = OrbitClassifier(tau)
     try:
@@ -149,8 +149,32 @@ def test_window_checks_match_pointwise_on_tables(window, entries):
         assert prof.counts == tuple(sum(s.apply(p) != tau.apply(p) for s in sigmas)
                                     for p in pts)
         for s in sigmas:
-            assert s.window_bijectivity(window) == pointwise_bijectivity(
-                s, window, prof.undetermined)
+            assert s.window_bijectivity(window) == pointwise_bijectivity(s, window)
+
+
+REFERENCE_TAUS = [
+    TableInjection(NaturalNumbers(), {300: 5000}),
+    TableInjection(NaturalNumbers(), {5: 900, 7: 5}),
+    TableInjection(NaturalNumbers(), {39: 5000}),
+    successor_endo(),
+    shift_endo(3),
+    basis_shift_endo(2),
+    basis_shift_endo(3),
+    window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}),
+]
+
+
+@pytest.mark.parametrize("tau", REFERENCE_TAUS, ids=lambda t: t.description)
+def test_window_bijectivity_matches_the_pointwise_reference(tau):
+    # the tables collide only past every window here: a chain leaves the
+    # window and comes back (5000 -> 5000), so some sigma reads a far point
+    # as the preimage of a window point and is no bijection there
+    cls = OrbitClassifier(tau)
+    for n in (1, 2, 3, 5, 8, 13):
+        for s in approximate_by_automorphisms(tau, n, cls):
+            for window in (40, 400, 600):
+                assert s.window_bijectivity(window) == (
+                    WindowInjection.window_bijectivity(s, window)), (n, s.i, window)
 
 
 def test_defect_profile_takes_one_family():
@@ -167,11 +191,12 @@ def test_defect_profile_takes_one_family():
 def test_family_refuses_non_injective_tau():
     bad = TableInjection(NaturalNumbers(), {0: 3})  # collides with fixed 3
     with pytest.raises(NonInjectiveOnWindow):
-        approximate_by_automorphisms(bad, 2)
+        defect_profile(bad, approximate_by_automorphisms(bad, 2), 10)
     shared = OrbitClassifier(bad)
-    for n in (2, 2, 5):  # a refused window is not remembered as validated
+    for n in (2, 2, 5):  # a refused window is not remembered
         with pytest.raises(NonInjectiveOnWindow):
-            approximate_by_automorphisms(bad, n, shared)
+            defect_profile(bad, approximate_by_automorphisms(bad, n, shared), 10)
+        assert 10 not in shared._ws_cache
 
 
 def counted(fn, calls):
@@ -187,14 +212,13 @@ def test_shared_classifier_validates_window_once():
     tau.apply_code = counted(tau.apply_code, applied)
     cls = OrbitClassifier(tau)
     cls.tau_image = counted(cls.tau_image, looked_up)
-    sigmas = approximate_by_automorphisms(tau, 3, cls)
-    assert len(applied) == len(looked_up) == 256  # one per window point
-    # the window's _Win reuses the images the validation computed
-    defect_profile(tau, sigmas, 256)
-    assert len(applied) == 256
-    del looked_up[:]
-    approximate_by_automorphisms(tau, 7, cls)
-    assert len(applied) == 256 and not looked_up  # not validated again
+    # one tau image per window point, however many families share cls
+    for n in (3, 7, 3):
+        sigmas = approximate_by_automorphisms(tau, n, cls)
+        defect_profile(tau, sigmas, 256)
+        assert all(s.window_bijectivity(256) for s in sigmas)
+        assert sorted(applied) == list(range(256))
+        assert len(looked_up) == 256
 
 
 @given(st.integers(1, 24))
@@ -218,7 +242,7 @@ def test_orbit_decompose_semi_orbit():
     assert dec.semi_orbit_count == 1
     assert dec.orbit_count == 0
     assert dec.roots[0] == 0
-    assert dec.position_of(7) == 7
+    assert dec.records[7][2] == 7
 
 
 def test_orbit_decompose_two_chains():
@@ -264,18 +288,18 @@ def test_orbit_decompose_counts_read_codes(decode_calls):
     assert (dec.orbit_count, dec.semi_orbit_count) == (62, 0)
     assert decode_calls == []
     assert sorted(map(repr, dec.cycles[dec.records[e[0]][1]])) == ["e0", "e1", "e2"]
-    assert dec.position_of(FqVector.basis(2, 5)) == 0
+    assert dec.records[FqVector.basis(2, 5)][2] == 0
 
 
 def test_orbit_decompose_validates_through_the_classifier():
     bad = TableInjection(NaturalNumbers(), {300: 5000})  # collides with 5000
     cls = OrbitClassifier(bad)
-    approximate_by_automorphisms(bad, 2, cls)  # checks the first 256 only
+    approximate_by_automorphisms(bad, 2, cls)  # checks no window
     with pytest.raises(NonInjectiveOnWindow):
         orbit_decompose(bad, 6000, classifier=cls)
-    assert 6000 not in cls._validated
+    assert 6000 not in cls._ws_cache
     orbit_decompose(bad, 200, classifier=cls)
-    assert 200 in cls._validated
+    assert 200 in cls._ws_cache
 
 
 def test_defect_profile_marks_undetermined():
@@ -372,5 +396,5 @@ def test_fq_collision_names_points_not_codes():
     bad = TableInjection(FqVectors(2), {e0: e1})  # e1 keeps its own image
     with pytest.raises(NonInjectiveOnWindow,
                        match="^e0 and e1 both map to e1$") as info:
-        approximate_by_automorphisms(bad, 2)
+        defect_profile(bad, approximate_by_automorphisms(bad, 2), 4)
     assert info.value.pair == (e0, e1) and info.value.image == e1

@@ -50,6 +50,21 @@ def test_approx_endo_validates_the_whole_window(capsys, n):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,want,bijective", [
+    # sigma_1 sends 300 and 5000 to 5000: tau's chain leaves the window and
+    # comes back
+    (["--window", "400", "approx-endo", "--endo", "table:[[300,5000]]", "--n", "2"],
+     1, False),
+    # sigma_0 swaps 0 and 100; tau's collision at 100 is outside the window
+    (["--window", "40", "approx-endo", "--endo", "table:[[0,100]]", "--n", "1"],
+     0, True),
+], ids=["off-window-collision", "collision-past-window"])
+def test_approx_endo_bijectivity_is_exact_on_the_window(capsys, argv, want, bijective):
+    code, blob = run_json(capsys, *argv)
+    assert code == want
+    assert blob["bijective"] is bijective
+
+
 def test_approx_endo_classifies_the_window_once(capsys, monkeypatch):
     import belle_paire.approx as approx
     made = []
@@ -77,6 +92,13 @@ def test_lift_within_bound(capsys):
     assert code == 0
     assert blob["matches_cell_formula"] is True
     assert blob["within_bound"] is True
+
+
+@pytest.mark.parametrize("endo,want", [("table:[[0,3]]", 3), ("table:[[0,150]]", 0)])
+def test_lift_checks_tau_on_its_alphabet(capsys, endo, want):
+    # the lift reads the 100 points of its alphabet; 0 and 150 collide past it
+    code, _ = run(capsys, "lift", "--endo", endo, "--n", "2")
+    assert code == want
 
 
 def test_pair_certify_certificate(capsys):
@@ -494,6 +516,8 @@ OPTIMIZE_CASES = [
     (["approx-endo", "--endo", "fq-shift:3", "--n", "7"], 0),
     (["--window", "6000", "approx-endo", "--endo", "table:[[300,5000]]",
       "--n", "1"], 3),
+    (["--window", "400", "approx-endo", "--endo", "table:[[300,5000]]",
+      "--n", "2"], 1),
     (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
       "--pair2", "fq2:shift"], 0),
     (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
@@ -504,7 +528,8 @@ OPTIMIZE_CASES = [
 
 
 @pytest.mark.parametrize("argv,want", OPTIMIZE_CASES,
-                         ids=["approx-endo-fq", "table-collision", "pair-certify-fq2",
+                         ids=["approx-endo-fq", "table-collision",
+                              "table-off-window-collision", "pair-certify-fq2",
                               "pair-certify-fq2-obstruction", "search",
                               *MENDED_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -239,7 +240,7 @@ def reference_dist_to_image(f, h_hat):
             if a is not None and a not in seen:
                 seen.add(a)
                 candidates.append(a)
-    for x in dom.iter_points():
+    for x in map(dom.point_at, count()):
         if x not in seen and all(h.apply(x) not in alphabet for h in hs):
             candidates.append(x)
             break

@@ -28,8 +28,6 @@ from belle_paire.structures import (
     WreathInjection,
     basis_shift_endo,
     identity_endo,
-    is_automorphism_on_window,
-    linear_endo_from_basis_images,
     shift_endo,
     subspace_membership,
     successor_endo,
@@ -155,8 +153,8 @@ def test_shift_window_injective_but_not_onto():
     tau = shift_endo(2)
     assert tau.apply(3) == 5
     assert tau.preimage(1) is None
-    assert is_automorphism_on_window(identity_endo(), 100)
-    assert not is_automorphism_on_window(tau, 100)
+    assert identity_endo().window_bijectivity(100)
+    assert not tau.window_bijectivity(100)
 
 
 def test_table_injection_identity_off_support():
@@ -223,8 +221,7 @@ def test_basis_shift_injective_not_onto():
 
 def test_linear_endo_and_composition():
     q = 2
-    swap = linear_endo_from_basis_images(
-        q, (FqVector.basis(q, 1), FqVector.basis(q, 0)))
+    swap = LinearInjection(q, (FqVector.basis(q, 1), FqVector.basis(q, 0)))
     v = FqVector.from_coeffs(q, (1, 0, 1))
     assert swap.apply(v) == FqVector.from_coeffs(q, (0, 1, 1))
     assert swap.compose(swap).apply(v) == v
@@ -404,7 +401,7 @@ def _every_injection_class():
     wreaths whose fibre maps are keyed by vectors or are unions."""
     fq2, fq3 = FqVectors(2), FqVectors(3)
     e = [FqVector.basis(3, i) for i in range(3)]
-    swap = linear_endo_from_basis_images(3, [e[1], e[0]])
+    swap = LinearInjection(3, (e[1], e[0]))
     table = window_permutation(fq2, {FqVector.basis(2, 0): FqVector.basis(2, 2),
                                      FqVector.basis(2, 2): FqVector.basis(2, 0)})
     nat = NaturalNumbers()
@@ -516,7 +513,7 @@ def _equal_injection_builds() -> dict:
 
     nat, fq2 = NaturalNumbers, lambda: FqVectors(2)
     e = [FqVector.basis(2, i) for i in range(3)]
-    entries = [(3, 7), (7, 12), (12, 3), (20, 21)]
+    entries = [(3, 7), (7, 12), (12, 3), (20, 21), (21, 20)]
     swap = lambda: window_permutation(fq2(), {e[0]: e[2], e[2]: e[0]})
     cycle = lambda: window_permutation(nat(), {0: 1, 1: 2, 2: 0})
     fibres = lambda: {1: basis_shift_endo(2), 4: swap()}
@@ -526,10 +523,10 @@ def _equal_injection_builds() -> dict:
         # one table inserted in two orders
         TableInjection: [lambda: TableInjection(nat(), dict(entries)),
                          lambda: TableInjection(nat(), dict(reversed(entries)))],
-        LinearInjection: [lambda: linear_endo_from_basis_images(2, [e[1], e[0]])],
+        LinearInjection: [lambda: LinearInjection(2, (e[1], e[0]))],
         ComposedInjection: [
             lambda: ComposedInjection(basis_shift_endo(2), swap()),
-            lambda: ComposedInjection(linear_endo_from_basis_images(2, (), "shift"),
+            lambda: ComposedInjection(LinearInjection(2, (), "shift"),
                                       window_permutation(fq2(), {e[2]: e[0], e[0]: e[2]}))],
         InverseInjection: [lambda: InverseInjection(cycle())],
         UnionInjection: [lambda: UnionInjection(DisjointUnion(nat(), fq2()),
@@ -565,6 +562,28 @@ def test_injection_keys_are_computed_once_and_agree():
     assert TableInjection(NaturalNumbers(), {3: 7, 7: 3}) != builds[TableInjection][0]()
     assert ComposedInjection(basis_shift_endo(2), basis_shift_endo(2)) != (
         builds[ComposedInjection][0]())
+
+
+def test_injective_is_worked_out_from_the_rule():
+    from belle_paire.approx import approximate_by_automorphisms
+
+    for makers in _equal_injection_builds().values():
+        for make in makers:
+            h = make()
+            assert h.injective, h.description
+            h.validate_window(500)
+    nat = NaturalNumbers()
+    table = TableInjection(nat, {0: 3})  # 0 and the untouched 3 both go to 3
+    for h in (table, ComposedInjection(successor_endo(), table),
+              UnionInjection(DisjointUnion(nat, nat), successor_endo(), table),
+              WreathInjection(PairProduct(nat, nat), identity_endo(), {1: table},
+                              identity_endo()),
+              approximate_by_automorphisms(table, 2)[1]):
+        assert not h.injective, h.description
+    # a sigma of such a table is no bijection, so it has no inverse
+    with pytest.raises(ValueError, match="not presented as a bijection"):
+        approximate_by_automorphisms(table, 2)[1].inverse()
+    assert window_permutation(nat, {0: 3, 3: 0}).injective
 
 
 def _reference_apply(tau, v):

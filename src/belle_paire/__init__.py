@@ -78,17 +78,14 @@ from .groups import (
     wreath_product,
 )
 from .geometry import (
-    ClosedSetChain,
     SearchGuardExceeded,
     SearchResult,
-    averaging_witness,
     closed_set_size,
     epsilon_lower_bound,
     exhaustive_pair_search,
     exhaustive_pair_search_pure,
     min_k_for_delta,
     min_k_violations,
-    standard_chain,
 )
 from .realization import (
     RealizationReport,
@@ -122,10 +119,10 @@ __all__ = [
     "finite_index_supergroup", "fq_presentation",
     "parity_presentation", "parse_group_expr", "pure_set_presentation",
     "wreath_product",
-    "ClosedSetChain", "SearchGuardExceeded", "SearchResult",
-    "averaging_witness", "closed_set_size", "epsilon_lower_bound",
+    "SearchGuardExceeded", "SearchResult",
+    "closed_set_size", "epsilon_lower_bound",
     "exhaustive_pair_search", "exhaustive_pair_search_pure",
-    "min_k_for_delta", "min_k_violations", "standard_chain",
+    "min_k_for_delta", "min_k_violations",
     "RealizationReport", "RealizationSpec", "ReportRow",
     "assemble_realization", "verify_probability_identity",
     "SampleStream", "serialize",

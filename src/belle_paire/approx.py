@@ -13,7 +13,7 @@ the root, partitioning the chain into blocks [0..j^i_0], [j^i_0+1..j^i_1], ...
 injective: that target would also keep its ordinary incoming edge.)
 
 Classification is window-relative: a point whose backward chain neither
-closes, roots, nor joins a known orbit within the step budget is reported
+closes, roots, nor joins a known orbit within MAX_STEPS steps is reported
 undetermined and never guessed.
 """
 from __future__ import annotations
@@ -43,6 +43,9 @@ ORBIT = "orbit"
 SEMI_ORBIT = "semi-orbit"
 UNDETERMINED = "undetermined"
 
+# steps a backward walk may take before its points are undetermined
+MAX_STEPS = 100_000
+
 _K_ORBIT, _K_SEMI, _K_UNDET = 0, 1, 2
 _KIND_NAMES = {_K_ORBIT: ORBIT, _K_SEMI: SEMI_ORBIT, _K_UNDET: UNDETERMINED}
 
@@ -52,12 +55,13 @@ class OrbitClassifier:
 
     Points are handled as their codes k (tau.domain.point_at(k)) through
     tau's code rules, so the walk builds no point; point() decodes a code
-    where a caller reads it, once per code.
+    where a caller reads it, once per code.  has_undetermined says whether
+    any code has been classified undetermined.
     """
 
-    def __init__(self, tau: WindowInjection, max_steps: int = 100_000):
+    def __init__(self, tau: WindowInjection):
         self.tau = tau
-        self.max_steps = max_steps
+        self.has_undetermined = False
         self._cls: dict = {}     # code -> (kind code, oid, position)
         self._chains: dict = {}  # oid -> list of codes for rooted chains
         self._cycles: dict = {}  # oid -> list of codes in forward order
@@ -94,11 +98,8 @@ class OrbitClassifier:
         path = [x]
         path_pos = {x: 0}
         while True:
-            if len(path) > self.max_steps:
-                rec = (_K_UNDET, -1, -1)
-                for p in path:
-                    self._cls[p] = rec
-                return rec
+            if len(path) > MAX_STEPS:
+                return self._undetermined(path)
             prev = preimage(path[-1])
             if prev is None:
                 oid = self._next_oid
@@ -124,10 +125,7 @@ class OrbitClassifier:
                     # a backward walk can only enter a cycle if two points
                     # share an image, i.e. the rule is not injective
                     raise self._collision(path[-1], None, self.tau_image(prev))
-                rec = (_K_UNDET, -1, -1)
-                for p in path:
-                    self._cls[p] = rec
-                return rec
+                return self._undetermined(path)
             if prev in path_pos:
                 if prev != x:
                     raise self._collision(path[-1], None, prev)
@@ -140,6 +138,13 @@ class OrbitClassifier:
                 return self._cls[x]
             path.append(prev)
             path_pos[prev] = len(path) - 1
+
+    def _undetermined(self, path: list) -> tuple:
+        self.has_undetermined = True
+        rec = (_K_UNDET, -1, -1)
+        for p in path:
+            self._cls[p] = rec
+        return rec
 
     def chain(self, oid) -> list:
         return self._chains[oid]
@@ -249,16 +254,15 @@ class OrbitDecomposition:
 
 
 def orbit_decompose(tau: WindowInjection, window: int,
-                    max_steps: int | None = None,
                     classifier: OrbitClassifier | None = None,
                     ) -> OrbitDecomposition:
     """Classify every window point of tau into orbit / semi-orbit / undetermined.
 
-    A given classifier for tau is reused with its own max_steps, so points
-    it has already classified are not walked again.  Raises
-    NonInjectiveOnWindow when two window points share an image.
+    A given classifier for tau is reused, so points it has already
+    classified are not walked again.  Raises NonInjectiveOnWindow when two
+    window points share an image.
     """
-    cls = classifier or OrbitClassifier(tau, max_steps or max(100_000, 10 * window))
+    cls = classifier or OrbitClassifier(tau)
     cls.window_struct(window)
     records = []
     relabel: dict = {}
@@ -367,28 +371,23 @@ class CycleApproxBijection(WindowInjection):
 
         Raises NonInjectiveOnWindow if tau is not injective on the window.
         A tau injective only on a window gets the base class's check of
-        every code: its chains can leave the window and come back.  With
-        tau injective on the carrier, sigma is a bijection by construction,
-        so what is checked is that the images of all window points are
-        distinct and that every undetermined point y (where sigma falls back
-        to tau) has a preimage p with apply(p) == y.  The images are tau's
-        but at the moved points, so distinctness is read from the moved
-        points alone.
+        every code: its chains can leave the window and come back.  So does
+        a classifier that holds an undetermined code, in the window or past
+        it: sigma falls back to tau there, and a chain position read across
+        it can leave a window code without a preimage.  Otherwise sigma is a
+        bijection by construction, so what is checked is that the images of
+        all window points are distinct.  The images are tau's but at the
+        moved points, so distinctness is read from the moved points alone.
         """
-        ws = self.classifier.window_struct(n)
-        if not self.injective:
+        cls = self.classifier
+        ws = cls.window_struct(n)
+        if not self.injective or cls.has_undetermined:
             return super().window_bijectivity(n)
         moved, images = self._moves(ws)
         old = set(map(ws.tau_ids.__getitem__, moved))
         new = set(images)
         # no new image repeats or is also the image of a point that stays
-        if len(new) < len(images) or not (new & ws.tau_set) <= old:
-            return False
-        for y in ws.undet_widx:
-            p = self.preimage_code(y)
-            if p is None or self.apply_code(p) != y:
-                return False
-        return True
+        return len(new) == len(images) and (new & ws.tau_set) <= old
 
 
 def approximate_by_automorphisms(tau: WindowInjection, n: int,

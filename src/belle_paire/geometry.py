@@ -19,8 +19,8 @@ from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from math import factorial, prod
 
-from .measure import Frac, RationalSet, _frac
-from .structures import GeometrySpec, is_prime
+from .measure import Frac, _frac
+from .structures import GeometrySpec, _row_reduce, is_prime
 
 __all__ = [
     "SearchGuardExceeded",
@@ -28,11 +28,6 @@ __all__ = [
     "min_k_for_delta",
     "min_k_violations",
     "epsilon_lower_bound",
-    "ClosedSetChain",
-    "standard_chain",
-    "averaging_witness",
-    "affine_points",
-    "projective_points",
     "subspace_span",
     "gl_matrices",
     "SearchResult",
@@ -110,30 +105,6 @@ def epsilon_lower_bound(n: int, modular: bool) -> Fraction:
 
 # --- concrete point enumerations ------------------------------------------
 
-def affine_points(q: int, d: int, ambient: int | None = None) -> frozenset:
-    """F_q^d inside F_q^ambient (zero-padded coordinates)."""
-    ambient = d if ambient is None else ambient
-    if ambient < d:
-        raise ValueError(f"ambient dimension {ambient} is below {d}")
-    pad = (0,) * (ambient - d)
-    return frozenset(tuple(p) + pad for p in iter_product(range(q), repeat=d))
-
-
-def projective_points(q: int, d: int, ambient: int | None = None) -> frozenset:
-    """Lines of F_q^{d+1}, as their first-nonzero-is-1 representatives."""
-    ambient = d if ambient is None else ambient
-    if ambient < d:
-        raise ValueError(f"ambient dimension {ambient} is below {d}")
-    pad = (0,) * (ambient - d)
-    pts = set()
-    for v in iter_product(range(q), repeat=d + 1):
-        if any(v):
-            lead = next(c for c in v if c)
-            inv = pow(lead, q - 2, q)
-            pts.add(tuple((c * inv) % q for c in v) + pad)
-    return frozenset(pts)
-
-
 def subspace_span(q: int, gens) -> frozenset:
     """All F_q-combinations of the given coordinate tuples."""
     gens = [tuple(g) for g in gens]
@@ -148,76 +119,6 @@ def subspace_span(q: int, gens) -> frozenset:
                   for i in range(width))
         out.add(v)
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class ClosedSetChain:
-    """Nested closed sets with strictly increasing dimension."""
-
-    geometry: GeometrySpec
-    sets: tuple  # frozensets of points
-
-    def __post_init__(self):
-        if not self.sets:
-            raise ValueError("chain must be nonempty")
-        dims = [self.dim_of(i) for i in range(len(self.sets))]
-        for a, b in zip(self.sets, self.sets[1:]):
-            if not a <= b:
-                raise ValueError("chain sets must be nested")
-        for da, db in zip(dims, dims[1:]):
-            if db <= da:
-                raise ValueError("chain dimensions must strictly increase")
-
-    def dim_of(self, i: int) -> int:
-        size = len(self.sets[i])
-        d = 0
-        while closed_set_size(self.geometry, d) < size:
-            d += 1
-        if closed_set_size(self.geometry, d) != size:
-            raise ValueError(f"set {i} has size {size}, not a closed-set size")
-        return d
-
-
-def standard_chain(geometry: GeometrySpec, dims, ambient: int) -> ClosedSetChain:
-    """The nested coordinate flats of the given dimensions."""
-    mk = affine_points if geometry.kind == "affine" else projective_points
-    if geometry.kind == "disintegrated":
-        sets = tuple(frozenset(range(d)) for d in dims)
-    else:
-        sets = tuple(mk(geometry.q, d, ambient) for d in dims)
-    return ClosedSetChain(geometry, sets)
-
-
-def averaging_witness(chain: ClosedSetChain, traces, C: RationalSet) -> tuple:
-    """The pigeonhole step on concrete data: the least-covered chain point.
-
-    traces lists (cell: RationalSet, R: set of points); the cells must
-    partition C.  Returns (chain index, point, exact measure of
-    {alpha in C : point in R(alpha)}), minimizing the measure with ties to
-    the earliest chain index; the result never exceeds the averaged
-    quantity (1/|Q_i|) * integral of |Q_i meet R(alpha)|.
-    """
-    if not chain.sets:
-        raise ValueError("chain must be nonempty")
-    traces = [(cell, frozenset(r)) for cell, r in traces]
-    acc = RationalSet.empty()
-    for cell, _ in traces:
-        if not acc.disjoint_from(cell):
-            raise ValueError("trace cells overlap")
-        acc = acc.union(cell)
-    if acc != C:
-        raise ValueError("trace cells do not partition C")
-    best = None
-    for i, qset in enumerate(chain.sets):
-        for b in sorted(qset, key=repr):
-            m = sum((cell.measure for cell, r in traces if b in r), Frac(0))
-            if best is None or m < best[2]:
-                best = (i, b, m)
-    i, b, m = best
-    avg = sum((cell.measure * len(chain.sets[i] & r) for cell, r in traces),
-              Frac(0)) / len(chain.sets[i])
-    assert m <= avg
-    return best
 
 
 # --- exhaustive tiny-scale search -----------------------------------------
@@ -237,9 +138,9 @@ def gl_matrices(dim: int, q: int) -> tuple:
         raise ValueError(f"q={q} is not prime")
     mats = []
     for flat in iter_product(range(q), repeat=dim * dim):
-        rows = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
-        if _det_nonzero(rows, q):
-            mats.append(tuple(tuple(r) for r in rows))
+        rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
+        if _row_reduce(rows, q)[1] == dim:
+            mats.append(tuple(rows))
     return tuple(mats)
 
 
@@ -248,22 +149,6 @@ def _gl_order(dim: int, q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     return prod(q ** dim - q ** k for k in range(dim))
-
-
-def _det_nonzero(rows, q: int) -> bool:
-    m = [r[:] for r in rows]
-    n = len(m)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % q), None)
-        if piv is None:
-            return False
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c] % q, q - 2, q)
-        for i in range(c + 1, n):
-            f = (m[i][c] * inv) % q
-            if f:
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[c])]
-    return True
 
 
 def _mat_apply(mat, v, q):

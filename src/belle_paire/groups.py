@@ -12,7 +12,6 @@ coset representative per cell and hand the full budget to the subgroup.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 from .measure import Frac, StepMap, ZERO, _frac, common_refinement
 from .structures import (

@@ -80,13 +80,6 @@ class Rect:
         if not ZERO <= self.y0 < self.y1 <= ONE:
             raise ValueError("bad omega-prime interval")
 
-    @property
-    def area(self) -> Fraction:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def contains(self, x, y) -> bool:
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
 
 # A "ys" value is a sorted tuple of disjoint, non-touching (c, d) intervals.
 
@@ -445,10 +438,6 @@ class Profile:
                 if a < b:
                     total += (b - a) * v
         return total
-
-    def scale(self, c) -> "Profile":
-        c = _frac(c)
-        return Profile([(x0, x1, v * c) for x0, x1, v in self._pieces])
 
     def add(self, other: "Profile") -> "Profile":
         xs = sorted(self.breakpoints() | other.breakpoints())

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .measure import (Frac, RationalSet, StepMap, _frac, _table,
                       common_refinement, l1_distance, vertical_split)
-from .structures import (Domain, IdentityInjection, TableInjection,
-                         WindowInjection, window_permutation)
+from .structures import (Domain, IdentityInjection, WindowInjection,
+                         window_permutation)
 from .approx import OrbitClassifier, approximate_by_automorphisms, defect_profile
 
 __all__ = [
@@ -96,18 +96,17 @@ def compose_random_endos(outer: StepMap, inner: StepMap) -> StepMap:
                     for s, (g, h) in common_refinement([outer, inner])])
 
 
-def _factor_through(h: WindowInjection, rep: WindowInjection,
-                    window: int) -> WindowInjection | None:
-    """A window bijection g with g . rep = h on [0,window), if one exists.
+def _factor_through(h: WindowInjection, him: list,
+                    rim: list) -> WindowInjection | None:
+    """A window bijection g with g . rep = h on the window, if one exists.
 
+    him and rim are the codes of h's and rep's images of the window codes.
     The matched part sends rep(x) to h(x); window points missed by rep are
     matched, in enumeration order, to the points missed by h, which squares
     the table into a finite-support permutation.  Identity tables collapse
     to the identity injection.  The table is built on codes and decoded
     once for window_permutation.
     """
-    him = list(map(h.apply_code, range(window)))
-    rim = list(map(rep.apply_code, range(window)))
     if len(set(rim)) != len(rim) or len(set(him)) != len(him):
         return None
     table = {}
@@ -167,8 +166,8 @@ def orbit_reduce(h_hat: StepMap, reps: list, window: int) -> OrbitReduction:
             g_cells.append((s, IdentityInjection(h.domain)))
             a_cells.append((s, choice))
             continue
-        for k, rep in enumerate(reps):
-            g = _factor_through(h, rep, window)
+        for k, rim in enumerate(rep_ims):
+            g = _factor_through(h, him, rim)
             if g is not None:
                 g_cells.append((s, g))
                 a_cells.append((s, k))
@@ -371,8 +370,7 @@ class GapBounds(NamedTuple):
     lower: Fraction
 
 
-def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
-                  probes: list | None = None) -> GapBounds:
+def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet) -> GapBounds:
     """Two-sided estimate of the Hausdorff distance between the images.
 
     upper integrates, over omega, the worst per-alphabet-point disagreement
@@ -411,12 +409,7 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet,
                     _uncovered(den, widths, runs, to_g))
     upper = sum(w * b for w, b in
                 zip(widths, _best_cover(len(widths), runs, bad)))
-    upper, lower = Frac(upper, den * den), Frac(lower, den * den)
-    for f in probes or []:
-        lower = max(lower,
-                    dist_to_image(apply_random_endo(g_hat, f), h_hat),
-                    dist_to_image(apply_random_endo(h_hat, f), g_hat))
-    return GapBounds(upper, lower)
+    return GapBounds(Frac(upper, den * den), Frac(lower, den * den))
 
 
 @dataclass(frozen=True)

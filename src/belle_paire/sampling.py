@@ -6,7 +6,6 @@ instance; values produced are exact rationals on small denominators.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .measure import (
     Frac,
@@ -33,10 +32,6 @@ class SampleStream:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-
-    def fraction(self, den: int = 12) -> Fraction:
-        d = self.rng.randint(1, den)
-        return Frac(self.rng.randint(0, d), d)
 
     def cuts(self, n: int, den: int = 24) -> list:
         """0 = c_0 < ... < c_n = 1 on the 1/den grid."""
@@ -95,12 +90,16 @@ class SampleStream:
         """(home set, densities) with the densities summing to the slice."""
         k = parts if parts is not None else self.rng.randint(1, 4)
         home = self.rational_set()
+        return home, self._split_slices(home, k)
+
+    def _split_slices(self, home: RationalSet, k: int) -> list:
+        """k profiles summing to home's slice, split piece by piece."""
         outs: list[list] = [[] for _ in range(k)]
         for x0, x1, v in slice_profile(home).pieces:
             w = self.split_weights(k)
             for i in range(k):
                 outs[i].append((x0, x1, v * w[i]))
-        return home, [Profile(p) for p in outs]
+        return [Profile(p) for p in outs]
 
     def realization_spec(self, max_groups: int = 3, max_values: int = 4):
         from .realization import RealizationSpec
@@ -119,11 +118,6 @@ class SampleStream:
         groups = []
         for i, home in enumerate(homes):
             k = self.rng.randint(1, max_values)
-            outs: list[list] = [[] for _ in range(k)]
-            for x0, x1, v in slice_profile(home).pieces:
-                w = self.split_weights(k)
-                for j in range(k):
-                    outs[j].append((x0, x1, v * w[j]))
-            groups.append((home, [(f"a{i}.{j}", Profile(p))
-                                  for j, p in enumerate(outs)]))
+            groups.append((home, [(f"a{i}.{j}", p) for j, p in
+                                  enumerate(self._split_slices(home, k))]))
         return RealizationSpec(groups)

@@ -50,7 +50,6 @@ __all__ = [
     "realization_spec_from_json",
     "json_dumps",
     "rows_to_csv",
-    "baseline_dir_candidates",
     "load_baseline",
     "store_baseline",
     "load_schema",
@@ -149,7 +148,8 @@ def injection_from_json(d: dict) -> WindowInjection:
                                     for x, y in d["entries"]})
     if kind == "linear":
         q = _json_int(d["q"], "q")
-        images = tuple(FqVector.from_coeffs(q, row) for row in d["images"])
+        images = tuple(FqVector.from_coeffs(
+            q, [_json_int(c, "image entry") for c in row]) for row in d["images"])
         return LinearInjection(q, images, d.get("tail", "identity"))
     raise ValueError(f"unknown injection kind {kind!r}")
 
@@ -258,17 +258,12 @@ def rows_to_csv(header, rows) -> str:
 
 # --- baselines and schemas ---------------------------------------------------
 
-def baseline_dir_candidates() -> list:
-    env = os.environ.get("BELLE_PAIRE_BASELINES")
-    return [env] if env else []
-
-
 def load_baseline(name: str) -> dict:
-    for d in baseline_dir_candidates():
-        path = os.path.join(d, f"{name}.json")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
+    env = os.environ.get("BELLE_PAIRE_BASELINES")
+    path = os.path.join(env, f"{name}.json") if env else None
+    if path and os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     ref = resources.files("belle_paire").joinpath("baselines", f"{name}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 

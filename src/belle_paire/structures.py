@@ -35,7 +35,6 @@ __all__ = [
     "shift_endo",
     "basis_shift_endo",
     "window_permutation",
-    "subspace_membership",
     "is_prime",
     "is_prime_power",
 ]
@@ -460,7 +459,7 @@ class TableInjection(WindowInjection):
     in a window is a window question (validate_window).
     """
 
-    def __init__(self, domain: Domain, mapping: dict, _bijection=None):
+    def __init__(self, domain: Domain, mapping: dict):
         table = dict(mapping)
         code = domain.index_of
         fwd, back = {}, {}  # the table on codes, both ways
@@ -471,9 +470,7 @@ class TableInjection(WindowInjection):
                                  f"{x} to {y}")
             fwd[kx], back[ky] = ky, kx
         self._table, self._fwd, self._back = table, fwd, back
-        if _bijection is None:
-            _bijection = fwd.keys() == back.keys()
-        self.is_bijection = self.injective = _bijection
+        self.is_bijection = self.injective = fwd.keys() == back.keys()
         items = ",".join(f"{x}>{y}" for x, y in sorted(table.items(), key=repr))
         super().__init__(domain, f"table{{{items}}}")
 
@@ -499,7 +496,7 @@ def window_permutation(domain: Domain, mapping: dict) -> TableInjection:
     """A finite-support permutation: the table must permute its own support."""
     if set(mapping) != set(mapping.values()):
         raise ValueError("mapping does not permute its support")
-    return TableInjection(domain, mapping, _bijection=True)
+    return TableInjection(domain, mapping)
 
 
 # --- linear maps over F_q ------------------------------------------------
@@ -537,19 +534,6 @@ def _row_reduce(rows: list[list[int]], p: int, n_cols: int | None = None):
                 mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
         rank += 1
     return mat, rank
-
-
-def subspace_membership(v: FqVector, gens: list[FqVector]) -> bool:
-    """Exact span membership over F_q by row reduction."""
-    if any(g.q != v.q for g in gens):
-        raise ValueError("mixed fields")
-    dim = max([v.max_index] + [g.max_index for g in gens]) + 1
-    if dim == 0:
-        return v.is_zero
-    rows = [list(g.dense(dim)) for g in gens]
-    base = _row_reduce(rows, v.q)[1] if rows else 0
-    ext = _row_reduce(rows + [list(v.dense(dim))], v.q)[1]
-    return ext == base
 
 
 class LinearInjection(WindowInjection):

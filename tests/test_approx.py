@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belle_paire import approx
 from belle_paire.approx import (
     CycleApproxBijection,
     OrbitClassifier,
@@ -302,15 +304,45 @@ def test_orbit_decompose_validates_through_the_classifier():
     assert 200 in cls._ws_cache
 
 
-def test_defect_profile_marks_undetermined():
-    # a table pushing mass far away leaves window points with unresolved
-    # backward walks only if the walk exceeds max_steps; with generous steps
-    # nothing here is undetermined
+def test_defect_profile_marks_undetermined(monkeypatch):
+    # with walks of at most 3 steps, the walk from 10 runs out, so 7..10 are
+    # undetermined, and so is every later walk that reaches them
+    monkeypatch.setattr(approx, "MAX_STEPS", 3)
     tau = successor_endo()
-    prof = defect_profile(tau, approximate_by_automorphisms(tau, 2), 50)
-    assert prof.undetermined == ()
-    assert set(prof.as_dict()) == set(range(50))
+    cls = OrbitClassifier(tau)
+    cls.classify(10)
+    sigmas = approximate_by_automorphisms(tau, 2, cls)
+    prof = defect_profile(tau, sigmas, 20)
+    assert prof.undetermined_codes == tuple(range(7, 20))
+    assert set(prof.as_dict()) == set(range(20))
+    # the codes below 7 root at 0; sigma_0 moves 1, 3 and 5 off tau
+    assert prof.counts[:7] == (0, 1, 1, 1, 1, 1, 1)
+    # max_defect leaves the undetermined codes out, whatever they count
+    assert replace(prof, counts=prof.counts[:7] + (5,) * 13).max_defect == 1
+    dec = orbit_decompose(tau, 20, classifier=cls)
+    assert dec.undetermined == tuple(range(7, 20))
+    assert dec.semi_orbit_count == 1
+    # sigma_0's preimage of 6 is chain position 7, which is undetermined,
+    # and sigma_0(7) falls back to tau: no code maps to 6
+    assert not sigmas[0].window_bijectivity(20)
 
+
+@pytest.mark.parametrize("tau", TAUS, ids=lambda t: t.description)
+@pytest.mark.parametrize("budget", [1, 3, 6])
+@pytest.mark.parametrize("first", [10, 25])
+def test_window_bijectivity_with_undetermined_codes(tau, budget, first,
+                                                    monkeypatch):
+    # sigma falls back to tau at an undetermined code, so a window code can
+    # lose its preimage; the fast check must then give way to the pointwise
+    # one, also when the undetermined codes lie past the window
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    for n in (1, 2, 3, 5):
+        for i in range(n):
+            cls = OrbitClassifier(tau)
+            cls.classify(first)
+            s = approximate_by_automorphisms(tau, n, cls)[i]
+            fast = s.window_bijectivity(20)
+            assert fast == WindowInjection.window_bijectivity(s, 20), (n, i)
 
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_strip_lift_distance_formula(n):

@@ -463,9 +463,14 @@ def test_bad_eps_exits_2(capsys):
     assert code == 2
 
 
-def _pair_file(rect, injection):
-    return {"structure": "nat", "window": 100,
+def _pair_file(rect, injection, structure="nat"):
+    return {"structure": structure, "window": 100,
             "image": {"cells": [[{"rects": [rect]}, injection]]}}
+
+
+def _linear_pair_file(images):
+    return _pair_file(["0", "1", "0", "1"],
+                      {"kind": "linear", "q": 2, "images": images}, "fqvec(2)")
 
 
 # pair files the argv lists below name as @<key>
@@ -474,6 +479,8 @@ PAIR_FILES = {
                                              {"kind": "shift", "offset": 1}),
     "float-offset.json": _pair_file(["0", "1", "0", "1"],
                                     {"kind": "shift", "offset": 1.5}),
+    "float-image-entry.json": _linear_pair_file([[2.0, 1], [1, 0]]),
+    "bool-image-entry.json": _linear_pair_file([[0, True], [True, 0]]),
 }
 
 
@@ -496,6 +503,10 @@ MENDED_INPUTS = {
                              "table:[[-1,2]]", "--n", "2"],
     "float-offset": ["pair-certify", "--pair1", "@float-offset.json",
                      "--pair2", "pure:successor"],
+    "float-image-entry": ["pair-certify", "--pair1", "@float-image-entry.json",
+                          "--pair2", "fq2:identity"],
+    "bool-image-entry": ["pair-certify", "--pair1", "@bool-image-entry.json",
+                         "--pair2", "fq2:identity"],
     "float-obstruction": ["--eps", "1/4", "--window", "40", "pair-certify",
                           "--pair1", "fq2:identity", "--pair2", "fq2:shift",
                           "--obstruction", '{"q": 2.7, "dim": 2.2, "grid": 2.9, '

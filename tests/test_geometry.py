@@ -11,8 +11,6 @@ from belle_paire.geometry import (
     SEARCH_GUARD,
     SearchGuardExceeded,
     SearchResult,
-    averaging_witness,
-    affine_points,
     closed_set_size,
     epsilon_lower_bound,
     exhaustive_pair_search,
@@ -20,14 +18,11 @@ from belle_paire.geometry import (
     gl_matrices,
     min_k_for_delta,
     min_k_violations,
-    projective_points,
-    standard_chain,
     subspace_span,
     _check_guard,
     _min_grid_gap,
     _pareto_front,
 )
-from belle_paire.measure import Frac, RationalSet
 from belle_paire.serialize import load_baseline, parse_frac
 from belle_paire.structures import GeometrySpec
 
@@ -46,10 +41,14 @@ def test_closed_set_sizes():
 
 
 def test_point_enumerations_match_sizes():
+    # an affine d-flat is F_q^d; a projective one is the lines of F_q^{d+1},
+    # each named by its vector whose first nonzero coordinate is 1
     for d in range(4):
-        assert len(affine_points(2, d)) == closed_set_size(AFF2, d)
-        assert len(affine_points(3, d)) == closed_set_size(AFF3, d)
-        assert len(projective_points(2, d)) == closed_set_size(PROJ2, d)
+        assert len(list(product(range(2), repeat=d))) == closed_set_size(AFF2, d)
+        assert len(list(product(range(3), repeat=d))) == closed_set_size(AFF3, d)
+        lines = [v for v in product(range(2), repeat=d + 1)
+                 if any(v) and next(c for c in v if c) == 1]
+        assert len(lines) == closed_set_size(PROJ2, d)
 
 
 def test_subspace_span():
@@ -61,10 +60,6 @@ def test_subspace_span():
 
 def test_point_enumerations_validate_without_assert():
     # ValueError, not assert, so the checks also hold under python -O
-    with pytest.raises(ValueError):
-        affine_points(2, 3, ambient=2)
-    with pytest.raises(ValueError):
-        projective_points(2, 3, ambient=2)
     with pytest.raises(ValueError):
         subspace_span(2, [(1, 0), (1,)])
     with pytest.raises(ValueError):
@@ -116,52 +111,6 @@ def test_epsilon_lower_bounds():
 @given(st.integers(1, 40))
 def test_modular_bound_doubles_plain(n):
     assert epsilon_lower_bound(n, True) == 2 * epsilon_lower_bound(n, False)
-
-
-def test_standard_chain_validation():
-    ch = standard_chain(AFF2, (0, 1, 2), ambient=3)
-    assert [len(s) for s in ch.sets] == [1, 2, 4]
-    assert [ch.dim_of(i) for i in range(3)] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        standard_chain(AFF2, (2, 1), ambient=3)
-
-
-def test_chain_rejects_non_closed_sizes():
-    from belle_paire.geometry import ClosedSetChain
-    with pytest.raises(ValueError):
-        ClosedSetChain(AFF2, (frozenset({(0, 0), (1, 0), (0, 1)}),))
-
-
-def test_averaging_witness_constant_full_trace():
-    ch = standard_chain(AFF2, (0, 1, 2), ambient=3)
-    C = RationalSet.from_rect(Frac(0), Frac(1, 2), Frac(0), Frac(1))
-    i, b, m = averaging_witness(ch, [(C, ch.sets[2])], C)
-    # every chain point is fully covered, so the minimum is the whole mass
-    assert m == C.measure
-    assert i == 0
-
-
-def test_averaging_witness_partial_cover():
-    ch = standard_chain(AFF2, (0, 1, 2), ambient=3)
-    C = RationalSet.from_rect(Frac(0), Frac(1, 2), Frac(0), Frac(1))
-    half1 = RationalSet.from_rect(Frac(0), Frac(1, 4), Frac(0), Frac(1))
-    half2 = RationalSet.from_rect(Frac(1, 4), Frac(1, 2), Frac(0), Frac(1))
-    traces = [(half1, ch.sets[1]), (half2, ch.sets[2])]
-    i, b, m = averaging_witness(ch, traces, C)
-    # the top flat's extra points are only covered on half2
-    assert i == 2
-    assert m == Frac(1, 4)
-    assert b not in ch.sets[1]
-
-
-def test_averaging_witness_validates_partition():
-    ch = standard_chain(AFF2, (0, 1), ambient=2)
-    C = RationalSet.unit_square()
-    half = RationalSet.vertical_strip(Frac(0), Frac(1, 2))
-    with pytest.raises(ValueError):
-        averaging_witness(ch, [(half, ch.sets[0])], C)
-    with pytest.raises(ValueError):
-        averaging_witness(ch, [(C, ch.sets[0]), (half, ch.sets[1])], C)
 
 
 def test_gl_matrices_counts():

@@ -12,7 +12,6 @@ PACKAGE = Path(belle_paire.__file__).resolve().parent
 
 # (module file, enclosing function) -> number of invariant asserts there
 ALLOWED = {
-    ("geometry.py", "averaging_witness"): 1,       # a minimum is <= the mean
     ("random_endo.py", "_factor_through"): 1,      # g . rep = h on the window
     ("realization.py", "assemble_realization"): 2,  # the split's own identity
 }

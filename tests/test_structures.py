@@ -29,7 +29,6 @@ from belle_paire.structures import (
     basis_shift_endo,
     identity_endo,
     shift_endo,
-    subspace_membership,
     successor_endo,
     window_permutation,
 )
@@ -131,13 +130,6 @@ def test_combinators_validate_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n" * len(BAD_COMBINATORS)
-
-
-def test_subspace_membership():
-    gens = [FqVector.basis(2, 0)]
-    assert subspace_membership(FqVector.zero(2), gens)
-    assert subspace_membership(FqVector.basis(2, 0), gens)
-    assert not subspace_membership(FqVector.basis(2, 1), gens)
 
 
 def test_successor_has_no_zero_preimage():

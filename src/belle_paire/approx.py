@@ -94,6 +94,26 @@ class OrbitClassifier:
         got = self._cls.get(x)
         if got is not None:
             return got
+        # one step back settles most codes: x roots a new chain, or x
+        # extends the rooted chain that ends at its preimage
+        prev = self.tau.preimage_code(x)
+        if prev is None:
+            oid = self._next_oid
+            self._next_oid += 1
+            self._chains[oid] = [x]
+            rec = self._cls[x] = (_K_SEMI, oid, 0)
+            return rec
+        known = self._cls.get(prev)
+        if known is not None and known[0] == _K_SEMI:
+            chain = self._chains[known[1]]
+            if len(chain) == known[2] + 1:
+                chain.append(x)
+                rec = self._cls[x] = (_K_SEMI, known[1], known[2] + 1)
+                return rec
+        return self._walk(x)
+
+    def _walk(self, x: int):
+        """Classify x by walking back from it, up to MAX_STEPS steps."""
         preimage = self.tau.preimage_code
         path = [x]
         path_pos = {x: 0}
@@ -187,7 +207,8 @@ class _Win:
 
     def __init__(self, cls: OrbitClassifier, n: int):
         self.n = n
-        self.tau_ids = list(map(cls.tau_image, range(n)))
+        self.tau_ids = list(map(cls.tau.apply_code, range(n)))
+        cls._img.update(zip(range(n), self.tau_ids))
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:
             cls.tau.validate_window(n)  # names the first collision

@@ -83,6 +83,11 @@ def endos_agree_on_window(a_hat: StepMap, b_hat: StepMap, window: int) -> bool:
 def apply_random_endo(h_hat: StepMap, f: StepMap) -> StepMap:
     """(h_hat f)(x) = h_hat(x)(f(x)) on the common refinement."""
     validate_random_endo(h_hat)
+    return _act(h_hat, f)
+
+
+def _act(h_hat: StepMap, f: StepMap) -> StepMap:
+    """apply_random_endo for an h_hat already validated."""
     return StepMap([(s, h.apply(a))
                     for s, (h, a) in common_refinement([h_hat, f])])
 
@@ -327,11 +332,12 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     g ranges over every assignment of pool values to the given omega strips;
     feasible only for tiny pools and strip counts.
     """
+    validate_random_endo(h_hat)
     sets = [RationalSet.vertical_strip(lo, hi) for lo, hi in strips]
     best = None
     for combo in iter_product(pool, repeat=len(strips)):
         g = StepMap(zip(sets, combo))
-        d = l1_distance(f, apply_random_endo(h_hat, g))
+        d = l1_distance(f, _act(h_hat, g))
         if best is None or d < best:
             best = d
     return best

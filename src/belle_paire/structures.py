@@ -501,6 +501,10 @@ def window_permutation(domain: Domain, mapping: dict) -> TableInjection:
 
 # --- linear maps over F_q ------------------------------------------------
 
+# a low code LinearInjection.preimage_code has not solved yet (None is a result)
+_UNSOLVED = object()
+
+
 def _code(digits: list, q: int) -> int:
     """The code of the vector with these coefficients, lowest index first."""
     k = 0
@@ -552,7 +556,8 @@ class LinearInjection(WindowInjection):
     (D = 1, off = 1) is k -> q*k.  preimage_code reads each digit of y past
     the block rows as one tail coefficient and solves the low D+off digits
     through the transform of one row reduction of [block | I], done here
-    once.
+    once.  Both rules keep their block part per low code, so a repeated low
+    costs a divmod and a dict hit.
     """
 
     def __init__(self, q: int, images: tuple, tail: str = "identity"):
@@ -590,6 +595,10 @@ class LinearInjection(WindowInjection):
         self._tcols = tuple(
             tuple((r, row[d + k]) for r, row in enumerate(red) if row[d + k])
             for k in range(n_rows))
+        # low -> block(low), and low row code -> its solved low code or
+        # None; plain attributes, as WindowInjection.__init__ explains
+        self._low_img: dict = {}
+        self._low_pre: dict = {}
         name = f"linear[q={q},{len(images)} images,tail={tail}]"
         super().__init__(dom, name)
         # identity tail with a finite block staying inside its own span is
@@ -617,16 +626,20 @@ class LinearInjection(WindowInjection):
 
     def apply_code(self, k: int) -> int:
         high, low = divmod(k, self._q_block)
-        return (_code(self._transform(low, self._cols), self.q)
-                + high * self._q_rows)
+        y = self._low_img.get(low)
+        if y is None:
+            y = self._low_img[low] = _code(self._transform(low, self._cols), self.q)
+        return y + high * self._q_rows
 
     def preimage_code(self, k: int):
         high, low = divmod(k, self._q_rows)
-        d = self._block
-        acc = self._transform(low, self._tcols)
-        if any(acc[d:]):
-            return None  # k's block part is outside the block's image
-        return _code(acc[:d], self.q) + high * self._q_block
+        x = self._low_pre.get(low, _UNSOLVED)
+        if x is _UNSOLVED:
+            d = self._block
+            acc = self._transform(low, self._tcols)
+            # None: k's block part is outside the block's image
+            x = self._low_pre[low] = None if any(acc[d:]) else _code(acc[:d], self.q)
+        return None if x is None else x + high * self._q_block
 
     def key(self):
         return ("linear", self.q, tuple(v.entries for v in self.images), self.tail)

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -210,17 +211,132 @@ def counted(fn, calls):
 
 def test_shared_classifier_validates_window_once():
     tau = basis_shift_endo(2)
-    applied, looked_up = [], []
+    applied = []
     tau.apply_code = counted(tau.apply_code, applied)
     cls = OrbitClassifier(tau)
-    cls.tau_image = counted(cls.tau_image, looked_up)
-    # one tau image per window point, however many families share cls
+    # one tau image per window point, however many families share cls,
+    # and the window build leaves them all in the classifier's image memo
     for n in (3, 7, 3):
         sigmas = approximate_by_automorphisms(tau, n, cls)
         defect_profile(tau, sigmas, 256)
         assert all(s.window_bijectivity(256) for s in sigmas)
         assert sorted(applied) == list(range(256))
-        assert len(looked_up) == 256
+        assert cls._img == {k: 2 * k for k in range(256)}
+
+
+class WalkClassifier(OrbitClassifier):
+    """The classifier before its one-step path: every unclassified code
+    starts the general backward walk."""
+
+    def classify(self, x: int):
+        got = self._cls.get(x)
+        if got is not None:
+            return got
+        preimage = self.tau.preimage_code
+        path = [x]
+        path_pos = {x: 0}
+        while True:
+            if len(path) > approx.MAX_STEPS:
+                return self._undetermined(path)
+            prev = preimage(path[-1])
+            if prev is None:
+                oid = self._next_oid
+                self._next_oid += 1
+                chain = list(reversed(path))
+                self._chains[oid] = chain
+                for pos, p in enumerate(chain):
+                    self._cls[p] = (approx._K_SEMI, oid, pos)
+                return self._cls[x]
+            known = self._cls.get(prev)
+            if known is not None:
+                kind, oid, pos = known
+                if kind == approx._K_SEMI:
+                    chain = self._chains[oid]
+                    if len(chain) != pos + 1:
+                        raise self._collision(chain[pos + 1], path[-1],
+                                              self.tau_image(prev))
+                    for off, p in enumerate(reversed(path), start=1):
+                        chain.append(p)
+                        self._cls[p] = (approx._K_SEMI, oid, pos + off)
+                    return self._cls[x]
+                if kind == approx._K_ORBIT:
+                    raise self._collision(path[-1], None, self.tau_image(prev))
+                return self._undetermined(path)
+            if prev in path_pos:
+                if prev != x:
+                    raise self._collision(path[-1], None, prev)
+                oid = self._next_oid
+                self._next_oid += 1
+                cyc = list(reversed(path))
+                self._cycles[oid] = cyc
+                for pos, p in enumerate(cyc):
+                    self._cls[p] = (approx._K_ORBIT, oid, pos)
+                return self._cls[x]
+            path.append(prev)
+            path_pos[prev] = len(path) - 1
+
+
+def stray_chain():
+    """Successor whose rule sends 3 to 5, while 4 still reads 3 as its
+    preimage: extending 0's chain past 3 leaves 4 no place on it."""
+    tau = successor_endo()
+    tau.apply_code = lambda k: 5 if k == 3 else k + 1
+    return tau
+
+
+_NAT, _F2 = NaturalNumbers(), FqVectors(2)
+FAST_PATH_TAUS = [
+    successor_endo(),
+    shift_endo(2),
+    basis_shift_endo(2),
+    basis_shift_endo(3),
+    window_permutation(_NAT, {2: 450, 450: 7, 7: 2}),
+    window_permutation(_F2, {_F2.point_at(3): _F2.point_at(12),
+                             _F2.point_at(12): _F2.point_at(3)}),
+    TableInjection(_NAT, {5: 900, 7: 5}),
+    shift_endo(2).compose(window_permutation(_NAT, {0: 9, 9: 4, 4: 0})),
+]
+
+
+def _classify_all(cls, order):
+    """Window builds, out-of-order classifies and sigma preimages (which
+    extend chains forward) on one classifier; its state afterwards."""
+    got = [cls.window_struct(40).chain_ids]
+    got += map(cls.classify, order)
+    for s in approximate_by_automorphisms(cls.tau, 3, cls):
+        got += map(s.preimage_code, range(0, 400, 7))
+    got.append(cls.window_struct(600).chain_ids)
+    return got, cls._cls, cls._chains, cls._cycles, cls.has_undetermined
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+@pytest.mark.parametrize("tau", FAST_PATH_TAUS, ids=lambda t: t.description)
+def test_one_step_classify_matches_the_walk(tau, budget, monkeypatch):
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    order = list(range(700))
+    random.Random(budget).shuffle(order)
+    assert (_classify_all(OrbitClassifier(tau), order)
+            == _classify_all(WalkClassifier(tau), order))
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+def test_one_step_classify_raises_as_the_walk(budget, monkeypatch):
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    table = TableInjection(_NAT, {5: 900, 7: 5})  # 5 and 900 both go to 900
+    stray = stray_chain()
+    errors = []
+    for make in (OrbitClassifier, WalkClassifier):
+        with pytest.raises(NonInjectiveOnWindow) as table_info:
+            make(table).window_struct(1000)
+        cls = make(stray)
+        list(map(cls.classify, range(4)))
+        cls.chain_point(cls.classify(0)[1], 4)  # 0's chain now ends 3, 5
+        with pytest.raises(NonInjectiveOnWindow) as stray_info:
+            cls.classify(4)
+        errors.append([(str(e.value), e.value.pair, e.value.image)
+                       for e in (table_info, stray_info)])
+    assert errors[0] == errors[1]
+    assert errors[0][1][0] == "5 and 4 both map to 5"
 
 
 @given(st.integers(1, 24))

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import belle_paire
@@ -609,6 +609,42 @@ def test_linear_code_rules_match_vector_reference(seed, offset):
             assert tau.apply_code(tau.apply_code(k)) == _reference_apply(
                 tau, _reference_apply(tau, y)).encode()
     assert none  # codes outside the block image were met
+
+
+@st.composite
+def small_linear_maps(draw):
+    """A LinearInjection over F_q, q in {2, 3, 5}, with 0-4 images on the
+    first six basis vectors, so its block is at most six columns wide."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    tail = draw(st.sampled_from(("identity", "shift")))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=6, max_size=6),
+                         max_size=4))
+    try:
+        return LinearInjection(q, tuple(FqVector.from_coeffs(q, r) for r in rows),
+                               tail)
+    except ValueError:  # dependent images
+        assume(False)
+
+
+@given(small_linear_maps())
+@example(basis_shift_endo(2))
+@example(basis_shift_endo(5))
+@settings(max_examples=25, deadline=None)
+def test_linear_memo_matches_dense_matrix(tau):
+    # images reach row 6 at most, so a code below q**6 with a preimage has
+    # it below q**6 too: the dense 7 x 6 matrix on those codes is the rule
+    q, n = tau.q, tau.q ** 6
+    cols = [_column(q, tau.images, tau.tail, i, 7) for i in range(6)]
+    dense = []
+    for k in range(n):
+        x = [k // q ** i % q for i in range(6)]
+        y = [sum(c[r] * a for c, a in zip(cols, x)) % q for r in range(7)]
+        dense.append(sum(a * q ** r for r, a in enumerate(y)))
+    back = {y: k for k, y in enumerate(dense) if y < n}
+    for _ in range(2):  # the second pass reads the memo
+        assert list(map(tau.apply_code, range(n))) == dense
+        assert list(map(tau.preimage_code, range(n))) == list(map(back.get, range(n)))
+        assert all(tau.preimage_code(tau.apply_code(k)) == k for k in range(n))
 
 
 def test_basis_shift_is_multiplication_by_q():

@@ -110,17 +110,17 @@ class OrbitClassifier:
                 chain.append(x)
                 rec = self._cls[x] = (_K_SEMI, known[1], known[2] + 1)
                 return rec
-        return self._walk(x)
+        return self._walk(x, prev)
 
-    def _walk(self, x: int):
-        """Classify x by walking back from it, up to MAX_STEPS steps."""
+    def _walk(self, x: int, prev: int | None):
+        """Classify x, whose preimage code is prev, by walking back from it,
+        up to MAX_STEPS steps."""
         preimage = self.tau.preimage_code
         path = [x]
         path_pos = {x: 0}
         while True:
             if len(path) > MAX_STEPS:
                 return self._undetermined(path)
-            prev = preimage(path[-1])
             if prev is None:
                 oid = self._next_oid
                 self._next_oid += 1
@@ -158,6 +158,7 @@ class OrbitClassifier:
                 return self._cls[x]
             path.append(prev)
             path_pos[prev] = len(path) - 1
+            prev = preimage(prev)
 
     def _undetermined(self, path: list) -> tuple:
         self.has_undetermined = True
@@ -280,11 +281,13 @@ def orbit_decompose(tau: WindowInjection, window: int,
     """Classify every window point of tau into orbit / semi-orbit / undetermined.
 
     A given classifier for tau is reused, so points it has already
-    classified are not walked again.  Raises NonInjectiveOnWindow when two
+    classified are not walked again, and a window it holds that covers
+    [0, window) is not built again.  Raises NonInjectiveOnWindow when two
     window points share an image.
     """
     cls = classifier or OrbitClassifier(tau)
-    cls.window_struct(window)
+    if not any(n >= window for n in cls._ws_cache):
+        cls.window_struct(window)
     records = []
     relabel: dict = {}
     roots: dict = {}

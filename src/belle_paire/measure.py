@@ -16,8 +16,9 @@ column, the runs that tile its slice, each with the index of the cell of
 every map that covers it.  Each part a reader needs is derived once: from
 the sweep, a map's tiling verdict and cell order and the union of its
 same-valued cells; from the runs, the refinement pieces, the area per index
-tuple and the table of runs per column.  A layout depends only on each
-set's canonical (den, cols), on which sets hash and compare, and sets are
+tuple and the table of runs per column.  Equal sets are one object (see
+_reduced), so a layout lookup hashes and compares its sets by identity.  A
+layout depends only on each set's canonical (den, cols), and sets are
 immutable, so a kept layout is exactly the one that would be recomputed.
 Values enter only after the lookup, and grouping by index is grouping by
 value: a step map fuses equal values, so the cells of one map carry
@@ -29,6 +30,7 @@ measures) is a Fraction.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -153,11 +155,18 @@ def _num(x, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
+# The live canonical sets by (den, cols); see _reduced.
+_INTERNED: "weakref.WeakValueDictionary[tuple, RationalSet]" = (
+    weakref.WeakValueDictionary())
+
+
 def _reduced(den: int, cols) -> "RationalSet":
     """The set with canonical int columns cols over den, den cut by the gcd.
 
     Cutting by the gcd of den and every coordinate leaves the least common
-    denominator of the set, so equal sets get equal ints.
+    denominator of the set, so equal sets get equal ints.  Every canonical
+    set is made here, once while it lives: equal sets are one object, so
+    sets compare and hash by identity.
     """
     g = den
     for lo, hi, ys in cols:
@@ -168,14 +177,18 @@ def _reduced(den: int, cols) -> "RationalSet":
         den //= g
         cols = tuple((lo // g, hi // g, tuple((c // g, d // g) for c, d in ys))
                      for lo, hi, ys in cols)
-    return RationalSet(den, cols)
+    key = (den, cols)
+    s = _INTERNED.get(key)
+    if s is None:
+        s = _INTERNED[key] = RationalSet(den, cols)
+    return s
 
 
 def _box(r: Rect) -> "RationalSet":
     """The set of one rectangle over the lcm of its corners' denominators.
 
-    The denominator is not reduced, so the set is only fit to be swept or
-    passed to _reduced.
+    The denominator is not reduced and the set is not interned, so it is
+    only fit to be swept or passed to _reduced.
     """
     den = lcm(r.x0.denominator, r.x1.denominator, r.y0.denominator, r.y1.denominator)
     return RationalSet(den, ((_num(r.x0, den), _num(r.x1, den),
@@ -186,29 +199,28 @@ class RationalSet:
     """Finite union of half-open rational rectangles, canonical and immutable.
 
     The canonical form slices the set into maximal omega columns on which the
-    omega' slice is constant; equal sets always compare equal.  The columns
-    are stored as ints over the set's least common denominator and decoded
-    to Fractions, once, by `columns`.
+    omega' slice is constant, and equal sets are one object (see _reduced),
+    so == and hash are identity.  The columns are stored as ints over the
+    set's least common denominator and decoded to Fractions, once, by
+    `columns`.
     """
 
-    __slots__ = ("_den", "_cols", "_fcols", "_measure", "_hash")
+    __slots__ = ("_den", "_cols", "_fcols", "_measure", "__weakref__")
 
-    def __init__(self, _den: int = 1, _columns=()):
-        # internal: trusted canonical int columns over a reduced denominator;
-        # use the classmethods instead
-        self._den = _den
-        self._cols = _columns
+    def __init__(self, den: int, cols: tuple):
+        # internal: only _reduced and _box build sets; use the classmethods
+        self._den = den
+        self._cols = cols
         self._fcols = None
         self._measure = None
-        self._hash = None
 
     @classmethod
     def empty(cls) -> "RationalSet":
-        return cls()
+        return _reduced(1, ())
 
     @classmethod
     def unit_square(cls) -> "RationalSet":
-        return cls(1, ((0, 1, ((0, 1),)),))
+        return _reduced(1, ((0, 1, ((0, 1),)),))
 
     @classmethod
     def from_rect(cls, x0, x1, y0, y1) -> "RationalSet":
@@ -314,14 +326,15 @@ class RationalSet:
         return tuple((Fraction(lo, self._den), Fraction(hi, self._den))
                      for lo, hi in out)
 
-    def __eq__(self, other):
-        return (isinstance(other, RationalSet) and self._den == other._den
-                and self._cols == other._cols)
+    # a copy or an unpickled set is the interned one, so identity holds
+    def __reduce__(self):
+        return _reduced, (self._den, self._cols)
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._den, self._cols))
-        return self._hash
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __bool__(self):
         return not self.is_empty

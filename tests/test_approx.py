@@ -224,6 +224,19 @@ def test_shared_classifier_validates_window_once():
         assert cls._img == {k: 2 * k for k in range(256)}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}),
+    lambda: basis_shift_endo(2),
+], ids=["table", "fq2-shift"])
+def test_classify_reads_each_preimage_once(make):
+    # the walk starts from the preimage the one-step path already read
+    tau = make()
+    calls = []
+    tau.preimage_code = counted(tau.preimage_code, calls)
+    OrbitClassifier(tau).window_struct(600)
+    assert len(calls) == 600
+
+
 class WalkClassifier(OrbitClassifier):
     """The classifier before its one-step path: every unclassified code
     starts the general backward walk."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,29 @@ def test_approx_endo_classifies_the_window_once(capsys, monkeypatch):
                   "fq-shift:2", "--n", "3")
     assert code == 0
     assert len(made) == 1
+
+
+def test_approx_endo_applies_tau_once_per_window_code(capsys, monkeypatch):
+    # orbit_decompose reads the 2,000-code prefix of the classifier's
+    # 3,000-code window instead of building a second window
+    from belle_paire.structures import ShiftInjection
+    applied = []
+    apply_code = ShiftInjection.apply_code
+
+    def counting(self, k):
+        applied.append(k)
+        return apply_code(self, k)
+
+    monkeypatch.setattr(ShiftInjection, "apply_code", counting)
+    code, out = run(capsys, "--window", "3000", "approx-endo", "--endo",
+                    "successor", "--n", "3")
+    assert code == 0
+    assert len(applied) == 3000
+    blob = json.loads(out)
+    assert (blob["orbits"], blob["semi_orbits"]) == (0, 1)
+    # the stdout before the window was shared
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d593672b2f92505712e8048d1910e65e28070a3068be071d5c3e00c633030ee8")
 
 
 def test_malformed_table_payload_exits_2(capsys):

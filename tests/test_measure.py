@@ -1,10 +1,14 @@
+import copy
+import gc
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belle_paire.measure import (
+    _INTERNED,
     SWEEP_CACHE_SIZE,
     DensityMismatch,
     Frac,
@@ -418,7 +422,7 @@ def test_equal_set_tuples_share_one_sweep():
                 _rect("1/3", 1, "1/2", 1))
 
     a, b = sets(), sets()
-    assert a == b and not any(x is y for x, y in zip(a, b))
+    assert a == b and all(x is y for x, y in zip(a, b))
     _layout.cache_clear()
     first = _layout((a,))
     assert _layout((b,)) is first
@@ -445,6 +449,83 @@ def test_equal_set_tuples_share_one_sweep():
     assert {"runs", "pieces", "areas", "table"} <= set(parts)
     assert all(_only_tuples(x) for x in parts.values())
     assert all(_only_tuples(x) for x in vars(first).values())
+
+
+@st.composite
+def grid_rects(draw):
+    """A rect with corners on a grid of 2 to 4 steps per side."""
+    den = draw(st.integers(2, 4))
+    xs = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2, unique=True)))
+    return Rect(Frac(xs[0], den), Frac(xs[1], den), Frac(ys[0], den), Frac(ys[1], den))
+
+
+def _sets_built_every_way(rs, rnd):
+    """Sets from rs by every constructor and operation, equal ones among them."""
+    shuffled = rs[:]
+    rnd.shuffle(shuffled)
+    cut = rnd.randrange(len(rs) + 1)
+    a = RationalSet.from_rect(rs[0].x0, rs[0].x1, rs[0].y0, rs[0].y1)
+    whole = RationalSet.from_rects(rs)
+    split = RationalSet.from_rects(shuffled[:cut]).union(
+        RationalSet.from_rects(shuffled[cut:]))
+    assert split is whole is RationalSet.from_rects(shuffled)
+    built = [RationalSet.from_rect(r.x0, r.x1, r.y0, r.y1) for r in rs]
+    built += [whole, split, RationalSet.empty(), RationalSet.unit_square(),
+              a.union(whole), a.intersect(whole), whole.subtract(a),
+              a.subtract(whole), whole.complement(), whole.complement().complement(),
+              whole.union(whole.complement()), whole.intersect(whole.complement()),
+              whole.subtract(a).union(a.intersect(whole))]
+    f = StepMap([(a, 0), (a.complement(), 1)])
+    g = StepMap([(whole, "in"), (whole.complement(), "out")])
+    built += [s for s, _ in common_refinement([f, g])]
+    return built
+
+
+def _key(x):
+    return x._den, x._cols
+
+
+@given(st.lists(grid_rects(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_equal_sets_are_one_object(rs, rnd):
+    built = _sets_built_every_way(rs, rnd)
+    for x in built:
+        assert x is _reduced(x._den, x._cols)
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        for y in built:
+            assert (x is y) == (_key(x) == _key(y)) == (x == y)
+    assert copy.deepcopy([built, {built[0]: built}])[1][built[0]][0] is built[0]
+    # with the other sets gone, each set rebuilt later is the live copy of
+    # its class, if one was kept, and what its pickle loads to
+    keys = list(map(_key, built))
+    blobs = list(map(pickle.dumps, built))
+    live = {_key(x): copy.copy(x) for x in built[::2]}
+    del built
+    gc.collect()
+    again = _sets_built_every_way(rs, rnd)
+    for key, blob, x in zip(keys, blobs, again):
+        assert _key(x) == key
+        assert pickle.loads(blob) is x
+        if key in live:
+            assert live[key] == x and live[key] is x
+
+
+def test_a_collected_set_is_rebuilt_equal():
+    def make():
+        return RationalSet.from_rect(Frac(1, 97), Frac(2, 97), 0, Frac(1, 89))
+
+    x = make()
+    key, blob, keep = _key(x), pickle.dumps(x), copy.copy(x)
+    del x
+    gc.collect()
+    assert make() is keep and key in _INTERNED
+    del keep
+    gc.collect()
+    assert key not in _INTERNED
+    y = make()
+    assert _key(y) == key and pickle.loads(blob) is y
 
 
 @given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=2, max_size=3))

@@ -390,6 +390,23 @@ class CycleApproxBijection(WindowInjection):
             moved, images = list(compress(moved, keep)), list(compress(images, keep))
         return moved, images
 
+    def window_row(self, n: int) -> list:
+        """Codes of sigma's images of the window codes [0, n), as apply_code
+        gives them: tau's window images with the moves written over them.
+
+        Raises NonInjectiveOnWindow if tau is not injective on the window.
+        apply_code leaves an undetermined code to tau, and a chain grown
+        forward by a preimage lookup can pass through one, so undetermined
+        window codes are written back to tau's image last.
+        """
+        ws = self.classifier.window_struct(n)
+        row = ws.tau_ids.copy()
+        for w, y in zip(*self._moves(ws)):
+            row[w] = y
+        for w in ws.undet_widx:
+            row[w] = ws.tau_ids[w]
+        return row
+
     def window_bijectivity(self, n: int) -> bool:
         """Window bijectivity on [0, n), on codes, exact for every window code.
 

@@ -473,6 +473,46 @@ def test_window_bijectivity_with_undetermined_codes(tau, budget, first,
             fast = s.window_bijectivity(20)
             assert fast == WindowInjection.window_bijectivity(s, 20), (n, i)
 
+
+ROW_TAUS = [
+    successor_endo(),
+    shift_endo(3),
+    basis_shift_endo(2),
+    basis_shift_endo(3),
+    window_permutation(_NAT, {2: 450, 450: 7, 7: 2}),
+    TableInjection(_NAT, {300: 5000}),
+    shift_endo(2).compose(window_permutation(_NAT, {0: 9, 9: 4, 4: 0})),
+]
+
+
+def _row_states(tau):
+    """Classifiers for tau: fresh, after an out-of-order classify, and after
+    sigma preimage lookups, which grow chains forward, possibly through
+    undetermined codes."""
+    yield OrbitClassifier(tau)
+    cls = OrbitClassifier(tau)
+    cls.classify(25)
+    yield cls
+    cls = OrbitClassifier(tau)
+    list(map(cls.classify, range(300, 0, -7)))
+    for s in approximate_by_automorphisms(tau, 7, cls):
+        list(map(s.preimage_code, range(0, 700, 3)))
+    yield cls
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+@pytest.mark.parametrize("tau", ROW_TAUS, ids=lambda t: t.description)
+def test_window_row_is_apply_code(tau, budget, monkeypatch):
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    for n in (1, 2, 3, 7):
+        for cls in _row_states(tau):
+            for s in approximate_by_automorphisms(tau, n, cls):
+                for window in (40, 600):
+                    assert (s.window_row(window)
+                            == list(map(s.apply_code, range(window)))), \
+                        (n, s.i, window)
+
+
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_strip_lift_distance_formula(n):
     tau = successor_endo()

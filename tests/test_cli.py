@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import belle_paire
+import belle_paire.random_endo as random_endo
 from belle_paire.cli import main
 
 
@@ -254,8 +255,8 @@ def test_search_stdout_is_frozen(capsys, case):
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
 
 
-# stdout and exit codes of the combinators and gap commands as recorded
-# before injections became code rules
+# stdout and exit codes of the combinators, the gap commands and
+# pair-certify, each recorded before a change that could have moved it
 FROZEN_CLI = json.loads(
     (Path(__file__).parent / "cli_stdout.json").read_text(encoding="utf-8"))
 
@@ -264,6 +265,20 @@ FROZEN_CLI = json.loads(
                          ids=[" ".join(c["argv"]) for c in FROZEN_CLI])
 def test_cli_stdout_is_frozen(capsys, case):
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("pairs", [("pure:identity", "pure:successor"),
+                                   ("fq2:identity", "fq2:shift")])
+def test_certificate_computes_no_lower_bound(capsys, monkeypatch, pairs):
+    def refuse(*args):
+        raise AssertionError("a certificate computed the gap's lower bound")
+
+    argv = ["--window", "40", "pair-certify",
+            "--pair1", pairs[0], "--pair2", pairs[1]]
+    (case,) = [c for c in FROZEN_CLI if c["argv"] == argv]
+    monkeypatch.setattr(random_endo, "_gap_lower", refuse)
+    monkeypatch.setattr(random_endo, "_candidates", refuse)
+    assert run(capsys, *argv) == (0, case["stdout"])
 
 
 def test_approx_endo_decodes_only_the_preview_points(capsys, decode_calls):

@@ -22,6 +22,7 @@ from belle_paire.measure import (
 )
 from belle_paire.random_endo import (
     BudgetLine,
+    Certificate,
     NoRepresentativeMatch,
     PairModel,
     Refusal,
@@ -286,8 +287,9 @@ def reference_hausdorff_gap(g_hat, h_hat, alphabet):
     return upper, lower
 
 
-# injections of the naturals: identity, successor, shifts, and finite
-# permutations alone or after the successor
+# injections of the naturals: identity, successor, shifts, finite
+# permutations alone or after the successor, and a sigma family, whose
+# image rows on a window are read from its moves
 INJECTIONS = [
     identity_endo(NAT),
     successor_endo(),
@@ -297,6 +299,7 @@ INJECTIONS = [
     window_permutation(NAT, {0: 2, 2: 3, 3: 0}),
     window_permutation(NAT, {1: 3, 3: 1}).compose(successor_endo()),
     window_permutation(NAT, {0: 4, 4: 0}).compose(shift_endo(2)),
+    *approximate_by_automorphisms(shift_endo(2), 3),
 ]
 
 
@@ -540,6 +543,33 @@ def test_certify_search_backed_refusal():
     res = certify_epsilon_isomorphism(p1, p2, Frac(1, 4), ob)
     assert isinstance(res, Refusal)
     assert res.evidence["search_gap"] == 1
+
+
+def test_certify_refusal_carries_both_bounds(monkeypatch):
+    # an identity-valued approximant leaves the whole gap to the successor,
+    # so the certified upper bound exceeds eps and the lower bound is read
+    ident = constant_endo(identity_endo(NAT))
+    monkeypatch.setattr(random_endo, "approximate_random_endo",
+                        lambda h_hat, reps, eps, window:
+                        Certificate(ident, Frac(0), eps, window))
+    p1, p2 = pair(identity_endo(NAT)), pair(successor_endo())
+    res = certify_epsilon_isomorphism(p1, p2, Frac(1, 10))
+    gap = hausdorff_gap(ident, p2.image, p1.window)
+    assert isinstance(res, Refusal)
+    assert gap.upper > Frac(1, 10)
+    assert res.reason.endswith(f"certified gap {gap.upper} exceeds 1/10")
+    assert res.evidence == {"upper": gap.upper, "lower": gap.lower}
+
+
+def test_gap_reads_a_sigma_of_a_colliding_tau_code_by_code():
+    # 300 and 5000 both go to 5000, so the window 6000 has no sigma layout;
+    # its rows are read with apply_code, as on a list alphabet
+    tau = TableInjection(NAT, {300: 5000})
+    g_hat = StepMap.uniform_strips(approximate_by_automorphisms(tau, 2))
+    h_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 3), tau), (Frac(1, 3), 1, successor_endo())])
+    assert (hausdorff_gap(g_hat, h_hat, 6000)
+            == hausdorff_gap(g_hat, h_hat, NAT.window(6000)))
 
 
 def test_pair_model_validates_window():

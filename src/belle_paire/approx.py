@@ -201,14 +201,15 @@ class _Win:
     injective on the window before anything else.  The rooted chains
     through the window, each cut after its last window point, lie end to
     end in chain_ids, longest first; groups holds (start, count, length)
-    for each run of chains of one length.
+    for each run of chains of one length.  tau_ids is tau.window_codes(n),
+    shared with tau's other window readers, so nothing here writes to it.
     """
 
     __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
 
     def __init__(self, cls: OrbitClassifier, n: int):
         self.n = n
-        self.tau_ids = list(map(cls.tau.apply_code, range(n)))
+        self.tau_ids = cls.tau.window_codes(n)
         cls._img.update(zip(range(n), self.tau_ids))
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:

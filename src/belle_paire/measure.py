@@ -482,23 +482,27 @@ def vertical_split(s: RationalSet, weights: Sequence) -> list[RationalSet]:
 
     Each rectangle's omega' interval is cut proportionally, so for every
     omega the slice of part i has measure weights[i] times the slice of s.
+
+    The cut runs on s's int columns over den * m, m the lcm of the weights'
+    denominators.  A part of positive weight keeps every column of s, and
+    its slices are distinct wherever those of s are, so its columns are
+    canonical as cut; a part of weight zero is empty.
     """
     ws = [_frac(w) for w in weights]
-    if any(w < 0 for w in ws):
+    m = lcm(*(w.denominator for w in ws))
+    nums = [_num(w, m) for w in ws]
+    if any(w < 0 for w in nums):
         raise ValueError("weights must be nonnegative")
-    if sum(ws, ZERO) != 1:
+    if sum(nums) != m:
         raise ValueError("weights must sum to 1")
-    cuts = [ZERO] + list(accumulate(ws))
+    den = s._den * m
     parts = []
-    for c0, c1 in zip(cuts, cuts[1:]):
-        rects = []
-        for lo, hi, ys in s.columns:
-            for c, d in ys:
-                h = d - c
-                y0, y1 = c + h * c0, c + h * c1
-                if y0 < y1:
-                    rects.append(Rect(lo, hi, y0, y1))
-        parts.append(RationalSet.from_rects(rects))
+    for c0, c1 in zip([0, *accumulate(nums)], accumulate(nums)):
+        cols = () if c0 == c1 else tuple(
+            (lo * m, hi * m,
+             tuple((c * m + (d - c) * c0, c * m + (d - c) * c1) for c, d in ys))
+            for lo, hi, ys in s._cols)
+        parts.append(_reduced(den, cols))
     return parts
 
 

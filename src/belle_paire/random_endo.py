@@ -85,11 +85,6 @@ def endos_agree_on_window(a_hat: StepMap, b_hat: StepMap, window: int) -> bool:
 def apply_random_endo(h_hat: StepMap, f: StepMap) -> StepMap:
     """(h_hat f)(x) = h_hat(x)(f(x)) on the common refinement."""
     validate_random_endo(h_hat)
-    return _act(h_hat, f)
-
-
-def _act(h_hat: StepMap, f: StepMap) -> StepMap:
-    """apply_random_endo for an h_hat already validated."""
     return StepMap([(s, h.apply(a))
                     for s, (h, a) in common_refinement([h_hat, f])])
 
@@ -162,12 +157,11 @@ def orbit_reduce(h_hat: StepMap, reps: list, window: int) -> OrbitReduction:
     """
     validate_random_endo(h_hat)
     reps = list(reps)
-    ks = range(window)
-    rep_ims = [list(map(r.apply_code, ks)) for r in reps]
+    rep_ims = [r.window_codes(window) for r in reps]
     g_cells = []
     a_cells = []
     for s, h in h_hat.cells:
-        him = list(map(h.apply_code, ks))
+        him = h.window_codes(window)
         choice = next((k for k, rim in enumerate(rep_ims) if rim == him), None)
         if choice is not None:
             g_cells.append((s, IdentityInjection(h.domain)))
@@ -336,10 +330,13 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     """
     validate_random_endo(h_hat)
     sets = [RationalSet.vertical_strip(lo, hi) for lo, hi in strips]
+    # each value of h_hat applied to each pool point once, not per assignment
+    image = {(h, a): h.apply(a) for h in h_hat.values() for a in pool}
     best = None
     for combo in iter_product(pool, repeat=len(strips)):
         g = StepMap(zip(sets, combo))
-        d = l1_distance(f, _act(h_hat, g))
+        d = l1_distance(f, StepMap([(s, image[ha]) for s, ha
+                                    in common_refinement([h_hat, g])]))
         if best is None or d < best:
             best = d
     return best
@@ -410,13 +407,16 @@ def _gap_table(g_hat: StepMap, h_hat: StepMap, alphabet) -> tuple:
 
 
 def _image_row(v: WindowInjection, letters) -> list:
-    """The codes of v's images of the letters.
+    """The codes of v's images of the letters; not to be mutated.
 
     A sigma's row on a window is tau's window images with its moves written
     over them; where tau collides on the window it is read code by code, so
-    whatever apply_code does there is unchanged.
+    whatever apply_code does there is unchanged.  Any other value's row on
+    a window is its kept window_codes row.
     """
-    if isinstance(v, CycleApproxBijection) and isinstance(letters, range):
+    if isinstance(letters, range):
+        if not isinstance(v, CycleApproxBijection):
+            return v.window_codes(len(letters))
         try:
             return v.window_row(len(letters))
         except NonInjectiveOnWindow:

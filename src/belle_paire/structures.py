@@ -339,6 +339,8 @@ class WindowInjection:
         # 3.11's inline attribute values and slows every attribute read of
         # the rule (window-scan jobs ran 4-7% slower on a 2-core Xeon).
         self._key_memo = self._hash_memo = None
+        # the window size and codes of the last window_codes row
+        self._row_n, self._row = -1, None
 
     def point_of(self, k: int):
         """The point with code k; the point rules decode through it."""
@@ -369,11 +371,30 @@ class WindowInjection:
             raise ValueError(f"{self.description} is not presented as a bijection")
         return InverseInjection(self)
 
+    def window_codes(self, n: int) -> list:
+        """The codes of the images of the window codes [0, n), kept for the
+        last n asked.
+
+        Every whole-window reader of the rule (validate_window, the orbit
+        classifier's window, orbit_reduce, the gap's rows) shares this one
+        list, so the rule runs once per window code; no reader mutates it.
+        """
+        if self._row_n != n:
+            self._row = list(map(self.apply_code, range(n)))
+            self._row_n = n
+        return self._row
+
     def validate_window(self, n: int) -> None:
-        """Raise NonInjectiveOnWindow if two window points share an image."""
+        """Raise NonInjectiveOnWindow if two window points share an image.
+
+        The window row is walked only when it collides, to name the first
+        pair.
+        """
+        row = self.window_codes(n)
+        if len(set(row)) == n:
+            return
         seen = {}
-        for k in range(n):
-            y = self.apply_code(k)
+        for k, y in enumerate(row):
             if y in seen:
                 raise NonInjectiveOnWindow(*map(self.point_of, (seen[y], k, y)))
             seen[y] = k
@@ -422,6 +443,9 @@ class IdentityInjection(WindowInjection):
         return k
 
     preimage_code = apply_code
+
+    def validate_window(self, n):
+        """The identity never collides, so it keeps no window row for it."""
 
     def inverse(self):
         return self

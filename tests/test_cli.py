@@ -106,6 +106,29 @@ def test_approx_endo_applies_tau_once_per_window_code(capsys, monkeypatch):
         "d593672b2f92505712e8048d1910e65e28070a3068be071d5c3e00c633030ee8")
 
 
+def test_pair_certify_applies_each_injection_once_per_window_code(capsys, monkeypatch):
+    # validate_window, orbit_reduce, the classifier's window and the gap's
+    # h row all read the injection's one window_codes row
+    from collections import Counter
+
+    from belle_paire.structures import LinearInjection
+    applied = Counter()
+    apply_code = LinearInjection.apply_code
+
+    def counting(self, k):
+        applied[self] += 1
+        return apply_code(self, k)
+
+    monkeypatch.setattr(LinearInjection, "apply_code", counting)
+    code, out = run(capsys, "--window", "3000", "pair-certify",
+                    "--pair1", "fq2:identity", "--pair2", "fq2:shift")
+    assert code == 0
+    assert list(applied.values()) == [3000]
+    # the stdout recorded when each window code was applied five times
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c1c8bae8493d4d657ac21882246a98401edd2b28498635d698f5ad65c04b9aa")
+
+
 def test_malformed_table_payload_exits_2(capsys):
     code, _ = run(capsys, "approx-endo", "--endo", "table:[[0]]", "--n", "2")
     assert code == 2

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belle_paire import measure
 from belle_paire.measure import (
     _INTERNED,
     SWEEP_CACHE_SIZE,
@@ -629,6 +631,77 @@ def test_vertical_split_weights(s):
     assert parts[0].measure == s.measure / 3
     assert parts[0].union(parts[1]) == s
     assert parts[0].disjoint_from(parts[1])
+
+
+def reference_vertical_split(s, weights):
+    """vertical_split through Fraction rectangles and one from_rects sweep
+    per part, kept as a reference."""
+    ws = [Frac(w) for w in weights]
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be nonnegative")
+    if sum(ws, Frac(0)) != 1:
+        raise ValueError("weights must sum to 1")
+    cuts = [Frac(0)] + list(itertools.accumulate(ws))
+    parts = []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        rs = []
+        for lo, hi, ys in s.columns:
+            for c, d in ys:
+                y0, y1 = c + (d - c) * c0, c + (d - c) * c1
+                if y0 < y1:
+                    rs.append(Rect(lo, hi, y0, y1))
+        parts.append(RationalSet.from_rects(rs))
+    return parts
+
+
+@st.composite
+def split_weights(draw):
+    """Weights summing to 1, zeros and unequal denominators included."""
+    raw = draw(st.lists(st.one_of(st.just(Frac(0)),
+                                  st.fractions(min_value=0, max_value=1,
+                                               max_denominator=12)),
+                        min_size=1, max_size=5))
+    total = sum(raw, Frac(0))
+    if total == 0:
+        return raw[:-1] + [Frac(1)]
+    return [w / total for w in raw]
+
+
+@given(rational_sets(), split_weights())
+def test_vertical_split_matches_rect_reference(s, ws):
+    want = reference_vertical_split(s, ws)
+
+    def no_rect(*args, **kwargs):
+        raise AssertionError("vertical_split built a Rect")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "Rect", no_rect)
+        got = vertical_split(s, ws)
+    assert len(got) == len(want)
+    # equal sets are one object
+    assert all(part is ref for part, ref in zip(got, want))
+    assert sum((part.measure for part in got), Frac(0)) == s.measure
+
+
+def test_vertical_split_into_a_thousand_parts():
+    s = RationalSet.from_rects([Rect(Frac(0), Frac(1, 3), Frac(1, 5), Frac(4, 5)),
+                                Rect(Frac(1, 2), Frac(1), Frac(0), Frac(1, 7))])
+    ws = [Frac(1, 1000)] * 1000
+    got = vertical_split(s, ws)
+    assert all(part is ref for part, ref in zip(got, reference_vertical_split(s, ws)))
+    assert all(part.measure == s.measure / 1000 for part in got)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([Frac(3, 2), Frac(-1, 2)], "weights must be nonnegative"),
+    ([Frac(1, 3), Frac(1, 3)], "weights must sum to 1"),
+    ([], "weights must sum to 1"),
+])
+def test_vertical_split_refusals_match_reference(weights, message):
+    s = RationalSet.from_rect(0, Frac(1, 2), 0, 1)
+    for split in (vertical_split, reference_vertical_split):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            split(s, weights)
 
 
 def test_density_split_exact():

@@ -66,7 +66,8 @@ class OrbitClassifier:
         self._chains: dict = {}  # oid -> list of codes for rooted chains
         self._cycles: dict = {}  # oid -> list of codes in forward order
         self._next_oid = 0
-        self._img: dict = {}     # code -> code of tau's image of it
+        self._row: list = []     # tau's window row of the longest window laid out
+        self._img: dict = {}     # code -> code of tau's image, past _row
         self._points: dict = {}  # code -> decoded point
         self._ws_cache: dict = {}   # window size -> _Win
 
@@ -84,7 +85,11 @@ class OrbitClassifier:
                                     self.point(y))
 
     def tau_image(self, k: int) -> int:
-        """tau.apply_code(k) memoized; every sigma of the family asks for it."""
+        """tau.apply_code(k), read from the window row below its length and
+        memoized past it; every sigma of the family asks for it."""
+        row = self._row
+        if k < len(row):
+            return row[k]
         y = self._img.get(k)
         if y is None:
             y = self._img[k] = self.tau.apply_code(k)
@@ -181,6 +186,55 @@ class OrbitClassifier:
             chain.append(nxt)
         return chain[pos]
 
+    def _lay_out(self, tau_ids: list, tau_set: set) -> dict | None:
+        """Classify the window codes [0, n) in one pass over tau's window
+        row, leaving the state in-order classify would; or write nothing
+        and return None where that pass does not apply.
+
+        It applies to a classifier with no records and a tau injective on
+        the whole carrier, when every window code is a fixed point, a root
+        (no window code's image, and no preimage) or the image of a smaller
+        window code.  In-order classify then settles each code in one step
+        back, whatever MAX_STEPS.  Only the roots' preimages are read, after
+        the row has passed.  Returns each rooted chain's length by oid.
+        """
+        if self._cls or not self.tau.injective:
+            return None
+        n = len(tau_ids)
+        recs = [None] * n
+        roots, chains, cycles = [], {}, {}
+        oid = 0
+        for x in range(n):
+            if recs[x] is not None:
+                continue
+            y = tau_ids[x]
+            if y == x:
+                recs[x] = (_K_ORBIT, oid, 0)
+                cycles[oid] = [x]
+            elif x in tau_set:
+                return None  # the image of a larger window code
+            else:
+                roots.append(x)
+                recs[x] = (_K_SEMI, oid, 0)
+                chain = chains[oid] = [x]
+                p = x
+                # a step down ends the chain early; its target, unreached
+                # and in tau_set, then ends the pass
+                while p < y < n:
+                    recs[y] = (_K_SEMI, oid, len(chain))
+                    chain.append(y)
+                    p, y = y, tau_ids[y]
+            oid += 1
+        preimage = self.tau.preimage_code
+        for x in roots:
+            if preimage(x) is not None:
+                return None  # the chain enters from outside the window
+        self._cls.update(enumerate(recs))
+        self._chains.update(chains)
+        self._cycles.update(cycles)
+        self._next_oid = oid
+        return {o: len(c) for o, c in chains.items()}
+
     def window_struct(self, n: int) -> "_Win":
         """The _Win of the window [0, n), built once per n.
 
@@ -202,7 +256,11 @@ class _Win:
     through the window, each cut after its last window point, lie end to
     end in chain_ids, longest first; groups holds (start, count, length)
     for each run of chains of one length.  tau_ids is tau.window_codes(n),
-    shared with tau's other window readers, so nothing here writes to it.
+    shared with tau's other window readers and the classifier's tau_image,
+    so nothing here writes to it.
+
+    The codes are laid out in one pass over tau_ids where that pass applies
+    (OrbitClassifier._lay_out), and otherwise classified in code order.
     """
 
     __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
@@ -210,17 +268,22 @@ class _Win:
     def __init__(self, cls: OrbitClassifier, n: int):
         self.n = n
         self.tau_ids = cls.tau.window_codes(n)
-        cls._img.update(zip(range(n), self.tau_ids))
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:
             cls.tau.validate_window(n)  # names the first collision
-        # classify every point before reading chains: a later point can
-        # still extend a chain an earlier point lies on
-        recs = list(map(cls.classify, range(n)))
-        lengths: dict = {}  # oid -> 1 + last window position on the chain
-        for k, o, pos in recs:
-            if k == _K_SEMI and lengths.get(o, 0) <= pos:
-                lengths[o] = pos + 1
+        if n > len(cls._row):
+            cls._row = self.tau_ids
+        self.undet_widx = []
+        lengths = cls._lay_out(self.tau_ids, self.tau_set)
+        if lengths is None:
+            # classify every point before reading chains: a later point can
+            # still extend a chain an earlier point lies on
+            recs = list(map(cls.classify, range(n)))
+            lengths = {}  # oid -> 1 + last window position on the chain
+            for k, o, pos in recs:
+                if k == _K_SEMI and lengths.get(o, 0) <= pos:
+                    lengths[o] = pos + 1
+            self.undet_widx = [w for w, r in enumerate(recs) if r[0] == _K_UNDET]
         flat: list = []
         self.groups = []
         for length, oids in groupby(sorted(lengths, key=lengths.get, reverse=True),
@@ -230,7 +293,6 @@ class _Win:
             for o in oids:
                 flat += cls.chain(o)[:length]
         self.chain_ids = flat
-        self.undet_widx = [w for w, r in enumerate(recs) if r[0] == _K_UNDET]
 
 
 @dataclass(frozen=True)
@@ -465,6 +527,8 @@ class DefectProfile:
 
     @property
     def max_defect(self) -> int:
+        if not self.undetermined_codes:
+            return max(self.counts, default=0)
         und = set(self.undetermined_codes)
         return max((c for k, c in enumerate(self.counts) if k not in und),
                    default=0)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from belle_paire.structures import (
     TableInjection,
     WindowInjection,
     basis_shift_endo,
+    identity_endo,
     shift_endo,
     successor_endo,
     window_permutation,
@@ -215,31 +217,41 @@ def test_shared_classifier_validates_window_once():
     tau.apply_code = counted(tau.apply_code, applied)
     cls = OrbitClassifier(tau)
     # one tau image per window point, however many families share cls,
-    # and the window build leaves them all in the classifier's image memo
+    # and the classifier reads them off the window row, copying none
     for n in (3, 7, 3):
         sigmas = approximate_by_automorphisms(tau, n, cls)
         defect_profile(tau, sigmas, 256)
         assert all(s.window_bijectivity(256) for s in sigmas)
         assert sorted(applied) == list(range(256))
-        assert cls._img == {k: 2 * k for k in range(256)}
+        assert cls._img == {}
+        assert [cls.tau_image(k) for k in range(256)] == [2 * k for k in range(256)]
+        assert sorted(applied) == list(range(256))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}),
-    lambda: basis_shift_endo(2),
+@pytest.mark.parametrize("make, reads", [
+    (lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}), 600),
+    (lambda: basis_shift_endo(2), 300),
 ], ids=["table", "fq2-shift"])
-def test_classify_reads_each_preimage_once(make):
-    # the walk starts from the preimage the one-step path already read
+def test_classify_reads_each_preimage_once(make, reads):
+    # the walk starts from the preimage the one-step path already read; a
+    # window laid out in one pass reads only its roots' (the odd codes)
     tau = make()
     calls = []
     tau.preimage_code = counted(tau.preimage_code, calls)
     OrbitClassifier(tau).window_struct(600)
-    assert len(calls) == 600
+    assert len(calls) == reads
 
 
 class WalkClassifier(OrbitClassifier):
-    """The classifier before its one-step path: every unclassified code
-    starts the general backward walk."""
+    """The classifier before its one-step path and its one-pass window
+    layout: every unclassified code starts the general backward walk, and
+    a window classifies its codes 0..n-1 one at a time."""
+
+    def window_struct(self, n):
+        ws = self._ws_cache.get(n)
+        if ws is None:
+            ws = self._ws_cache[n] = reference_window(self, n)
+        return ws
 
     def classify(self, x: int):
         got = self._cls.get(x)
@@ -289,6 +301,30 @@ class WalkClassifier(OrbitClassifier):
             path_pos[prev] = len(path) - 1
 
 
+def reference_window(cls, n):
+    """The window [0, n) from in-order classify: its rooted chains, each cut
+    after its last window point, longest first, runs of one length grouped."""
+    tau_ids = [cls.tau.apply_code(k) for k in range(n)]
+    if len(set(tau_ids)) < n:
+        cls.tau.validate_window(n)
+    recs = [cls.classify(k) for k in range(n)]
+    lengths = {}
+    for kind, o, pos in recs:
+        if kind == approx._K_SEMI:
+            lengths[o] = max(lengths.get(o, 0), pos + 1)
+    chain_ids, groups = [], []
+    for o in sorted(lengths, key=lambda o: -lengths[o]):
+        if groups and groups[-1][2] == lengths[o]:
+            groups[-1][1] += 1
+        else:
+            groups.append([len(chain_ids), 1, lengths[o]])
+        chain_ids += cls.chain(o)[:lengths[o]]
+    return SimpleNamespace(
+        n=n, tau_ids=tau_ids, tau_set=set(tau_ids), chain_ids=chain_ids,
+        groups=list(map(tuple, groups)),
+        undet_widx=[w for w, r in enumerate(recs) if r[0] == approx._K_UNDET])
+
+
 def stray_chain():
     """Successor whose rule sends 3 to 5, while 4 still reads 3 as its
     preimage: extending 0's chain past 3 leaves 4 no place on it."""
@@ -330,6 +366,62 @@ def test_one_step_classify_matches_the_walk(tau, budget, monkeypatch):
     random.Random(budget).shuffle(order)
     assert (_classify_all(OrbitClassifier(tau), order)
             == _classify_all(WalkClassifier(tau), order))
+
+
+WINDOW_TAUS = FAST_PATH_TAUS + [
+    identity_endo(),
+    # 1000 goes to 6: the chain of 6 enters the window from outside it
+    successor_endo().compose(window_permutation(_NAT, {5: 1000, 1000: 5})),
+    # 20 goes to 5: the chain of 0 descends
+    shift_endo(2).compose(window_permutation(_NAT, {3: 20, 20: 3})),
+]
+
+
+def _window_state(cls, n):
+    ws = cls.window_struct(n)
+    return (ws.chain_ids, ws.groups, ws.undet_widx, cls._cls, cls._chains,
+            cls._cycles, cls._next_oid, cls.has_undetermined)
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
+def test_window_layout_matches_in_order_classify(tau, used, budget, monkeypatch):
+    # the one-pass layout and its fallback leave the state, chains and
+    # groups of in-order classify, on fresh classifiers and used ones
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    states = []
+    for make in (OrbitClassifier, WalkClassifier):
+        cls = make(tau)
+        if used:
+            list(map(cls.classify, range(650, 550, -7)))
+        states.append([_window_state(cls, 600), _window_state(cls, 900)])
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("tau, one_pass", [
+    (successor_endo(), True),
+    (shift_endo(2), True),
+    (basis_shift_endo(2), True),
+    (basis_shift_endo(3), True),
+    (identity_endo(), True),
+    (identity_endo(_F2), True),
+    (window_permutation(_NAT, {2: 450, 450: 7, 7: 2}), False),  # a 3-cycle
+    (TableInjection(_NAT, {5: 900}), False),  # injective on a window only
+    (WINDOW_TAUS[-2], False),
+    (WINDOW_TAUS[-1], False),
+], ids=lambda v: v.description if isinstance(v, WindowInjection) else None)
+def test_window_layout_classifies_only_where_the_pass_fails(tau, one_pass,
+                                                             monkeypatch):
+    calls = []
+    classify = OrbitClassifier.classify
+    monkeypatch.setattr(OrbitClassifier, "classify",
+                        lambda self, x: calls.append(x) or classify(self, x))
+    cls = OrbitClassifier(tau)
+    cls.window_struct(600)
+    assert calls == ([] if one_pass else list(range(600)))
+    cls.window_struct(700)  # the classifier now holds records
+    assert calls[-700:] == list(range(700))
 
 
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product as iter_product
-from operator import ne
+from operator import mul, ne
 from typing import NamedTuple
 
 from .measure import (Frac, RationalSet, StepMap, _frac, _table,
@@ -264,41 +264,37 @@ def approximate_random_endo(h_hat: StepMap, reps, eps, window: int,
     return Certificate(g_hat, bound, eps, window, tuple(lines))
 
 
-def _candidates(hs, alphabet) -> list:
-    """The codes of the preimages of the alphabet (codes) under the
-    injections hs, each once."""
-    candidates = []
-    seen = set()
-    for h in hs:
-        for v in alphabet:
-            a = h.preimage_code(v)
-            if a is not None and a not in seen:
-                seen.add(a)
-                candidates.append(a)
-    return candidates
-
-
-def _best_cover(n: int, runs: list, choices) -> list:
-    """Per column, the most slice length covered by the keys of one choice."""
-    best = [0] * n
+def _cover(widths: list, runs: list, choices) -> int:
+    """The integral, over den**2, of the most slice length covered by the
+    keys of one choice, taken per column."""
+    best = [0] * len(widths)
     for ks in choices:
-        cover = [0] * n
+        cover = [0] * len(widths)
         for k in ks:
             for i, length in runs[k]:
                 cover[i] += length
         best = list(map(max, best, cover))
-    return best
+    return sum(map(mul, widths, best))
 
 
-def _agree(kx: list, images: list, wanted: list) -> list:
-    """The keys k whose value kx[k] sends the candidate to wanted[k]."""
-    return [k for k, (i, y) in enumerate(zip(kx, wanted)) if images[i] == y]
-
-
-def _uncovered(den: int, widths: list, runs: list, choices) -> int:
-    """The integral, over den**2, of what the best choice leaves uncovered."""
-    best = _best_cover(len(widths), runs, choices)
-    return sum(w * (den - b) for w, b in zip(widths, best))
+def _uncovered(den: int, widths: list, runs: list, values, kv: list,
+               wanted: list) -> int:
+    """The integral, over den**2, of what the best image point leaves
+    uncovered, key k being covered by a code that values[kv[k]] sends to
+    wanted[k].  Only the preimages of the wanted codes are tried, each
+    once; any other point covers nothing."""
+    choices = []
+    seen = set()
+    targets = set(wanted)
+    for v in values:
+        for y in targets:
+            a = v.preimage_code(y)
+            if a is not None and a not in seen:
+                seen.add(a)
+                images = [w.apply_code(a) for w in values]
+                choices.append([k for k, (i, z) in enumerate(zip(kv, wanted))
+                                if images[i] == z])
+    return den * den - _cover(widths, runs, choices)
 
 
 def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
@@ -314,11 +310,9 @@ def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
     code = validate_random_endo(h_hat).index_of
     den, widths, keys, runs = _table([f, h_hat])
     fcode = list(map(code, f.values()))  # f's values are distinct
-    hs = h_hat.values()
-    wanted = [(fcode[i], hs[j]) for i, j in keys]
-    choices = [[k for k, (y, h) in enumerate(wanted) if h.apply_code(a) == y]
-               for a in _candidates(hs, set(fcode))]
-    return Frac(_uncovered(den, widths, runs, choices), den * den)
+    return Frac(_uncovered(den, widths, runs, h_hat.values(),
+                           [j for _, j in keys], [fcode[i] for i, _ in keys]),
+                den * den)
 
 
 def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
@@ -348,26 +342,33 @@ def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,
 
     Probes assign one alphabet value per strip, and the strips must tile
     [0, 1); the distance is additive across strips, so the maximum is the
-    sum of per-strip worst cases, read off one refinement that takes the
-    strips as a third map.  Returns (max distance, witness probe).
+    sum of per-strip worst cases, read off the disagreement table of a gap
+    table that takes the strips as a third map.  Returns (max distance,
+    witness probe), the witness taking each strip's lowest-index worst
+    letter, alphabet[0] where none disagrees.
     """
-    codes = list(map(validate_random_endo(g_hat).index_of, alphabet))
     strip_map = StepMap.from_vertical_strips(
         (lo, hi, j) for j, (lo, hi) in enumerate(strips))
-    pieces = common_refinement([g_hat, h_hat, strip_map])
-    total = Frac(0)
-    witness = []
-    for j, (lo, hi) in enumerate(strips):
-        here = [(s.measure, g, h) for s, (g, h, i) in pieces if i == j]
-        best, best_i = Frac(0), 0
-        for i, a in enumerate(codes):
-            d = sum((m for m, g, h in here
-                     if g.apply_code(a) != h.apply_code(a)), Frac(0))
-            if d > best:
-                best, best_i = d, i
-        total += best
-        witness.append((lo, hi, alphabet[best_i]))
-    return total, StepMap.from_vertical_strips(witness)
+    gap = _gap_table([g_hat, h_hat, strip_map], alphabet)
+    den, widths, keys, runs = gap[3:]
+    strip_of = [strip_map.values()[s] for _, _, s in keys]
+    area = [sum(widths[i] * length for i, length in r) for r in runs]
+    best = [0] * len(strips)
+    worst = [0] * len(strips)
+    # distinct disagreement sets in order of their first letter: a strict
+    # improvement keeps the lowest-index worst letter
+    first: dict = {}
+    for a, m in enumerate(_disagreements(gap)):
+        first.setdefault(m, a)
+    for m, a in first.items():
+        d = [0] * len(strips)
+        for k in _bits(m):
+            d[strip_of[k]] += area[k]
+        for j in range(len(strips)):
+            if d[j] > best[j]:
+                best[j], worst[j] = d[j], a
+    witness = [(lo, hi, alphabet[a]) for (lo, hi), a in zip(strips, worst)]
+    return Frac(sum(best), den * den), StepMap.from_vertical_strips(witness)
 
 
 class GapBounds(NamedTuple):
@@ -385,25 +386,24 @@ def hausdorff_gap(g_hat: StepMap, h_hat: StepMap, alphabet) -> GapBounds:
     distance to the other image, a true lower bound.  Both read one table
     of (g, h) runs; a certificate reads only the upper part.
     """
-    gap = _gap_table(g_hat, h_hat, alphabet)
+    gap = _gap_table([g_hat, h_hat], alphabet)
     return GapBounds(_gap_upper(gap), _gap_lower(gap))
 
 
-def _gap_table(g_hat: StepMap, h_hat: StepMap, alphabet) -> tuple:
-    """(g values, h values, letter codes, den, widths, keys, runs), the one
-    table of (g, h) runs that both gap bounds read.
-
-    The cover at each omega is intrinsic, so reading it on this finer
-    partition changes nothing.  An int alphabet is the window range(n).
-    """
+def _gap_table(maps: list, alphabet) -> tuple:
+    """(g values, h values, letter codes, den, widths, keys, runs): the one
+    table of runs of g_hat and h_hat (maps[:2], on one carrier), and of the
+    strips for strip probes, that every per-letter distance reads.  The
+    cover at each omega is intrinsic, so reading it on this finer partition
+    changes nothing.  An int alphabet is the window range(n)."""
+    g_hat, h_hat = maps[:2]
     dom = validate_random_endo(g_hat)
     if validate_random_endo(h_hat) != dom:
         raise StructuralMismatch("carriers differ")
     # letters, images and candidates are all codes
     letters = (range(alphabet) if isinstance(alphabet, int)
                else list(map(dom.index_of, alphabet)))
-    return (g_hat.values(), h_hat.values(), letters,
-            *_table([g_hat, h_hat]))
+    return (g_hat.values(), h_hat.values(), letters, *_table(maps))
 
 
 def _image_row(v: WindowInjection, letters) -> list:
@@ -424,31 +424,34 @@ def _image_row(v: WindowInjection, letters) -> list:
     return list(map(v.apply_code, letters))
 
 
-def _gap_upper(gap: tuple) -> Fraction:
-    """hausdorff_gap's upper bound on its table.
+def _disagreements(gap: tuple) -> list:
+    """bad[a]: bit k set when key k's g and h disagree at letter a.
 
-    bad[a] has bit k set when key k's g and h disagree at letter a: an int
-    per letter, most of them small and shared, where a tuple of keys per
-    letter took 48 MB more at window 10^6.  Rows are built one value at a
-    time, each h row once and each g row once per h it meets, and the best
-    cover runs over the distinct bad sets only.
+    An int per letter, most of them small and shared, where a tuple of keys
+    per letter took 48 MB more at window 10^6.  Each h row is built once
+    and each g row once per h it meets, whatever else the keys tell apart.
     """
-    gs, hs, letters, den, widths, keys, runs = gap
+    gs, hs, letters, _, _, keys, _ = gap
+    by_h: dict = {}
+    for k, (i, j, *_) in enumerate(keys):
+        by_g = by_h.setdefault(j, {})
+        by_g[i] = by_g.get(i, 0) | 1 << k
     bad = [0] * len(letters)
     at = range(len(letters))
-    by_h: dict = {}
-    for k, (i, j) in enumerate(keys):
-        by_h.setdefault(j, []).append((i, k))
-    for j, partners in by_h.items():
+    for j, by_g in by_h.items():
         h_row = _image_row(hs[j], letters)
-        for i, k in partners:
-            bit = 1 << k
+        for i, bits in by_g.items():
             for a in compress(at, map(ne, _image_row(gs[i], letters), h_row)):
-                bad[a] |= bit
-    choices = [_bits(m) for m in set(bad) if m]
-    upper = sum(w * b for w, b in
-                zip(widths, _best_cover(len(widths), runs, choices)))
-    return Frac(upper, den * den)
+                bad[a] |= bits
+    return bad
+
+
+def _gap_upper(gap: tuple) -> Fraction:
+    """hausdorff_gap's upper bound on its table: the best cover over the
+    distinct disagreement sets."""
+    den, widths, _, runs = gap[3:]
+    choices = [_bits(m) for m in set(_disagreements(gap)) if m]
+    return Frac(_cover(widths, runs, choices), den * den)
 
 
 def _bits(m: int) -> list:
@@ -464,23 +467,18 @@ def _bits(m: int) -> list:
 def _gap_lower(gap: tuple) -> Fraction:
     """hausdorff_gap's lower bound on its table: the constant probes."""
     gs, hs, letters, den, widths, keys, runs = gap
-    # a step map's values are distinct, so each g and h is applied once per
-    # letter and per candidate; kg[k], kh[k] are key k's cell indices
+    # the probe a scores g_hat(a) against h_hat's image and h_hat(a) against
+    # g_hat's; kg[k], kh[k] are key k's cell indices, and a step map's
+    # values are distinct, so each g and h is applied once per letter
     kg = [i for i, _ in keys]
     kh = [j for _, j in keys]
     lower = 0
     for a in letters:
         g_im = [g.apply_code(a) for g in gs]
         h_im = [h.apply_code(a) for h in hs]
-        ga, ha = [g_im[i] for i in kg], [h_im[j] for j in kh]
-        # the constant probe a: g_hat(a) against the image of h_hat, and
-        # h_hat(a) against the image of g_hat
-        to_h = [_agree(kh, [h.apply_code(b) for h in hs], ga)
-                for b in _candidates(hs, set(ga))]
-        to_g = [_agree(kg, [g.apply_code(b) for g in gs], ha)
-                for b in _candidates(gs, set(ha))]
-        lower = max(lower, _uncovered(den, widths, runs, to_h),
-                    _uncovered(den, widths, runs, to_g))
+        lower = max(lower,
+                    _uncovered(den, widths, runs, hs, kh, [g_im[i] for i in kg]),
+                    _uncovered(den, widths, runs, gs, kg, [h_im[j] for j in kh]))
     return Frac(lower, den * den)
 
 
@@ -550,7 +548,7 @@ def certify_epsilon_isomorphism(pair1: PairModel, pair2: PairModel, eps,
     approx = approximate_random_endo(pair2.image, None, eps, pair1.window)
     inv1 = pair1.image.map_values(lambda v: v.inverse())
     g_hat = compose_random_endos(approx.g_hat, inv1)
-    gap = _gap_table(approx.g_hat, pair2.image, pair1.window)
+    gap = _gap_table([approx.g_hat, pair2.image], pair1.window)
     upper = _gap_upper(gap)
     if upper > eps:
         # the lower bound is computed only as a refusal's evidence

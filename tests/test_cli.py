@@ -300,7 +300,7 @@ def test_certificate_computes_no_lower_bound(capsys, monkeypatch, pairs):
             "--pair1", pairs[0], "--pair2", pairs[1]]
     (case,) = [c for c in FROZEN_CLI if c["argv"] == argv]
     monkeypatch.setattr(random_endo, "_gap_lower", refuse)
-    monkeypatch.setattr(random_endo, "_candidates", refuse)
+    monkeypatch.setattr(random_endo, "_uncovered", refuse)
     assert run(capsys, *argv) == (0, case["stdout"])
 
 

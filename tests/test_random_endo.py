@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import count
 
@@ -47,6 +48,7 @@ from belle_paire.structures import (
     IdentityInjection,
     NaturalNumbers,
     NonInjectiveOnWindow,
+    ShiftInjection,
     TableInjection,
     basis_shift_endo,
     identity_endo,
@@ -426,12 +428,18 @@ def _descriptions(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(endo_maps, endo_maps, cut_points(), st.integers(1, 8))
-def test_max_strip_probe_distance_matches_reference(g_hat, h_hat, cuts, n):
+@given(endo_maps, endo_maps, cut_points(),
+       st.one_of(st.integers(1, 8),
+                 st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)))
+def test_max_strip_probe_distance_matches_reference(g_hat, h_hat, cuts, alphabet):
+    # an int stands for the window range(n); a list is unordered points, so
+    # the witness is the lowest-index worst letter, not the smallest point
+    if isinstance(alphabet, int):
+        alphabet = range(alphabet)
     strips = list(zip(cuts, cuts[1:]))
-    total, witness = max_strip_probe_distance(g_hat, h_hat, strips, range(n))
+    total, witness = max_strip_probe_distance(g_hat, h_hat, strips, alphabet)
     want, want_witness = reference_max_strip_probe_distance(
-        g_hat, h_hat, strips, range(n))
+        g_hat, h_hat, strips, alphabet)
     assert total == want
     assert witness == want_witness
 
@@ -461,6 +469,40 @@ def test_max_strip_probe_distance_additive():
     d = l1_distance(apply_random_endo(g_hat, witness),
                     apply_random_endo(h_hat, witness))
     assert d == total
+
+
+def test_max_strip_probe_distance_refuses_mismatched_carriers():
+    g_hat = constant_endo(identity_endo(NAT))
+    h_hat = constant_endo(basis_shift_endo(2))
+    with pytest.raises(StructuralMismatch):
+        hausdorff_gap(g_hat, h_hat, 5)
+    with pytest.raises(StructuralMismatch):
+        max_strip_probe_distance(g_hat, h_hat, [(0, 1)], range(5))
+
+
+def test_max_strip_probe_builds_each_g_row_once_per_h(monkeypatch):
+    # shift 2 meets the successor and the identity, shift 3 only the
+    # identity; six strips split every (g, h) piece but build no more rows
+    applied = Counter()
+    apply_code = ShiftInjection.apply_code
+
+    def counting(self, k):
+        applied[self.description] += 1
+        return apply_code(self, k)
+
+    monkeypatch.setattr(ShiftInjection, "apply_code", counting)
+    g_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 2), shift_endo(2)), (Frac(1, 2), 1, shift_endo(3))])
+    h_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 4), successor_endo()), (Frac(1, 4), 1, identity_endo(NAT))])
+    cuts = [Frac(k, 6) for k in range(7)]
+    alphabet = [4, 0, 7, 2, 9]
+    total, _ = max_strip_probe_distance(g_hat, h_hat,
+                                        list(zip(cuts, cuts[1:])), alphabet)
+    assert total == 1
+    assert applied == {shift_endo(2).description: 2 * len(alphabet),
+                       shift_endo(3).description: len(alphabet),
+                       successor_endo().description: len(alphabet)}
 
 
 def test_max_strip_probe_witness_is_attained():

@@ -80,7 +80,11 @@ class PermGroupPresentation:
     def approximate(self, h_hat: StepMap, eps, window: int) -> Certificate:
         if validate_random_endo(h_hat) != self.domain:
             raise StructuralMismatch("random endo lives on a different carrier")
-        return self.approximator(h_hat, _frac(eps), window)
+        # the one eps check: approximators and their parts get eps > 0
+        eps = _frac(eps)
+        if eps <= 0:
+            raise ValueError("eps must be a positive rational")
+        return self.approximator(h_hat, eps, window)
 
     def __repr__(self):
         return f"<group {self.name} on {self.domain.describe()}>"
@@ -150,9 +154,6 @@ def direct_product(G: PermGroupPresentation,
             f"product approximator needs componentwise values, got {v!r}")
 
     def approx(h_hat, eps, window):
-        eps = _frac(eps)
-        if eps <= 0:
-            raise ValueError("eps must be a positive rational")
         lefts = h_hat.map_values(lambda v: split(v)[0])
         rights = h_hat.map_values(lambda v: split(v)[1])
         cl = G.approximator(lefts, eps / 2, window)
@@ -219,9 +220,6 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
             f"wreath approximator needs wreath-shaped values, got {v!r}")
 
     def approx(h_hat, eps, window):
-        eps = _frac(eps)
-        if eps <= 0:
-            raise ValueError("eps must be a positive rational")
         w = h_hat.map_values(shape)
         ch = H.approximator(w.map_values(lambda v: v.h_part), eps / 2, window)
         parts = [w, ch.g_hat]
@@ -297,9 +295,6 @@ def finite_index_supergroup(H: PermGroupPresentation,
         return None
 
     def approx(h_hat, eps, window):
-        eps = _frac(eps)
-        if eps <= 0:
-            raise ValueError("eps must be a positive rational")
         for rep in reps:
             if not rep.window_bijectivity(window):
                 raise ValueError(f"coset rep {rep!r} is not window-bijective")

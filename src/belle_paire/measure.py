@@ -452,13 +452,6 @@ class Profile:
                     total += (b - a) * v
         return total
 
-    def add(self, other: "Profile") -> "Profile":
-        xs = sorted(self.breakpoints() | other.breakpoints())
-        pieces = []
-        for lo, hi in zip(xs, xs[1:]):
-            pieces.append((lo, hi, self.at(lo) + other.at(lo)))
-        return Profile(pieces)
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for _, _, v in self._pieces)
 
@@ -518,11 +511,32 @@ class DensityMismatch(ValueError):
             f"[{lo},{hi})")
 
 
+def _walk(pieces, xs, empty) -> list:
+    """Per interval [lo, hi) of consecutive xs, the value v of the piece
+    (x0, x1, v) that covers it, or empty.
+
+    pieces are sorted and disjoint, and their ends are among xs.
+    """
+    out, i = [], 0
+    for lo in xs[:-1]:
+        while i < len(pieces) and pieces[i][1] <= lo:
+            i += 1
+        out.append(pieces[i][2] if i < len(pieces) and pieces[i][0] <= lo
+                   else empty)
+    return out
+
+
 def density_split(s: RationalSet, densities: Sequence) -> list[RationalSet]:
     """Split s into parts whose omega slices have prescribed step densities.
 
     densities are Profiles; they must be nonnegative and sum, at every
     omega, to the slice measure of s exactly.
+
+    The cut runs on s's int columns over one denominator den, with every
+    density piece read as ints over den.  The sum is checked on every
+    interval between the joint breakpoints of the columns and the pieces
+    (off them, both sides are zero); on each, part q takes its share off
+    the bottom of what parts 0..q-1 left of the slice.
     """
     profs = list(densities)
     for p in profs:
@@ -530,31 +544,33 @@ def density_split(s: RationalSet, densities: Sequence) -> list[RationalSet]:
             raise TypeError(f"density must be a Profile, got {p!r}")
         if not p.is_nonnegative():
             raise ValueError("densities must be nonnegative")
-    xs = sorted({x for lo, hi, _ in s.columns for x in (lo, hi)}
-                | set().union(*[p.breakpoints() for p in profs])
-                | {ZERO, ONE})
-    parts_rects: list[list[Rect]] = [[] for _ in profs]
-    for lo, hi in zip(xs, xs[1:]):
-        ys = s.slice_at(lo)
-        height = _ys_total(ys)
-        vals = [p.at(lo) for p in profs]
-        if sum(vals, ZERO) != height:
-            raise DensityMismatch(lo, hi, height, sum(vals, ZERO))
-        # stack the slice intervals and cut off each density's share in turn
-        stack = list(ys)
-        si = 0
-        cur = stack[0][0] if stack else None
+    den = lcm(s._den, *(x.denominator for p in profs
+                        for piece in p.pieces for x in piece))
+    f = den // s._den
+    cols = [(lo * f, hi * f, tuple((c * f, d * f) for c, d in ys))
+            for lo, hi, ys in s._cols]
+    dens = [[tuple(_num(x, den) for x in piece) for piece in p.pieces]
+            for p in profs]
+    xs = sorted({x for x0, x1, _ in chain(cols, *dens) for x in (x0, x1)})
+    steps = zip(_walk(cols, xs, ()), *(_walk(d, xs, 0) for d in dens))
+    parts: list[list] = [[] for _ in profs]
+    for lo, hi, (ys, *vals) in zip(xs, xs[1:], steps):
+        height, total = sum(d - c for c, d in ys), sum(vals)
+        if total != height:
+            raise DensityMismatch(Fraction(lo, den), Fraction(hi, den),
+                                  Fraction(height, den), Fraction(total, den))
+        stack = iter(ys)
+        c, d = next(stack, (0, 0))
         for q, need in enumerate(vals):
-            while need > 0:
-                c, d = stack[si]
-                take = min(need, d - cur)
-                parts_rects[q].append(Rect(lo, hi, cur, cur + take))
-                cur += take
-                need -= take
-                if cur == d and si + 1 < len(stack):
-                    si += 1
-                    cur = stack[si][0]
-    return [RationalSet.from_rects(rs) for rs in parts_rects]
+            cut = []
+            while need:
+                take = min(need, d - c)
+                cut.append((c, c + take))
+                c, need = c + take, need - take
+                if c == d:
+                    c, d = next(stack, (d, d))
+            parts[q].append((lo, hi, tuple(cut)))
+    return [_reduced(den, _normalize_columns(cs)) for cs in parts]
 
 
 class StepMap:
@@ -775,21 +791,6 @@ def _layout(sets: tuple) -> _Layout:
 def _layout_of(maps: Sequence[StepMap]) -> _Layout:
     """The layout of the maps' cell sets."""
     return _layout(tuple(m._sets for m in maps))
-
-
-def _columns(maps: Sequence[StepMap]) -> tuple:
-    """The maps' values along one sweep of their joint omega breakpoints.
-
-    Returns (den, cols): den is the lcm of the cells' denominators, and cols
-    holds, for each elementary omega column [lo, hi) (ints over den), the
-    runs (c, d, values) that tile the column's slice [0, den) in order of c,
-    values[k] being maps[k]'s value on the run.
-    """
-    lay = _layout_of(maps)
-    vals = [m._values for m in maps]
-    return lay.den, [(lo, hi, [(c, d, tuple(map(getitem, vals, key)))
-                               for c, d, key in runs])
-                     for lo, hi, runs in lay.runs]
 
 
 def _table(maps: Sequence[StepMap]) -> tuple:

@@ -2,26 +2,25 @@
 
 A realization spec lists groups (home set A_c, pieces (a_q, delta_q)); the
 densities of a group must add up, at every omega, to the slice measure of
-its home set, and the home sets partition the square.  Assembly splits each
-home along its densities and labels the parts; the probability identity
-mu[pred(f) on B meet A_c] = sum of integral(delta_q over B) for the
-satisfying q then holds exactly and is re-checked from scratch by
-verify_probability_identity.
+its home set, and the home sets partition the square.  The spec splits each
+home along its densities, which checks them, and assembly labels the parts;
+the probability identity mu[pred(f) on B meet A_c] = sum of
+integral(delta_q over B) for the satisfying q then holds exactly and is
+re-checked from scratch by verify_probability_identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from .measure import (
-    Profile,
+    DensityMismatch,
     RationalSet,
-    Rect,
     StepMap,
     ZERO,
-    _columns,
+    _layout_of,
     density_split,
-    slice_profile,
 )
 
 __all__ = [
@@ -37,7 +36,7 @@ class RealizationSpec:
     """Groups of (home set, [(value, density)]) with exact marginals."""
 
     def __init__(self, groups):
-        norm = []
+        norm, parts = [], []
         for gi, (home, pieces) in enumerate(groups):
             if not isinstance(home, RationalSet):
                 raise ValueError(f"group {gi}: home set must be a RationalSet")
@@ -47,21 +46,15 @@ class RealizationSpec:
             vals = [v for v, _ in pieces]
             if len(set(vals)) != len(vals):
                 raise ValueError(f"group {gi} repeats a target value")
-            for v, p in pieces:
-                if not isinstance(p, Profile):
-                    raise TypeError(f"density must be a Profile, got {p!r}")
-                if not p.is_nonnegative():
-                    raise ValueError(f"group {gi}, value {v!r}: "
-                                     "density must be nonnegative")
-            total = Profile()
-            for _, p in pieces:
-                total = total.add(p)
-            want = slice_profile(home)
-            if total != want:
-                lo, hi = _first_difference(total, want)
+            try:
+                parts.append(density_split(home, [p for _, p in pieces]))
+            except DensityMismatch as e:
+                lo, hi = e.interval
                 raise ValueError(
                     f"group {gi}: density sum mismatch on [{lo},{hi}): "
-                    f"expected {want.at(lo)}, got {total.at(lo)}")
+                    f"expected {e.expected}, got {e.got}") from None
+            except ValueError as e:
+                raise ValueError(f"group {gi}: {e}") from None
             norm.append((home, pieces))
         acc = RationalSet.empty()
         for gi, (home, _) in enumerate(norm):
@@ -71,24 +64,17 @@ class RealizationSpec:
         if acc != RationalSet.unit_square():
             raise ValueError("home sets must partition the unit square")
         self.groups = tuple(norm)
+        # each group's home set split along its densities, in piece order
+        self._parts = tuple(parts)
 
     def values(self) -> list:
         return [v for _, pieces in self.groups for v, _ in pieces]
 
 
-def _first_difference(p: Profile, q: Profile) -> tuple:
-    xs = sorted(p.breakpoints() | q.breakpoints() | {ZERO, Fraction(1)})
-    for lo, hi in zip(xs, xs[1:]):
-        if p.at(lo) != q.at(lo):
-            return lo, hi
-    raise AssertionError("profiles differ but no differing interval found")
-
-
 def assemble_realization(spec: RealizationSpec) -> StepMap:
     """f = a_q exactly on the density-split part A_q of each home set."""
     cells = []
-    for home, pieces in spec.groups:
-        parts = density_split(home, [p for _, p in pieces])
+    for (_, pieces), parts in zip(spec.groups, spec._parts):
         for (v, p), part in zip(pieces, parts):
             if not part.is_empty:
                 cells.append((part, v))
@@ -122,9 +108,8 @@ class RealizationReport:
 
 
 def _require_vertical(b: RationalSet):
-    rebuilt = RationalSet.from_rects(
-        [Rect(lo, hi, ZERO, Fraction(1)) for lo, hi in b.omega_shadow()])
-    if rebuilt != b:
+    # a union of vertical strips has the whole of [0, 1) as every slice
+    if any(ys != ((0, b._den),) for _, _, ys in b._cols):
         raise ValueError("event sets must be unions of vertical strips")
 
 
@@ -139,18 +124,18 @@ def verify_probability_identity(f: StepMap, spec: RealizationSpec,
     events = list(events)
     for b, _ in events:
         _require_vertical(b)
-    # one sweep of f against the home sets and every event's indicator:
-    # each left-hand side sums the areas of the value tuples it selects
+    # one layout of f, the home sets and every event's indicator: each
+    # left-hand side sums the areas of the index tuples whose values it
+    # selects
     homes = StepMap([(home, ci) for ci, (home, _) in enumerate(spec.groups)])
     square = RationalSet.unit_square()
     inside = [StepMap([(b, True), (square.subtract(b), False)]) for b, _ in events]
-    den, cols = _columns([f, homes] + inside)
-    area: dict = {}
-    for lo, hi, runs in cols:
-        for c, d, key in runs:
-            area[key] = area.get(key, 0) + (hi - lo) * (d - c)
+    maps = [f, homes, *inside]
+    lay = _layout_of(maps)
+    vals = [m._values for m in maps]
     lhs = [[0] * len(spec.groups) for _ in events]
-    for (v, ci, *flags), a in area.items():
+    for key, a in lay.areas:
+        v, ci, *flags = map(getitem, vals, key)
         for ei, (_, pred) in enumerate(events):
             if flags[ei] and pred(v):
                 lhs[ei][ci] += a
@@ -160,5 +145,6 @@ def verify_probability_identity(f: StepMap, spec: RealizationSpec,
         for ci, (home, pieces) in enumerate(spec.groups):
             rhs = sum((p.integral_over(shadow)
                        for v, p in pieces if pred(v)), ZERO)
-            rows.append(ReportRow(ei, ci, Fraction(lhs[ei][ci], den * den), rhs))
+            rows.append(ReportRow(ei, ci, Fraction(lhs[ei][ci], lay.den ** 2),
+                                  rhs))
     return RealizationReport(all(r.matches for r in rows), tuple(rows))

@@ -525,6 +525,18 @@ def test_bad_eps_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("eps", [["--eps", "0"], ["--eps=-1/4"]],
+                         ids=["zero", "negative"])
+@pytest.mark.parametrize("expr", ["pure", "product(pure,pure)",
+                                  "wreath(pure,pure,m=2)",
+                                  "findex(parity,reps=shift2)"])
+def test_compose_nonpositive_eps_exits_2(capsys, expr, eps):
+    # a bare -1/4 would read as a flag, hence --eps=-1/4
+    code = main([*eps, "compose", "--expr", expr])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: eps must be a positive rational\n")
+
+
 def _pair_file(rect, injection, structure="nat"):
     return {"structure": structure, "window": 100,
             "image": {"cells": [[{"rects": [rect]}, injection]]}}
@@ -597,6 +609,7 @@ OPTIMIZE_CASES = [
       "--pair2", "fq2:shift", "--obstruction",
       '{"q": 2, "dim": 2, "grid": 2, "subspace": [[1, 0]]}'], 1),
     (["--grid", "3", "search", "--q", "2", "--dim", "2"], 0),
+    (["--seed", "7", "realize"], 0),
 ] + [(argv, 2) for argv in MENDED_INPUTS.values()]
 
 
@@ -604,7 +617,7 @@ OPTIMIZE_CASES = [
                          ids=["approx-endo-fq", "table-collision",
                               "table-off-window-collision", "pair-certify-fq2",
                               "pair-certify-fq2-obstruction", "search",
-                              *MENDED_INPUTS])
+                              "realize", *MENDED_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     # no check of the program lives in an assert, so python -O prints the
     # same bytes and exits with the same code

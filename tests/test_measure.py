@@ -11,27 +11,31 @@ from hypothesis import strategies as st
 from belle_paire import measure
 from belle_paire.measure import (
     _INTERNED,
+    ONE,
     SWEEP_CACHE_SIZE,
+    ZERO,
     DensityMismatch,
     Frac,
     Profile,
     RationalSet,
     Rect,
     StepMap,
-    _columns,
     _layout,
+    _layout_of,
     _normalize_columns,
     _num,
     _reduced,
     _table,
     _ys_intersect,
     _ys_subtract,
+    _ys_total,
     common_refinement,
     density_split,
     l1_distance,
     slice_profile,
     vertical_split,
 )
+from belle_paire.sampling import SampleStream
 
 from conftest import fracs01, grid_step_maps, rational_sets, rects, step_maps
 
@@ -289,9 +293,7 @@ def test_profile_canonical():
 def test_profile_arithmetic():
     p = Profile([(Frac(0), Frac(1, 2), Frac(1))])
     q = Profile([(Frac(1, 4), Frac(1), Frac(2))])
-    s = p.add(q)
-    assert s.integral() == p.integral() + q.integral()
-    assert s.at(Frac(3, 8)) == 3
+    assert p.at(Frac(3, 8)) + q.at(Frac(3, 8)) == 3
     assert p.integral_over([(Frac(1, 4), Frac(3, 4))]) == Frac(1, 4)
 
 
@@ -351,7 +353,8 @@ def test_common_refinement_matches_pairwise_reference(maps):
 @given(st.lists(st.one_of(step_maps(), grid_step_maps()), min_size=1, max_size=3))
 @settings(max_examples=150)
 def test_columns_tile_the_square(maps):
-    den, cols = _columns(maps)
+    lay = _layout_of(maps)
+    den, cols = lay.den, lay.runs
     # the columns tile [0, den) in omega, and in every column the runs tile
     # [0, den) in omega' without a gap or an overlap
     assert [lo for lo, _, _ in cols] == [0] + [hi for _, hi, _ in cols[:-1]]
@@ -360,18 +363,22 @@ def test_columns_tile_the_square(maps):
         assert lo < hi
         assert [c for c, _, _ in runs] == [0] + [d for _, d, _ in runs[:-1]]
         assert runs[-1][1] == den
-        for c, d, values in runs:
+        for c, d, key in runs:
             assert c < d
             # each run carries every map's value at its corner
             x, y = Frac(lo, den), Frac(c, den)
-            assert values == tuple(m.value_at(x, y) for m in maps)
+            assert tuple(m.values()[i] for m, i in zip(maps, key)) == tuple(
+                m.value_at(x, y) for m in maps)
 
 
 def test_columns_read_one_denominator():
     f = StepMap.from_vertical_strips([(0, Frac(1, 2), "a"), (Frac(1, 2), 1, "b")])
     g = StepMap.from_horizontal_strips([(0, Frac(1, 3), 0), (Frac(1, 3), 1, 1)])
-    assert _columns([f, g]) == (6, [(0, 3, [(0, 2, ("a", 0)), (2, 6, ("a", 1))]),
-                                    (3, 6, [(0, 2, ("b", 0)), (2, 6, ("b", 1))])])
+    lay = _layout_of([f, g])
+    cols = [(lo, hi, [(c, d, (f.values()[i], g.values()[j])) for c, d, (i, j) in runs])
+            for lo, hi, runs in lay.runs]
+    assert (lay.den, cols) == (6, [(0, 3, [(0, 2, ("a", 0)), (2, 6, ("a", 1))]),
+                                   (3, 6, [(0, 2, ("b", 0)), (2, 6, ("b", 1))])])
 
 
 def _rect(x0, x1, y0, y1):
@@ -440,7 +447,6 @@ def test_equal_set_tuples_share_one_sweep():
     g = StepMap.from_horizontal_strips([(0, Frac(1, 4), "a"), (Frac(1, 4), 1, "b")])
     pieces = common_refinement([f, g])
     l1_distance(f, g)
-    _columns([f, g])
     _table([f, g])
     again = common_refinement([f, g])
     assert again == pieces and again is not pieces
@@ -536,7 +542,7 @@ def test_kept_sweeps_change_no_result(maps):
     # each result with a cleared cache, then again from the kept layout
     for compute in (lambda: common_refinement(maps),
                     lambda: l1_distance(maps[0], maps[1]),
-                    lambda: _columns(maps)):
+                    lambda: _table(maps)):
         _layout.cache_clear()
         cold = compute()
         hits = _layout.cache_info().hits
@@ -567,27 +573,35 @@ def test_kept_layouts_never_leak_values(m, g, data):
     fused[i] = vals[j]
     computations = (lambda f: common_refinement([f, g]),
                     lambda f: l1_distance(f, g),
-                    lambda f: _columns([f, g]))
+                    lambda f: _table([f, g]))
     _layout.cache_clear()
     for f in (m, StepMap(zip(sets, vals[1:] + vals[:1])), StepMap(zip(sets, fused))):
         warm = [compute(f) for compute in computations]
         _layout.cache_clear()
         assert [compute(f) for compute in computations] == warm
         den, at = _pointwise([f, g])
-        pieces, dist, (cden, cols) = warm
+        pieces, dist, (cden, widths, keys, runs) = warm
         assert {key: s for s, key in pieces} == {
             key: RationalSet.from_rects(
                 Rect(Frac(a, den), Frac(a + 1, den), Frac(b, den), Frac(b + 1, den))
                 for (a, b), k in at.items() if k == key)
             for key in set(at.values())}
         assert dist == Frac(sum(x != y for x, y in at.values()), den * den)
-        # the sweep's lcm is the grid's, and every grid cell inside a run
-        # carries the run's values
+        # the sweep's lcm is the grid's, and in every grid column of an
+        # omega column, each key's value tuple covers as many grid cells as
+        # the table gives it
         assert cden == den
-        for lo, hi, runs in cols:
-            for c, d, key in runs:
-                assert all(at[a, b] == key
-                           for a in range(lo, hi) for b in range(c, d))
+        starts = [0, *itertools.accumulate(widths)]
+        assert starts[-1] == den
+        lengths: dict = {}
+        for key, ls in zip(keys, runs):
+            vals = tuple(m.values()[k] for m, k in zip((f, g), key))
+            for i, length in ls:
+                lengths.setdefault(i, {})[vals] = length
+        for i in range(len(widths)):
+            for a in range(starts[i], starts[i + 1]):
+                column = [at[a, b] for b in range(den)]
+                assert {v: column.count(v) for v in set(column)} == lengths[i]
 
 
 @given(grid_step_maps(), rational_sets(), st.integers(0, 3))
@@ -702,6 +716,122 @@ def test_vertical_split_refusals_match_reference(weights, message):
     for split in (vertical_split, reference_vertical_split):
         with pytest.raises(ValueError, match=f"^{message}$"):
             split(s, weights)
+
+
+def reference_density_split(s: RationalSet, densities) -> list[RationalSet]:
+    """density_split through Fraction rectangles, slice_at, Profile.at and
+    one from_rects sweep per part, kept as a reference."""
+    profs = list(densities)
+    for p in profs:
+        if not isinstance(p, Profile):
+            raise TypeError(f"density must be a Profile, got {p!r}")
+        if not p.is_nonnegative():
+            raise ValueError("densities must be nonnegative")
+    xs = sorted({x for lo, hi, _ in s.columns for x in (lo, hi)}
+                | set().union(*[p.breakpoints() for p in profs])
+                | {ZERO, ONE})
+    parts_rects: list[list[Rect]] = [[] for _ in profs]
+    for lo, hi in zip(xs, xs[1:]):
+        ys = s.slice_at(lo)
+        height = _ys_total(ys)
+        vals = [p.at(lo) for p in profs]
+        if sum(vals, ZERO) != height:
+            raise DensityMismatch(lo, hi, height, sum(vals, ZERO))
+        # stack the slice intervals and cut off each density's share in turn
+        stack = list(ys)
+        si = 0
+        cur = stack[0][0] if stack else None
+        for q, need in enumerate(vals):
+            while need > 0:
+                c, d = stack[si]
+                take = min(need, d - cur)
+                parts_rects[q].append(Rect(lo, hi, cur, cur + take))
+                cur += take
+                need -= take
+                if cur == d and si + 1 < len(stack):
+                    si += 1
+                    cur = stack[si][0]
+    return [RationalSet.from_rects(rs) for rs in parts_rects]
+
+
+def int_density_split(s, densities):
+    """density_split with Rect, from_rects, slice_at and Profile.at refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("density_split left the int columns")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "Rect", refuse)
+        mp.setattr(RationalSet, "from_rects", refuse)
+        mp.setattr(RationalSet, "slice_at", refuse)
+        mp.setattr(Profile, "at", refuse)
+        return density_split(s, densities)
+
+
+@st.composite
+def sliced_densities(draw):
+    """(s, densities): one to four multi-piece densities summing to s's
+    slice, with breakpoints inside s's columns, in the gaps between them
+    and at random points."""
+    s = draw(rational_sets())
+    ends = sorted({ZERO, ONE} | {x for lo, hi, _ in s.columns for x in (lo, hi)})
+    mids = {(a + b) / 2 for a, b in zip(ends, ends[1:])}
+    xs = sorted(set(ends) | mids | set(draw(st.lists(fracs01, max_size=3))))
+    k = draw(st.integers(1, 4))
+    pieces: list[list] = [[] for _ in range(k)]
+    for lo, hi in zip(xs, xs[1:]):
+        height = _ys_total(s.slice_at(lo))
+        ws = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        ws[-1] += not any(ws)
+        for q, w in enumerate(ws):
+            pieces[q].append((lo, hi, height * w / sum(ws)))
+    return s, [Profile(p) for p in pieces]
+
+
+def _parts_are_the_reference(s, densities):
+    want = reference_density_split(s, densities)
+    got = int_density_split(s, densities)
+    assert len(got) == len(want)
+    # equal sets are one object
+    assert all(part is ref for part, ref in zip(got, want))
+    assert [slice_profile(part) for part in got] == densities
+
+
+@given(st.integers(0, 10 ** 6))
+def test_density_split_matches_rect_reference_on_sampled_instances(seed):
+    _parts_are_the_reference(*SampleStream(seed).density_split_instance())
+
+
+@given(sliced_densities())
+def test_density_split_matches_rect_reference_on_multi_piece_densities(case):
+    _parts_are_the_reference(*case)
+
+
+_HALF_SQUARE = RationalSet.from_rects([Rect(Frac(0), Frac(1, 4), Frac(0), Frac(1)),
+                                       Rect(Frac(1, 2), Frac(1), Frac(0), Frac(1, 2))])
+
+
+@pytest.mark.parametrize("s, densities", [
+    # a wrong type
+    (RationalSet.unit_square(), [Profile.constant(1), "1"]),
+    # a negative density
+    (RationalSet.unit_square(),
+     [Profile.constant(Frac(3, 2)), Profile.constant(Frac(-1, 2))]),
+    # sum mismatches inside a column, in the gap between two columns,
+    # before the first column and past the last one
+    (RationalSet.unit_square(),
+     [Profile.constant(Frac(1, 2)), Profile.constant(Frac(1, 3))]),
+    (_HALF_SQUARE, [Profile([(0, Frac(1, 4), 1), (Frac(1, 3), Frac(1, 2), Frac(1, 3)),
+                             (Frac(1, 2), 1, Frac(1, 2))])]),
+    (RationalSet.vertical_strip(Frac(1, 2), 1), [Profile([(Frac(1, 4), 1, 1)])]),
+    (RationalSet.vertical_strip(0, Frac(1, 2)), [Profile.constant(1)]),
+], ids=["type", "negative", "column", "gap", "before", "past"])
+def test_density_split_refusals_match_reference(s, densities):
+    raised = []
+    for split in (density_split, reference_density_split):
+        with pytest.raises((TypeError, ValueError)) as info:
+            split(s, densities)
+        raised.append((type(info.value), str(info.value), vars(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_density_split_exact():

@@ -68,9 +68,22 @@ def test_spec_rejects_repeated_values_within_group():
 
 def test_spec_rejects_negative_density():
     s = RationalSet.unit_square()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^group 0: densities must be nonnegative$"):
         RealizationSpec([(s, [("a", Profile.constant(Frac(3, 2))),
                               ("b", Profile.constant(Frac(-1, 2)))])])
+
+
+def test_spec_names_the_first_mismatching_interval():
+    # the densities' breakpoint at 1/2 cancels in their sum, and the
+    # mismatch is named on the first interval between any two breakpoints
+    s = RationalSet.unit_square()
+    a = Profile([(0, Frac(1, 2), Frac(1, 4)), (Frac(1, 2), 1, Frac(1, 2))])
+    b = Profile([(0, Frac(1, 2), Frac(1, 2)), (Frac(1, 2), 1, Frac(1, 4))])
+    with pytest.raises(ValueError) as info:
+        RealizationSpec([(s, [("a", a), ("b", b)])])
+    assert type(info.value) is ValueError
+    assert str(info.value) == ("group 0: density sum mismatch on [0,1/2): "
+                               "expected 1, got 3/4")
 
 
 def test_assemble_measures_match_densities():

@@ -23,7 +23,13 @@ immutable, so a kept layout is exactly the one that would be recomputed.
 Values enter only after the lookup, and grouping by index is grouping by
 value: a step map fuses equal values, so the cells of one map carry
 pairwise distinct values.  Step maps built on the same cells with other
-values (a brute-force scoring, say) share one layout.
+values share one layout.
+
+A step map's canonical form is kept the same way, per tuple of per-value
+cell-set tuples (see _form): its tiling verdict, its fused sets in
+canonical order and that order.  A construction on cells grouped as one
+before (a brute-force scoring, say, whose every assignment groups a few
+pieces by image) does one lookup, and the maps share their set tuple.
 
 Everything the public API returns (columns, rects, slices, shadows,
 measures) is a Fraction.
@@ -590,13 +596,10 @@ class StepMap:
                 raise ValueError("cell supports must be RationalSet")
             if s._cols:
                 by_value.setdefault(v, []).append(s)
-        sets = tuple(ss[0] if len(ss) == 1 else _layout((tuple(ss),)).union
-                     for ss in by_value.values())
-        refusal, order = _layout((sets,)).tiling
+        refusal, self._sets, order = _form(tuple(map(tuple, by_value.values())))
         if refusal:
             raise ValueError(refusal)
         values = tuple(by_value)
-        self._sets = tuple(map(sets.__getitem__, order))
         self._values = tuple(map(values.__getitem__, order))
         self._cells = tuple(zip(self._sets, self._values))
         self._hash = None
@@ -774,10 +777,12 @@ class _Layout:
         return widths, tuple(index), tuple(tuple(ls.items()) for ls in per_key)
 
 
-# Layouts kept by _layout.  An oracle job (criterion 08's brute force) reads
-# about 1,050 layouts of about 12 cell-set tuples; over 200 such jobs,
-# keeping 128, 256 or 512 left 2,482, 1,833 or 1,603 layouts of 210,019 to
-# compute, with peak RSS 18.9, 19.1 and 19.7 MB.
+# Layouts kept by _layout, and forms kept by _form, each for this many
+# keys.  An oracle job (criterion 08's brute force) looks up about 220
+# layouts of about 9 cell-set tuples and about 220 forms of about 6
+# groupings; over 200 such jobs, keeping 128, 256 or 512 left 1,589, 1,547
+# or 1,523 layouts of 44,214 and 244, 243 or 243 forms of 43,800 to
+# compute, with peak RSS 19.0, 19.4 and 20.1 MB.
 SWEEP_CACHE_SIZE = 256
 
 
@@ -786,6 +791,21 @@ def _layout(sets: tuple) -> _Layout:
     """The layout of a tuple of cell-set tuples, kept for the last
     SWEEP_CACHE_SIZE tuples (see the module docstring)."""
     return _Layout(sets)
+
+
+@lru_cache(maxsize=SWEEP_CACHE_SIZE)
+def _form(groups: tuple) -> tuple:
+    """(refusal, sets, order): a StepMap's canonical form on its cells
+    grouped by value, groups[i] holding the cells of its i-th value.
+
+    sets[k] is the union of group order[k], in canonical order; refusal is
+    the tiling's.  Kept for the last SWEEP_CACHE_SIZE groupings, so a
+    construction on grouped cells met before does one lookup.
+    """
+    sets = tuple(ss[0] if len(ss) == 1 else _layout((ss,)).union
+                 for ss in groups)
+    refusal, order = _layout((sets,)).tiling
+    return refusal, tuple(map(sets.__getitem__, order)), order
 
 
 def _layout_of(maps: Sequence[StepMap]) -> _Layout:

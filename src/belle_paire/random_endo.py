@@ -320,20 +320,27 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     """Oracle: minimize l1_distance(f, h_hat(g)) over all strip maps g.
 
     g ranges over every assignment of pool values to the given omega strips;
-    feasible only for tiny pools and strip counts.
+    feasible only for tiny pools and strip counts.  The pool must not be
+    empty, and the strips must tile [0, 1) (StepMap's tiling ValueError
+    otherwise).
+
+    h_hat is refined against the strips once: on each piece, h_hat(g) is
+    the piece's injection applied to the pool point of the piece's strip,
+    so each injection is applied to each pool point once, and each
+    assignment, an index tuple over the pool, builds one image map.  Equal
+    images fuse, so the map is the one of the refinement against g.
     """
     validate_random_endo(h_hat)
-    sets = [RationalSet.vertical_strip(lo, hi) for lo, hi in strips]
-    # each value of h_hat applied to each pool point once, not per assignment
-    image = {(h, a): h.apply(a) for h in h_hat.values() for a in pool}
-    best = None
-    for combo in iter_product(pool, repeat=len(strips)):
-        g = StepMap(zip(sets, combo))
-        d = l1_distance(f, StepMap([(s, image[ha]) for s, ha
-                                    in common_refinement([h_hat, g])]))
-        if best is None or d < best:
-            best = d
-    return best
+    if not pool:
+        raise ValueError("brute force needs a non-empty pool")
+    strip_map = StepMap.from_vertical_strips(
+        (lo, hi, j) for j, (lo, hi) in enumerate(strips))
+    rows = {h: [h.apply(a) for a in pool] for h in h_hat.values()}
+    pieces = [(s, j, rows[h])
+              for s, (h, j) in common_refinement([h_hat, strip_map])]
+    return min(l1_distance(f, StepMap([(s, row[combo[j]])
+                                       for s, j, row in pieces]))
+               for combo in iter_product(range(len(pool)), repeat=len(strips)))
 
 
 def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,

@@ -20,6 +20,7 @@ from belle_paire.measure import (
     RationalSet,
     Rect,
     StepMap,
+    _form,
     _layout,
     _layout_of,
     _normalize_columns,
@@ -37,7 +38,7 @@ from belle_paire.measure import (
 )
 from belle_paire.sampling import SampleStream
 
-from conftest import fracs01, grid_step_maps, rational_sets, rects, step_maps
+from conftest import cut_points, fracs01, grid_step_maps, rational_sets, rects, step_maps
 
 
 def reference_refinement(maps):
@@ -410,12 +411,88 @@ def test_step_map_refusals_match_reference(cells, message):
 @pytest.mark.parametrize("cells, message",
                          [(c, m) for c, m in STEP_MAP_REFUSALS if m is not None])
 def test_step_map_refusals_hold_on_a_kept_sweep(cells, message):
-    # the second construction reads the first one's layout and still refuses
+    # the second construction reads the first one's kept form and still
+    # refuses
+    _form.cache_clear()
     _layout.cache_clear()
     assert refusal(cells) == message
-    hits = _layout.cache_info().hits
+    hits = _form.cache_info().hits
     assert refusal(cells) == message
-    assert _layout.cache_info().hits > hits
+    assert _form.cache_info().hits > hits
+
+
+def reference_step_map(cells):
+    """StepMap's (cells, values) or refusal, its unions and tiling looked
+    up per construction, kept as a reference."""
+    by_value: dict = {}
+    for s, v in cells:
+        if s._cols:
+            by_value.setdefault(v, []).append(s)
+    sets = tuple(ss[0] if len(ss) == 1 else _layout((tuple(ss),)).union
+                 for ss in by_value.values())
+    refusal, order = _layout((sets,)).tiling
+    if refusal:
+        return refusal
+    values = tuple(by_value)
+    sets = tuple(map(sets.__getitem__, order))
+    values = tuple(map(values.__getitem__, order))
+    return tuple(zip(sets, values)), values
+
+
+def built(cells):
+    try:
+        m = StepMap(cells)
+    except ValueError as e:
+        return str(e)
+    return m.cells, m.values()
+
+
+@st.composite
+def grid_cell_lists(draw):
+    """Cells of a grid with repeated values, shuffled, and now and then one
+    cell dropped, repeated with another value, or joined by an empty cell."""
+    xs = draw(cut_points(den=6, max_cuts=2))
+    ys = draw(cut_points(den=4, max_cuts=2))
+    cells = [(RationalSet.from_rect(x0, x1, y0, y1), draw(st.integers(0, 2)))
+             for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])]
+    cells = draw(st.permutations(cells))
+    i = draw(st.integers(0, len(cells) - 1))
+    change = draw(st.sampled_from(["none", "drop", "repeat", "empty"]))
+    if change == "drop":
+        del cells[i]
+    elif change == "repeat":
+        cells.append((cells[i][0], draw(st.integers(0, 3))))
+    elif change == "empty":
+        cells.insert(i, (RationalSet.empty(), 9))
+    return cells
+
+
+@given(grid_cell_lists())
+@settings(max_examples=150)
+def test_kept_forms_match_reference(cells):
+    want = reference_step_map(cells)
+    _form.cache_clear()
+    assert built(cells) == want
+    assert built(cells) == want
+
+
+@pytest.mark.parametrize("cells, message", STEP_MAP_REFUSALS)
+def test_kept_forms_match_reference_on_refusals(cells, message):
+    want = reference_step_map(cells)
+    if message is not None:
+        assert want == message
+    _form.cache_clear()
+    assert built(cells) == want
+    assert built(cells) == want
+
+
+def test_equal_groupings_share_their_sets():
+    a, b, c = (RationalSet.vertical_strip(lo, hi) for lo, hi in
+               [(0, Frac(1, 3)), (Frac(1, 3), Frac(1, 2)), (Frac(1, 2), 1)])
+    m = StepMap([(a, 0), (b, 1), (c, 0)])
+    n = StepMap([(a, "x"), (b, "y"), (c, "x")])
+    assert n._sets is m._sets
+    assert n.values() == ("x", "y") and m.values() == (0, 1)
 
 
 def _only_tuples(x):

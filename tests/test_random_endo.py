@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +361,85 @@ def test_brute_force_builds_each_strip_once(monkeypatch):
                                   list(range(4)))
     assert d == Frac(1, 2)
     assert sorted(built) == strips
+
+
+def reference_brute_force_dist_to_image(f, h_hat, strips, pool):
+    """The brute force with one g map and one refinement of h_hat against
+    it per assignment, kept as a reference."""
+    validate_random_endo(h_hat)
+    sets = [RationalSet.vertical_strip(lo, hi) for lo, hi in strips]
+    image = {(h, a): h.apply(a) for h in h_hat.values() for a in pool}
+    best = None
+    for combo in product(pool, repeat=len(strips)):
+        g = StepMap(zip(sets, combo))
+        d = l1_distance(f, StepMap([(s, image[ha]) for s, ha
+                                    in common_refinement([h_hat, g])]))
+        if best is None or d < best:
+            best = d
+    return best
+
+
+# identity(2) == successor(1) == shift(2)(0): distinct pool points share an
+# image across cells, so the image maps of distinct assignments fuse
+ORACLE_VALUES = [identity_endo(NAT), successor_endo(), shift_endo(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_step_maps(alphabet=3), grid_step_maps(alphabet=4),
+       cut_points(den=5, max_cuts=2),
+       st.lists(st.integers(0, 4), min_size=1, max_size=6))
+def test_brute_force_matches_reference(h_cells, f, cuts, pool):
+    # h_hat's cells sit on the 1/6 grid and the strips on the 1/5 grid, so
+    # the strips cut h_hat's cells off its breakpoints
+    h_hat = h_cells.map_values(ORACLE_VALUES.__getitem__)
+    strips = list(zip(cuts, cuts[1:]))
+    assert brute_force_dist_to_image(f, h_hat, strips, pool) == \
+        reference_brute_force_dist_to_image(f, h_hat, strips, pool)
+
+
+def test_brute_force_refines_once(monkeypatch):
+    refinements = []
+    built = []
+
+    def counting_refinement(maps):
+        refinements.append(maps)
+        return common_refinement(maps)
+
+    class CountingStepMap(StepMap):
+        def __init__(self, cells):
+            built.append(self)
+            super().__init__(cells)
+
+    monkeypatch.setattr(random_endo, "common_refinement", counting_refinement)
+    monkeypatch.setattr(random_endo, "StepMap", CountingStepMap)
+    h_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 3), successor_endo()), (Frac(1, 3), 1, identity_endo(NAT))])
+    f = StepMap.from_vertical_strips([(0, Frac(1, 2), 1), (Frac(1, 2), 1, 2)])
+    strips = [(Frac(0), Frac(1, 4)), (Frac(1, 4), Frac(2, 3)), (Frac(2, 3), Frac(1))]
+    pool = [0, 1, 2, 3]
+    d = brute_force_dist_to_image(f, h_hat, strips, pool)
+    assert d == reference_brute_force_dist_to_image(f, h_hat, strips, pool)
+    assert len(refinements) == 1
+    # the strip map, then one image map per assignment
+    assert len(built) == 1 + len(pool) ** len(strips)
+
+
+def test_brute_force_refuses_an_empty_pool_and_untiled_strips(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an assignment was scored")
+
+    monkeypatch.setattr(random_endo, "l1_distance", refuse)
+    h_hat = constant_endo(successor_endo())
+    with pytest.raises(ValueError, match="non-empty pool"):
+        brute_force_dist_to_image(StepMap.constant(0), h_hat, [(0, 1)], [])
+    # strips that miss part of the square, or overlap, refuse before the loop
+    with pytest.raises(ValueError, match="cells measure 1/2, expected 1"):
+        brute_force_dist_to_image(StepMap.constant(0), h_hat,
+                                  [(0, Frac(1, 2))], [0, 1])
+    with pytest.raises(ValueError, match="cells overlap"):
+        brute_force_dist_to_image(StepMap.constant(0), h_hat,
+                                  [(0, Frac(1, 2)), (Frac(1, 4), Frac(3, 4))],
+                                  [0, 1])
 
 
 def reference_max_strip_probe_distance(g_hat, h_hat, strips, alphabet):

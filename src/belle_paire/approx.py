@@ -18,9 +18,10 @@ undetermined and never guessed.
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import chain, compress, groupby, islice
 
 from .measure import Frac, StepMap
 from .structures import NonInjectiveOnWindow, WindowInjection
@@ -57,19 +58,24 @@ class OrbitClassifier:
     tau's code rules, so the walk builds no point; point() decodes a code
     where a caller reads it, once per code.  has_undetermined says whether
     any code has been classified undetermined.
+
+    A code's record is (kind code, oid, position): in the flat lists
+    _kind, _oid and _pos for the codes [0, _n) of the largest window laid
+    out, in _far past it.  Rooted chain oid has _clen[oid] codes, the first
+    _cut[oid] at _start[oid] in _ids (window _n's chain_ids), the rest in
+    _tail[oid].  _cycles holds the cycles of two or more codes.  Every oid
+    has a _clen entry, so len(_clen) is the next oid.  _row is tau's row of
+    the longest window, _img its images past it, _points the decoded points
+    and _ws_cache the _Win per window size.
     """
 
     def __init__(self, tau: WindowInjection):
         self.tau = tau
-        self.has_undetermined = False
-        self._cls: dict = {}     # code -> (kind code, oid, position)
-        self._chains: dict = {}  # oid -> list of codes for rooted chains
-        self._cycles: dict = {}  # oid -> list of codes in forward order
-        self._next_oid = 0
-        self._row: list = []     # tau's window row of the longest window laid out
-        self._img: dict = {}     # code -> code of tau's image, past _row
-        self._points: dict = {}  # code -> decoded point
-        self._ws_cache: dict = {}   # window size -> _Win
+        self.has_undetermined, self._n = False, 0
+        self._kind, self._oid, self._pos = [], [], []
+        self._clen, self._ids, self._start, self._cut = [], [], [], []
+        self._far, self._tail, self._cycles = {}, {}, {}
+        self._row, self._img, self._points, self._ws_cache = [], {}, {}, {}
 
     def point(self, k: int):
         """The point with code k, decoded once per classifier."""
@@ -95,151 +101,167 @@ class OrbitClassifier:
             y = self._img[k] = self.tau.apply_code(k)
         return y
 
+    def _record(self, x: int):
+        if x < len(self._kind):
+            kind = self._kind[x]
+            return None if kind is None else (kind, self._oid[x], self._pos[x])
+        return self._far.get(x)
+
     def classify(self, x: int):
-        got = self._cls.get(x)
-        if got is not None:
-            return got
-        # one step back settles most codes: x roots a new chain, or x
-        # extends the rooted chain that ends at its preimage
-        prev = self.tau.preimage_code(x)
-        if prev is None:
-            oid = self._next_oid
-            self._next_oid += 1
-            self._chains[oid] = [x]
-            rec = self._cls[x] = (_K_SEMI, oid, 0)
-            return rec
-        known = self._cls.get(prev)
-        if known is not None and known[0] == _K_SEMI:
-            chain = self._chains[known[1]]
-            if len(chain) == known[2] + 1:
-                chain.append(x)
-                rec = self._cls[x] = (_K_SEMI, known[1], known[2] + 1)
-                return rec
-        return self._walk(x, prev)
+        rec = self._record(x)
+        if rec is None:
+            rec, codes = self._walk(x, self.tau.preimage_code(x))
+            if rec[0] == _K_SEMI:
+                self._tail.setdefault(rec[1], []).extend(codes)
+        return rec
 
     def _walk(self, x: int, prev: int | None):
         """Classify x, whose preimage code is prev, by walking back from it,
-        up to MAX_STEPS steps."""
-        preimage = self.tau.preimage_code
-        path = [x]
-        path_pos = {x: 0}
-        while True:
-            if len(path) > MAX_STEPS:
-                return self._undetermined(path)
-            if prev is None:
-                oid = self._next_oid
-                self._next_oid += 1
-                chain = list(reversed(path))
-                self._chains[oid] = chain
-                for pos, p in enumerate(chain):
-                    self._cls[p] = (_K_SEMI, oid, pos)
-                return self._cls[x]
-            known = self._cls.get(prev)
+        up to MAX_STEPS steps; writes the walked codes' records and returns
+        x's record and those codes in chain order."""
+        path, seen, known = [x], {x}, None
+        while len(path) <= MAX_STEPS and prev is not None and prev not in seen:
+            known = self._record(prev)
             if known is not None:
-                kind, oid, pos = known
-                if kind == _K_SEMI:
-                    chain = self._chains[oid]
-                    if len(chain) != pos + 1:
-                        raise self._collision(chain[pos + 1], path[-1],
-                                              self.tau_image(prev))
-                    for off, p in enumerate(reversed(path), start=1):
-                        chain.append(p)
-                        self._cls[p] = (_K_SEMI, oid, pos + off)
-                    return self._cls[x]
-                if kind == _K_ORBIT:
-                    # a backward walk can only enter a cycle if two points
-                    # share an image, i.e. the rule is not injective
-                    raise self._collision(path[-1], None, self.tau_image(prev))
-                return self._undetermined(path)
-            if prev in path_pos:
-                if prev != x:
-                    raise self._collision(path[-1], None, prev)
-                oid = self._next_oid
-                self._next_oid += 1
-                cyc = list(reversed(path))
-                self._cycles[oid] = cyc
-                for pos, p in enumerate(cyc):
-                    self._cls[p] = (_K_ORBIT, oid, pos)
-                return self._cls[x]
+                break
             path.append(prev)
-            path_pos[prev] = len(path) - 1
-            prev = preimage(prev)
-
-    def _undetermined(self, path: list) -> tuple:
-        self.has_undetermined = True
-        rec = (_K_UNDET, -1, -1)
+            seen.add(prev)
+            prev = self.tau.preimage_code(prev)
+        if known is not None:
+            kind, oid, pos = known
+            if kind == _K_SEMI:
+                pos += 1
+                if self._clen[oid] != pos:
+                    raise self._collision(self.chain_point(oid, pos), path[-1],
+                                          self.tau_image(prev))
+            elif kind == _K_ORBIT:  # only two codes with one image lead into a cycle
+                raise self._collision(path[-1], None, self.tau_image(prev))
+        elif len(path) > MAX_STEPS:
+            kind, oid, pos = _K_UNDET, -1, -1
+        elif prev is not None and prev != x:
+            raise self._collision(path[-1], None, prev)
+        else:  # the chain roots at path[-1], or the cycle closes at x
+            kind, oid, pos = _K_SEMI if prev is None else _K_ORBIT, len(self._clen), 0
+            self._clen.append(0)
+            if prev is not None and len(path) > 1:
+                self._cycles[oid] = tuple(reversed(path))
+        path.reverse()
+        if kind == _K_SEMI:
+            self._clen[oid] += len(path)
+        self.has_undetermined |= kind == _K_UNDET
+        K, O, P, step = self._kind, self._oid, self._pos, kind != _K_UNDET
         for p in path:
-            self._cls[p] = rec
-        return rec
-
-    def chain(self, oid) -> list:
-        return self._chains[oid]
-
-    def chain_point(self, oid, pos: int) -> int:
-        """Code at a chain position, extending forward with tau as needed."""
-        chain = self._chains[oid]
-        while len(chain) <= pos:
-            nxt = self.tau_image(chain[-1])
-            rec = self._cls.get(nxt)
-            if rec is None:
-                self._cls[nxt] = (_K_SEMI, oid, len(chain))
-            chain.append(nxt)
-        return chain[pos]
-
-    def _lay_out(self, tau_ids: list, tau_set: set) -> dict | None:
-        """Classify the window codes [0, n) in one pass over tau's window
-        row, leaving the state in-order classify would; or write nothing
-        and return None where that pass does not apply.
-
-        It applies to a classifier with no records and a tau injective on
-        the whole carrier, when every window code is a fixed point, a root
-        (no window code's image, and no preimage) or the image of a smaller
-        window code.  In-order classify then settles each code in one step
-        back, whatever MAX_STEPS.  Only the roots' preimages are read, after
-        the row has passed.  Returns each rooted chain's length by oid.
-        """
-        if self._cls or not self.tau.injective:
-            return None
-        n = len(tau_ids)
-        recs = [None] * n
-        roots, chains, cycles = [], {}, {}
-        oid = 0
-        for x in range(n):
-            if recs[x] is not None:
-                continue
-            y = tau_ids[x]
-            if y == x:
-                recs[x] = (_K_ORBIT, oid, 0)
-                cycles[oid] = [x]
-            elif x in tau_set:
-                return None  # the image of a larger window code
+            if p < len(K):
+                K[p], O[p], P[p] = kind, oid, pos
             else:
-                roots.append(x)
-                recs[x] = (_K_SEMI, oid, 0)
-                chain = chains[oid] = [x]
-                p = x
-                # a step down ends the chain early; its target, unreached
-                # and in tau_set, then ends the pass
-                while p < y < n:
-                    recs[y] = (_K_SEMI, oid, len(chain))
-                    chain.append(y)
-                    p, y = y, tau_ids[y]
-            oid += 1
-        preimage = self.tau.preimage_code
-        for x in roots:
-            if preimage(x) is not None:
-                return None  # the chain enters from outside the window
-        self._cls.update(enumerate(recs))
-        self._chains.update(chains)
-        self._cycles.update(cycles)
-        self._next_oid = oid
-        return {o: len(c) for o, c in chains.items()}
+                self._far[p] = (kind, oid, pos)
+            pos += step
+        return self._record(x), path
+
+    def _span(self, oid: int) -> tuple:
+        """(start, length) of the part of chain oid that _ids holds."""
+        return (self._start[oid], self._cut[oid]) if oid < len(self._cut) else (0, 0)
+
+    def chain_point(self, oid: int, pos: int) -> int:
+        """Code at a chain position, extending forward with tau as needed; a
+        code that a layout in progress has added is found by its record."""
+        start, cut = self._span(oid)
+        if pos < cut:
+            return self._ids[start + pos]
+        tail = self._tail.setdefault(oid, [])
+        if cut + len(tail) <= pos < self._clen[oid]:
+            return next(c for c in chain(range(len(self._kind)), self._far)
+                        if self._record(c) == (_K_SEMI, oid, pos))
+        while len(tail) <= pos - cut:
+            nxt = self.tau_image(tail[-1] if tail else self._ids[start + cut - 1])
+            if nxt >= self._n:
+                self._far.setdefault(nxt, (_K_SEMI, oid, cut + len(tail)))
+            tail.append(nxt)
+            self._clen[oid] += 1
+        return tail[pos - cut]
+
+    def _lay_out(self, n: int, row: list) -> tuple:
+        """Classify the unclassified codes [0, n) in code order as classify
+        would, reading preimages off the inverse of tau's window row where
+        tau is injective (the walk takes a code whose preimage is unclassified
+        or ends no rooted chain).  Returns the rooted chains as chain_ids lays
+        them out: oids longest first (ties by first window code), cut lengths
+        by oid, and (start, count, length) per run of one length.  A window
+        past _n becomes the store; a failed layout leaves a fresh classifier."""
+        m, K, O, P, far, clen = (self._n, self._kind, self._oid, self._pos,
+                                 self._far, self._clen)
+        if n > m:
+            self._row = row
+            for a in (K, O, P):
+                a += [None] * (n - m)
+            for c in [c for c in far if m <= c < n]:
+                K[c], O[c], P[c] = far.pop(c)
+            inv = [None] * n
+            if self.tau.injective:
+                for x, y in zip(range(n), row):
+                    if y < n:
+                        inv[y] = x
+        oids, nfar, preimage = len(clen), len(far), self.tau.preimage_code
+        cut, order = [0] * oids, []
+        try:
+            for x in range(n):
+                if K[x] is None:
+                    prev = inv[x]
+                    if prev is None:
+                        prev = preimage(x)
+                    if prev is None or prev == x:  # a root, or a fixed point
+                        root = prev is None
+                        K[x], O[x], P[x] = _K_SEMI if root else _K_ORBIT, len(clen), 0
+                        clen.append(int(root))
+                        cut.append(0)
+                    elif (prev < n and K[prev] == _K_SEMI
+                          and clen[o := O[prev]] == (p := P[prev] + 1)):
+                        K[x], O[x], P[x] = _K_SEMI, o, p  # x extends prev's chain
+                        if not cut[o]:
+                            order.append(o)
+                        clen[o] = cut[o] = p + 1
+                        continue
+                    else:
+                        self._walk(x, prev)
+                        cut += [0] * (len(clen) - len(cut))
+                if K[x] == _K_SEMI:
+                    o, p = O[x], P[x]
+                    if not cut[o]:
+                        order.append(o)
+                    if cut[o] <= p:
+                        cut[o] = p + 1
+        except BaseException:
+            self.__init__(self.tau)
+            raise
+        order.sort(key=cut.__getitem__, reverse=True)
+        groups, start, at = [], [0] * len(cut), 0
+        for length, run in groupby(order, cut.__getitem__):
+            first = at
+            for o in run:
+                start[o], at = at, at + length
+            groups.append((first, (at - first) // length, length))
+        if n > m:
+            # chains' codes from before the layout, then the new ones by record
+            ids = [None] * at
+            for o in filter(cut.__getitem__, range(oids)):
+                s0, c0 = self._span(o)
+                codes = self._ids[s0:s0 + c0] + self._tail.pop(o, [])
+                ids[start[o]:start[o] + min(cut[o], len(codes))] = codes[:cut[o]]
+                if len(codes) > cut[o]:
+                    self._tail[o] = codes[cut[o]:]
+            # a code with a window preimage w is stored as row[w], sharing its int
+            for x, w, kind, o, p in chain(
+                    zip(range(m, n), islice(inv, m, None), islice(K, m, None),
+                        islice(O, m, None), islice(P, m, None)),
+                    ((c, None, *r) for c, r in islice(far.items(), nfar, None))):
+                if kind == _K_SEMI:
+                    ids[start[o] + p] = x if w is None else row[w]
+            self._ids, self._start, self._cut, self._n = ids, array("q", start), cut, n
+        return order, cut, groups
 
     def window_struct(self, n: int) -> "_Win":
-        """The _Win of the window [0, n), built once per n.
-
-        Raises NonInjectiveOnWindow if two window points share an image.
-        """
+        """The _Win of the window [0, n), built once per n; raises
+        NonInjectiveOnWindow if two window points share an image."""
         ws = self._ws_cache.get(n)
         if ws is None:
             ws = self._ws_cache[n] = _Win(self, n)
@@ -249,18 +271,13 @@ class OrbitClassifier:
 class _Win:
     """One window [0, n) of codes, laid out for the sigma rule.
 
-    Window point w is its code w, and tau images and chain points outside
-    the window are their codes too, all n or more.  tau_ids[w] is the code
-    of tau(w) and tau_set their set; they are distinct, as tau is checked
-    injective on the window before anything else.  The rooted chains
-    through the window, each cut after its last window point, lie end to
-    end in chain_ids, longest first; groups holds (start, count, length)
-    for each run of chains of one length.  tau_ids is tau.window_codes(n),
-    shared with tau's other window readers and the classifier's tau_image,
-    so nothing here writes to it.
-
-    The codes are laid out in one pass over tau_ids where that pass applies
-    (OrbitClassifier._lay_out), and otherwise classified in code order.
+    Window point w is its code w, and so are tau images and chain points
+    past the window.  tau_ids is tau.window_codes(n), shared with tau's
+    other readers, so nothing here writes to it; tau_set, its set, has n
+    codes, as tau is checked injective on the window first.  The window's
+    rooted chains, each cut after its last window point, lie end to end in
+    chain_ids, longest first (the classifier's chain store for its largest
+    window); groups holds (start, count, length) per run of one length.
     """
 
     __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
@@ -271,28 +288,12 @@ class _Win:
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:
             cls.tau.validate_window(n)  # names the first collision
-        if n > len(cls._row):
-            cls._row = self.tau_ids
-        self.undet_widx = []
-        lengths = cls._lay_out(self.tau_ids, self.tau_set)
-        if lengths is None:
-            # classify every point before reading chains: a later point can
-            # still extend a chain an earlier point lies on
-            recs = list(map(cls.classify, range(n)))
-            lengths = {}  # oid -> 1 + last window position on the chain
-            for k, o, pos in recs:
-                if k == _K_SEMI and lengths.get(o, 0) <= pos:
-                    lengths[o] = pos + 1
-            self.undet_widx = [w for w, r in enumerate(recs) if r[0] == _K_UNDET]
-        flat: list = []
-        self.groups = []
-        for length, oids in groupby(sorted(lengths, key=lengths.get, reverse=True),
-                                    lengths.get):
-            oids = list(oids)
-            self.groups.append((len(flat), len(oids), length))
-            for o in oids:
-                flat += cls.chain(o)[:length]
-        self.chain_ids = flat
+        order, cut, self.groups = cls._lay_out(n, self.tau_ids)
+        ids, start = cls._ids, cls._start
+        self.chain_ids = ids if n == cls._n else [
+            c for o in order for c in ids[start[o]:start[o] + cut[o]]]
+        self.undet_widx = (list(compress(range(n), map(_K_UNDET.__eq__, cls._kind)))
+                           if cls.has_undetermined else [])
 
 
 @dataclass(frozen=True)
@@ -343,35 +344,34 @@ def orbit_decompose(tau: WindowInjection, window: int,
                     ) -> OrbitDecomposition:
     """Classify every window point of tau into orbit / semi-orbit / undetermined.
 
-    A given classifier for tau is reused, so points it has already
-    classified are not walked again, and a window it holds that covers
-    [0, window) is not built again.  Raises NonInjectiveOnWindow when two
-    window points share an image.
+    A given classifier for tau is reused: its records are read directly
+    where its laid-out window covers [0, window).  Raises
+    NonInjectiveOnWindow when two window points share an image.
     """
-    cls = classifier or OrbitClassifier(tau)
-    if not any(n >= window for n in cls._ws_cache):
+    cls = _classifier_for(tau, classifier)
+    if cls._n < window:
         cls.window_struct(window)
-    records = []
-    relabel: dict = {}
-    roots: dict = {}
-    cycles: dict = {}
-    undet = []
-    for k in range(window):
-        kind, o, pos = cls.classify(k)
-        if kind == _K_UNDET:
-            records.append((UNDETERMINED, -1, -1))
-            undet.append(k)
-            continue
+    relabel, roots, cycles, records = {-1: -1}, {}, {}, []  # -1: undetermined
+    for k, kind, o, pos in zip(range(window), cls._kind, cls._oid, cls._pos):
         if o not in relabel:
-            rid = len(relabel)
-            relabel[o] = rid
+            relabel[o] = rid = len(relabel) - 1
             if kind == _K_SEMI:
-                roots[rid] = cls.chain(o)[0]
+                roots[rid] = cls.chain_point(o, 0)
             else:
-                cycles[rid] = tuple(cls._cycles[o])
+                cycles[rid] = cls._cycles.get(o, (k,))
         records.append((_KIND_NAMES[kind], relabel[o], pos))
+    undet = tuple(k for k, r in enumerate(records) if r[0] == UNDETERMINED)
     return OrbitDecomposition(window, tau.description, tuple(records), roots,
-                              cycles, tuple(undet), cls.point)
+                              cycles, undet, cls.point)
+
+
+def _classifier_for(tau: WindowInjection, classifier) -> OrbitClassifier:
+    """The given classifier, or a fresh one; ValueError if it is not tau's."""
+    cls = classifier or OrbitClassifier(tau)
+    if cls.tau != tau:
+        raise ValueError(f"a classifier for {cls.tau.description} "
+                         f"cannot classify {tau.description}")
+    return cls
 
 
 class CycleApproxBijection(WindowInjection):
@@ -406,8 +406,7 @@ class CycleApproxBijection(WindowInjection):
         kind, oid, j = cls.classify(k)
         n, i = self.n, self.i
         if kind == _K_SEMI and j >= 1 and j % n == (i + 1) % n:
-            chain = cls.chain(oid)
-            return chain[0] if j == i + 1 else chain[j - n + 1]
+            return cls.chain_point(oid, 0 if j == i + 1 else j - n + 1)
         return cls.tau_image(k)
 
     def preimage_code(self, k):
@@ -420,7 +419,7 @@ class CycleApproxBijection(WindowInjection):
             return cls.chain_point(oid, i + 1)
         if m >= 2 and m % n == (i + 2) % n:
             return cls.chain_point(oid, m + n - 1)
-        return cls.chain(oid)[m - 1]
+        return cls.chain_point(oid, m - 1)
 
     def _moves(self, ws: _Win) -> tuple:
         """Codes of the window points sigma_i moves off tau, and of their images.
@@ -500,7 +499,7 @@ def approximate_by_automorphisms(tau: WindowInjection, n: int,
     """The n bijections that jointly disagree with tau at most once per point."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cls = classifier or OrbitClassifier(tau)
+    cls = _classifier_for(tau, classifier)
     return [CycleApproxBijection(cls, n, i) for i in range(n)]
 
 

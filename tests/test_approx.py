@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,12 +20,18 @@ from belle_paire.approx import (
 from belle_paire.measure import StepMap, l1_distance
 from belle_paire.random_endo import apply_random_endo, constant_endo
 from belle_paire.structures import (
+    DisjointUnion,
     FqVector,
     FqVectors,
+    InverseInjection,
+    LinearInjection,
     NaturalNumbers,
     NonInjectiveOnWindow,
+    PairProduct,
     TableInjection,
+    UnionInjection,
     WindowInjection,
+    WreathInjection,
     basis_shift_endo,
     identity_endo,
     shift_endo,
@@ -193,6 +200,23 @@ def test_defect_profile_takes_one_family():
             defect_profile(t, sigmas, 50)
 
 
+def test_orbit_decompose_refuses_another_taus_classifier():
+    tau, other = successor_endo(), OrbitClassifier(shift_endo(2))
+    with pytest.raises(ValueError, match="shift\\+2 cannot classify successor"):
+        orbit_decompose(tau, 10, classifier=other)
+    # an equal tau is the classifier's own
+    assert orbit_decompose(successor_endo(), 10, classifier=OrbitClassifier(tau)
+                           ).semi_orbit_count == 1
+
+
+def test_family_refuses_another_taus_classifier():
+    tau, other = successor_endo(), OrbitClassifier(shift_endo(2))
+    with pytest.raises(ValueError, match="shift\\+2 cannot classify successor"):
+        approximate_by_automorphisms(tau, 2, other)
+    sigmas = approximate_by_automorphisms(successor_endo(), 2, OrbitClassifier(tau))
+    assert defect_profile(tau, sigmas, 10).max_defect == 1
+
+
 def test_family_refuses_non_injective_tau():
     bad = TableInjection(NaturalNumbers(), {0: 3})  # collides with fixed 3
     with pytest.raises(NonInjectiveOnWindow):
@@ -229,12 +253,13 @@ def test_shared_classifier_validates_window_once():
 
 
 @pytest.mark.parametrize("make, reads", [
-    (lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}), 600),
+    (lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}), 2),
     (lambda: basis_shift_endo(2), 300),
 ], ids=["table", "fq2-shift"])
 def test_classify_reads_each_preimage_once(make, reads):
-    # the walk starts from the preimage the one-step path already read; a
-    # window laid out in one pass reads only its roots' (the odd codes)
+    # the layout reads a preimage off the window row where it can: the
+    # 3-cycle's walk from 2 asks for the preimages of 7 and 450 only, and
+    # the shift's window asks only for its roots' (the odd codes)
     tau = make()
     calls = []
     tau.preimage_code = counted(tau.preimage_code, calls)
@@ -243,9 +268,14 @@ def test_classify_reads_each_preimage_once(make, reads):
 
 
 class WalkClassifier(OrbitClassifier):
-    """The classifier before its one-step path and its one-pass window
-    layout: every unclassified code starts the general backward walk, and
-    a window classifies its codes 0..n-1 one at a time."""
+    """The in-order reference: a dict of per-code records, one list per
+    chain and per cycle, and the general backward walk for every
+    unclassified code; a window classifies its codes 0..n-1 one at a time."""
+
+    def __init__(self, tau):
+        super().__init__(tau)
+        self._cls, self._chains, self._cycles = {}, {}, {}
+        self._next_oid = 0
 
     def window_struct(self, n):
         ws = self._ws_cache.get(n)
@@ -300,6 +330,37 @@ class WalkClassifier(OrbitClassifier):
             path.append(prev)
             path_pos[prev] = len(path) - 1
 
+    def _undetermined(self, path):
+        self.has_undetermined = True
+        rec = (approx._K_UNDET, -1, -1)
+        for p in path:
+            self._cls[p] = rec
+        return rec
+
+    def chain_point(self, oid, pos):
+        chain = self._chains[oid]
+        while len(chain) <= pos:
+            nxt = self.tau_image(chain[-1])
+            if nxt not in self._cls:
+                self._cls[nxt] = (approx._K_SEMI, oid, len(chain))
+            chain.append(nxt)
+        return chain[pos]
+
+
+def snapshot(cls):
+    """Every classified code's record, every chain's and every cycle's
+    codes, the next oid and has_undetermined."""
+    if isinstance(cls, WalkClassifier):
+        return (dict(cls._cls), {o: c.copy() for o, c in cls._chains.items()},
+                {o: c.copy() for o, c in cls._cycles.items()}, cls._next_oid,
+                cls.has_undetermined)
+    recs = {c: cls.classify(c) for c in [*range(cls._n), *cls._far]}
+    chains = {o: [cls.chain_point(o, p) for p in range(cls._clen[o])]
+              for kind, o, _ in recs.values() if kind == approx._K_SEMI}
+    cycles = {o: list(cls._cycles.get(o, (c,)))
+              for c, (kind, o, _) in recs.items() if kind == approx._K_ORBIT}
+    return recs, chains, cycles, len(cls._clen), cls.has_undetermined
+
 
 def reference_window(cls, n):
     """The window [0, n) from in-order classify: its rooted chains, each cut
@@ -318,7 +379,7 @@ def reference_window(cls, n):
             groups[-1][1] += 1
         else:
             groups.append([len(chain_ids), 1, lengths[o]])
-        chain_ids += cls.chain(o)[:lengths[o]]
+        chain_ids += cls._chains[o][:lengths[o]]
     return SimpleNamespace(
         n=n, tau_ids=tau_ids, tau_set=set(tau_ids), chain_ids=chain_ids,
         groups=list(map(tuple, groups)),
@@ -355,7 +416,7 @@ def _classify_all(cls, order):
     for s in approximate_by_automorphisms(cls.tau, 3, cls):
         got += map(s.preimage_code, range(0, 400, 7))
     got.append(cls.window_struct(600).chain_ids)
-    return got, cls._cls, cls._chains, cls._cycles, cls.has_undetermined
+    return got, snapshot(cls)
 
 
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
@@ -379,49 +440,70 @@ WINDOW_TAUS = FAST_PATH_TAUS + [
 
 def _window_state(cls, n):
     ws = cls.window_struct(n)
-    return (ws.chain_ids, ws.groups, ws.undet_widx, cls._cls, cls._chains,
-            cls._cycles, cls._next_oid, cls.has_undetermined)
+    return ws.chain_ids, ws.groups, ws.undet_widx, snapshot(cls)
 
 
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
 @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
 @pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
 def test_window_layout_matches_in_order_classify(tau, used, budget, monkeypatch):
-    # the one-pass layout and its fallback leave the state, chains and
-    # groups of in-order classify, on fresh classifiers and used ones
+    # the layout leaves the state, chains and groups of in-order
+    # classify, on fresh classifiers and used ones; a smaller window after
+    # them cuts its chains out of the larger one's
     monkeypatch.setattr(approx, "MAX_STEPS", budget)
     states = []
     for make in (OrbitClassifier, WalkClassifier):
         cls = make(tau)
         if used:
             list(map(cls.classify, range(650, 550, -7)))
-        states.append([_window_state(cls, 600), _window_state(cls, 900)])
+        states.append([_window_state(cls, n) for n in (600, 900, 37)])
     assert states[0] == states[1]
 
 
-@pytest.mark.parametrize("tau, one_pass", [
-    (successor_endo(), True),
-    (shift_endo(2), True),
-    (basis_shift_endo(2), True),
-    (basis_shift_endo(3), True),
-    (identity_endo(), True),
-    (identity_endo(_F2), True),
-    (window_permutation(_NAT, {2: 450, 450: 7, 7: 2}), False),  # a 3-cycle
-    (TableInjection(_NAT, {5: 900}), False),  # injective on a window only
-    (WINDOW_TAUS[-2], False),
-    (WINDOW_TAUS[-1], False),
-], ids=lambda v: v.description if isinstance(v, WindowInjection) else None)
-def test_window_layout_classifies_only_where_the_pass_fails(tau, one_pass,
-                                                             monkeypatch):
-    calls = []
-    classify = OrbitClassifier.classify
-    monkeypatch.setattr(OrbitClassifier, "classify",
-                        lambda self, x: calls.append(x) or classify(self, x))
+@pytest.mark.parametrize("tau", [basis_shift_endo(2), identity_endo()],
+                         ids=lambda t: t.description)
+def test_window_layout_tracks_a_bounded_number_of_objects(tau):
+    # the window's records, chains and groups live in a few flat lists: no
+    # tuple per code, list per chain or list per fixed point is kept
     cls = OrbitClassifier(tau)
-    cls.window_struct(600)
-    assert calls == ([] if one_pass else list(range(600)))
-    cls.window_struct(700)  # the classifier now holds records
-    assert calls[-700:] == list(range(700))
+    tau.window_codes(20_000)
+    gc.collect()
+    before = len(gc.get_objects())
+    ws = cls.window_struct(20_000)
+    assert len(gc.get_objects()) - before < 100
+    assert sum(count * length for _, count, length in ws.groups) == len(ws.chain_ids)
+
+
+# preimage_code calls inside the backward walks of a fresh 600-code window,
+# each asking for the preimage of a code the walk reached
+WALK_READS = [
+    0, 0, 0, 0,
+    2,    # the walk from 2 around its 3-cycle: 7 and 450
+    1,    # the walk from code 3 around its 2-cycle: 12
+    0,    # not injective: every window code is asked for once
+    3,    # the walks from 2 (4) and from 6 (9, 7)
+    0,
+    994,  # the walk from 6 around the cycle 6, 7, ..., 1000: 1000 down to 7
+    8,    # the walk from 5 down the chain 20, 18, ..., 6
+]
+
+
+@pytest.mark.parametrize("tau, walked", zip(WINDOW_TAUS, WALK_READS),
+                         ids=[t.description for t in WINDOW_TAUS])
+def test_window_layout_reads_preimages_off_the_row(tau, walked, monkeypatch):
+    # a code with a window preimage reads it off the inverse of the window
+    # row; preimage_code is asked for the others, once each, and in walks
+    calls = []
+    preimage = tau.preimage_code
+    monkeypatch.setattr(tau, "preimage_code", lambda k: calls.append(k) or preimage(k))
+    cls = OrbitClassifier(tau)
+    for n, lo, extra in ((600, 0, walked), (700, 600, 0)):
+        calls.clear()
+        cls.window_struct(n)
+        image = set(tau.window_codes(n)) if tau.injective else set()
+        asked = [x for x in range(lo, n) if x not in image]
+        assert set(asked) <= set(calls)
+        assert len(calls) == len(asked) + extra
 
 
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
@@ -442,6 +524,33 @@ def test_one_step_classify_raises_as_the_walk(budget, monkeypatch):
                        for e in (table_info, stray_info)])
     assert errors[0] == errors[1]
     assert errors[0][1][0] == "5 and 4 both map to 5"
+
+
+def forked_chain():
+    """Successor but for 5 -> 20, whose preimage rule also reads 3 as the
+    preimage of 6: in the window [0, 8), 6 has no window preimage and its
+    rule's preimage 3 already continues to 4."""
+    tau = successor_endo()
+    apply_code, preimage_code = tau.apply_code, tau.preimage_code
+    tau.apply_code = lambda k: 20 if k == 5 else apply_code(k)
+    tau.preimage_code = lambda k: {6: 3, 20: 5}.get(k, preimage_code(k))
+    return tau
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+def test_window_layout_raises_as_the_walk(budget, monkeypatch):
+    # the code after 3 on its chain was placed by the running layout
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    errors, states = [], []
+    for make in (OrbitClassifier, WalkClassifier):
+        cls = make(forked_chain())
+        with pytest.raises(NonInjectiveOnWindow) as info:
+            cls.window_struct(8)
+        errors.append((str(info.value), info.value.pair, info.value.image))
+        assert 8 not in cls._ws_cache
+        states.append(_window_state(cls, 6))
+    assert errors[0] == errors[1] == ("4 and 6 both map to 4", (4, 6), 4)
+    assert states[0] == states[1]
 
 
 @given(st.integers(1, 24))
@@ -691,3 +800,29 @@ def test_fq_collision_names_points_not_codes():
                        match="^e0 and e1 both map to e1$") as info:
         defect_profile(bad, approximate_by_automorphisms(bad, 2), 4)
     assert info.value.pair == (e0, e1) and info.value.image == e1
+
+
+_F3 = FqVectors(3)
+_F2N = DisjointUnion(_F2, _NAT)
+COMBINED_TAUS = [
+    InverseInjection(window_permutation(_NAT, {0: 1, 1: 2, 2: 0})),
+    InverseInjection(LinearInjection(3, (FqVector.basis(3, 1), FqVector.basis(3, 0)))),
+    UnionInjection(DisjointUnion(_NAT, _F2), successor_endo(), basis_shift_endo(2)),
+    WreathInjection(PairProduct(_NAT, _F3), shift_endo(2),
+                    {1: basis_shift_endo(3)}, identity_endo(_F3)),
+    WreathInjection(PairProduct(_NAT, _F2N), successor_endo(),
+                    {2: UnionInjection(_F2N, basis_shift_endo(2), shift_endo(3))},
+                    identity_endo(_F2N)),
+]
+INJECTIVE_TAUS = list({t.key(): t for t in TAUS + REFERENCE_TAUS + WINDOW_TAUS
+                       + ROW_TAUS + COMBINED_TAUS if t.injective}.values())
+
+
+@pytest.mark.parametrize("tau", INJECTIVE_TAUS, ids=lambda t: t.description)
+def test_injective_rules_read_back_their_images(tau):
+    # the layout reads preimages off the inverse of tau's window row, which
+    # is sound only where preimage_code undoes apply_code; so are tau's
+    # sigmas, whose preimages the pointwise checks read
+    cls = OrbitClassifier(tau)
+    for rule in [tau, *approximate_by_automorphisms(tau, 3, cls)]:
+        assert all(rule.preimage_code(rule.apply_code(x)) == x for x in range(3000))

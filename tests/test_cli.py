@@ -603,6 +603,8 @@ OPTIMIZE_CASES = [
       "--n", "1"], 3),
     (["--window", "400", "approx-endo", "--endo", "table:[[300,5000]]",
       "--n", "2"], 1),
+    (["--window", "2000", "approx-endo", "--endo", "table:[[2,450],[450,7],[7,2]]",
+      "--n", "3"], 0),
     (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
       "--pair2", "fq2:shift"], 0),
     (["--eps", "1/4", "--window", "40", "pair-certify", "--pair1", "fq2:identity",
@@ -615,7 +617,8 @@ OPTIMIZE_CASES = [
 
 @pytest.mark.parametrize("argv,want", OPTIMIZE_CASES,
                          ids=["approx-endo-fq", "table-collision",
-                              "table-off-window-collision", "pair-certify-fq2",
+                              "table-off-window-collision", "table-3-cycle",
+                              "pair-certify-fq2",
                               "pair-certify-fq2-obstruction", "search",
                               "realize", *MENDED_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):

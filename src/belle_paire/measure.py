@@ -7,29 +7,32 @@ called omega (first) and omega' (second) throughout.
 
 Inside the layer a set keeps its coordinates as ints over one least common
 denominator.  One sweep over the joint omega breakpoints of several sets,
-on the lcm of their denominators, serves the set operations, unions of many
-sets, step-map validation, common refinements and the L1 distance.
+on the lcm of their denominators, is the only walk over two or more sets.
 
-What step maps read off a sweep is kept as a layout, one per tuple of
+Set algebra is one coverage walk over a sweep (see _select): the binary
+operations, the complement, the union of many rectangles and the union of
+a step map's same-valued cells each keep the points whose membership in
+the swept operands a rule accepts.
+
+A step map's canonical form is kept per tuple of per-value cell-set tuples
+(see _form), for the last SWEEP_CACHE_SIZE tuples: its tiling verdict, its
+fused sets in canonical order and that order.  A construction on cells
+grouped as one before (a brute-force scoring, say, whose every assignment
+groups a few pieces by image) does one lookup, and the maps share their set
+tuple.
+
+The refinement of several step maps is kept as a layout, one per tuple of
 per-map cell-set tuples, for the last SWEEP_CACHE_SIZE tuples: per omega
 column, the runs that tile its slice, each with the index of the cell of
-every map that covers it.  Each part a reader needs is derived once: from
-the sweep, a map's tiling verdict and cell order and the union of its
-same-valued cells; from the runs, the refinement pieces, the area per index
-tuple and the table of runs per column.  Equal sets are one object (see
-_reduced), so a layout lookup hashes and compares its sets by identity.  A
-layout depends only on each set's canonical (den, cols), and sets are
-immutable, so a kept layout is exactly the one that would be recomputed.
-Values enter only after the lookup, and grouping by index is grouping by
-value: a step map fuses equal values, so the cells of one map carry
-pairwise distinct values.  Step maps built on the same cells with other
-values share one layout.
-
-A step map's canonical form is kept the same way, per tuple of per-value
-cell-set tuples (see _form): its tiling verdict, its fused sets in
-canonical order and that order.  A construction on cells grouped as one
-before (a brute-force scoring, say, whose every assignment groups a few
-pieces by image) does one lookup, and the maps share their set tuple.
+every map that covers it, and from the runs the refinement pieces, the area
+per index tuple and the table of runs per column.  Equal sets are one
+object (see _reduced), so a layout lookup hashes and compares its sets by
+identity.  A layout depends only on each set's canonical (den, cols), and
+sets are immutable, so a kept layout is exactly the one that would be
+recomputed.  Values enter only after the lookup, and grouping by index is
+grouping by value: a step map fuses equal values, so the cells of one map
+carry pairwise distinct values.  Step maps built on the same cells with
+other values share one layout.
 
 Everything the public API returns (columns, rects, slices, shadows,
 measures) is a Fraction.
@@ -40,7 +43,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from math import gcd, lcm
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -90,54 +93,6 @@ class Rect:
 
 
 # A "ys" value is a sorted tuple of disjoint, non-touching (c, d) intervals.
-
-def _merge_ys(ivs) -> tuple:
-    """Fuse sorted (c, d) intervals that overlap or touch."""
-    out: list[list] = []
-    for c, d in ivs:
-        if out and c <= out[-1][1]:
-            if d > out[-1][1]:
-                out[-1][1] = d
-        else:
-            out.append([c, d])
-    return tuple((c, d) for c, d in out)
-
-
-def _ys_intersect(a, b) -> tuple:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
-def _ys_subtract(a, b) -> tuple:
-    out = []
-    bi = 0
-    for lo, hi in a:
-        cur = lo
-        while bi < len(b) and b[bi][1] <= cur:
-            bi += 1
-        k = bi
-        while k < len(b) and b[k][0] < hi:
-            c, d = b[k]
-            if c > cur:
-                out.append((cur, c))
-            cur = max(cur, d)
-            if cur >= hi:
-                break
-            k += 1
-        if cur < hi:
-            out.append((cur, hi))
-    return tuple(out)
-
 
 def _ys_total(ys) -> Fraction:
     return sum((d - c for c, d in ys), ZERO)
@@ -239,7 +194,7 @@ class RationalSet:
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "RationalSet":
         """Union of the given rectangles (overlaps are allowed and fused)."""
-        return _union([_box(r) for r in rects])
+        return _select((tuple(map(_box, rects)),), any)
 
     @classmethod
     def vertical_strip(cls, x0, x1) -> "RationalSet":
@@ -277,21 +232,15 @@ class RationalSet:
     def is_empty(self) -> bool:
         return not self._cols
 
-    def _combine(self, other: "RationalSet", yop: Callable) -> "RationalSet":
-        den, steps = _sweep((self, other))
-        return _reduced(den, _normalize_columns(
-            [(lo, hi, yop([(c, d) for c, d, k in slices if k == 0],
-                          [(c, d) for c, d, k in slices if k == 1]))
-             for lo, hi, slices in steps]))
-
     def union(self, other: "RationalSet") -> "RationalSet":
-        return _union([self, other])
+        return _select(((self, other),), any)
 
     def intersect(self, other: "RationalSet") -> "RationalSet":
-        return self._combine(other, _ys_intersect)
+        return _select(((self,), (other,)), all)
 
     def subtract(self, other: "RationalSet") -> "RationalSet":
-        return self._combine(other, _ys_subtract)
+        return _select(((self,), (other,)),
+                       lambda member: member[0] and not member[1])
 
     def complement(self) -> "RationalSet":
         return RationalSet.unit_square().subtract(self)
@@ -382,16 +331,32 @@ def _sweep(sets: tuple) -> tuple:
     return den, tuple(steps)
 
 
-def _merged(den: int, steps) -> RationalSet:
-    """The union of the swept sets."""
-    return _reduced(den, _normalize_columns(
-        [(lo, hi, _merge_ys((c, d) for c, d, _ in slices))
-         for lo, hi, slices in steps]))
+def _select(operands: tuple, keep: Callable) -> RationalSet:
+    """The points of the swept sets whose membership keep accepts.
 
-
-def _union(sets: Sequence[RationalSet]) -> RationalSet:
-    """The union of sets, read off one sweep."""
-    return _merged(*_sweep(tuple(sets)))
+    A point is in operand k when a set of the tuple operands[k] covers it,
+    and keep maps the list of the operands' memberships to whether the
+    point is kept; it must reject a point in no operand.  One sweep over
+    every set gives each omega column's slices; walking their ends once in
+    order, counting the slices of each operand that cover, keeps the omega'
+    intervals where keep holds.
+    """
+    owner = [k for k, sets in enumerate(operands) for _ in sets]
+    den, steps = _sweep(tuple(chain.from_iterable(operands)))
+    cols = []
+    for lo, hi, slices in steps:
+        ends = sorted(chain.from_iterable(((c, 1, owner[j]), (d, -1, owner[j]))
+                                          for c, d, j in slices))
+        count = [0] * len(operands)
+        flips, inside = [], False
+        for y, here in groupby(ends, itemgetter(0)):
+            for _, step, k in here:
+                count[k] += step
+            if keep([n > 0 for n in count]) != inside:
+                flips.append(y)
+                inside = not inside
+        cols.append((lo, hi, tuple(zip(flips[::2], flips[1::2]))))
+    return _reduced(den, _normalize_columns(cols))
 
 
 def _first_key(cols, f: int = 1) -> tuple:
@@ -636,7 +601,8 @@ class StepMap:
         for s, v in self._cells:
             if s.contains_point(x, y):
                 return v
-        raise AssertionError("cells do not cover the square")  # unreachable
+        # the cells tile the square, so only a point off it is in none
+        raise ValueError(f"point ({x}, {y}) lies outside the unit square")
 
     def map_values(self, fn: Callable) -> "StepMap":
         return StepMap([(s, fn(v)) for s, v in self._cells])
@@ -660,11 +626,12 @@ class StepMap:
 
 
 class _Layout:
-    """One sweep of a tuple of per-map cell-set tuples, and its parts.
+    """One sweep of a tuple of per-map cell-set tuples, and the refinement
+    of the maps read off it.
 
-    Holds den and the sweep, and derives each part below once, on first
+    Holds den and the sweep, and derives each view below once, on first
     use.  A layout is kept per tuple of cell-set tuples (see _layout) and
-    shared, so every part is a tuple.  Values never enter it: each run and
+    shared, so every view is a tuple.  Values never enter it: each run and
     piece carries an index tuple, index[k] being the position of the cell of
     map k that covers it, and callers look the values up.  That is exact
     because a StepMap fuses equal values: the cells of one map carry
@@ -675,37 +642,6 @@ class _Layout:
     def __init__(self, sets: tuple):
         self._sets = sets
         self.den, self._steps = _sweep(tuple(chain.from_iterable(sets)))
-
-    @cached_property
-    def union(self) -> RationalSet:
-        """The union of the one cell-set tuple."""
-        return _merged(self.den, self._steps)
-
-    @cached_property
-    def tiling(self) -> tuple:
-        """(refusal, order) of the one cell-set tuple.
-
-        refusal is None when the cells tile the square and otherwise the
-        reason, the measure checked first; order sorts the cells by their
-        first rectangle, the canonical order of a StepMap.
-        """
-        # within a column, a slice that starts before the previous one ends
-        # overlaps it
-        den = self.den
-        area, overlap = 0, False
-        for lo, hi, slices in self._steps:
-            end = 0
-            for c, d, _ in slices:
-                overlap = overlap or c < end
-                end = d
-                area += (hi - lo) * (d - c)
-        total = Fraction(area, den * den)
-        refusal = (f"cells measure {total}, expected 1" if total != 1
-                   else "cells overlap" if overlap else None)
-        (cells,) = self._sets
-        order = sorted(range(len(cells)),
-                       key=lambda i: _first_key(cells[i]._cols, den // cells[i]._den))
-        return refusal, tuple(order)
 
     @cached_property
     def runs(self) -> tuple:
@@ -760,9 +696,10 @@ class _Layout:
 
     @cached_property
     def table(self) -> tuple:
-        """(widths, keys, runs): widths[i] is column i's omega width, keys the
-        distinct index tuples, and runs[k] the (i, length) pairs giving how
-        much of column i's slice carries keys[k]."""
+        """(den, widths, keys, runs): widths[i] is column i's omega width (an
+        int over den), keys the distinct index tuples, whose k-th entry is a
+        position in the k-th map's values(), and runs[j] the (i, length)
+        pairs giving how much of column i's slice carries keys[j]."""
         index: dict = {}
         per_key: list = []
         for i, (_, _, col) in enumerate(self.runs):
@@ -774,7 +711,8 @@ class _Layout:
                 lengths = per_key[k]
                 lengths[i] = lengths.get(i, 0) + d - c
         widths = tuple(hi - lo for lo, hi, _ in self.runs)
-        return widths, tuple(index), tuple(tuple(ls.items()) for ls in per_key)
+        return (self.den, widths, tuple(index),
+                tuple(tuple(ls.items()) for ls in per_key))
 
 
 # Layouts kept by _layout, and forms kept by _form, each for this many
@@ -798,31 +736,31 @@ def _form(groups: tuple) -> tuple:
     """(refusal, sets, order): a StepMap's canonical form on its cells
     grouped by value, groups[i] holding the cells of its i-th value.
 
-    sets[k] is the union of group order[k], in canonical order; refusal is
-    the tiling's.  Kept for the last SWEEP_CACHE_SIZE groupings, so a
-    construction on grouped cells met before does one lookup.
+    sets[k] is the union of group order[k], and order sorts the unions by
+    their first rectangle, the canonical order of a StepMap.  refusal is
+    None when the unions tile the square and otherwise the reason, the
+    measure checked first: unions of measures summing to 1 tile the square
+    exactly when together they cover it.  Kept for the last
+    SWEEP_CACHE_SIZE groupings, so a construction on grouped cells met
+    before does one lookup.
     """
-    sets = tuple(ss[0] if len(ss) == 1 else _layout((ss,)).union
-                 for ss in groups)
-    refusal, order = _layout((sets,)).tiling
+    sets = tuple(ss[0] if len(ss) == 1 else _select((ss,), any) for ss in groups)
+    total = sum((s.measure for s in sets), ZERO)
+    if total != 1:
+        refusal = f"cells measure {total}, expected 1"
+    elif _select((sets,), any) is not RationalSet.unit_square():
+        refusal = "cells overlap"
+    else:
+        refusal = None
+    den = lcm(*(s._den for s in sets))
+    order = tuple(sorted(range(len(sets)),
+                         key=lambda i: _first_key(sets[i]._cols, den // sets[i]._den)))
     return refusal, tuple(map(sets.__getitem__, order)), order
 
 
 def _layout_of(maps: Sequence[StepMap]) -> _Layout:
     """The layout of the maps' cell sets."""
     return _layout(tuple(m._sets for m in maps))
-
-
-def _table(maps: Sequence[StepMap]) -> tuple:
-    """The maps' runs tabulated by index tuple.
-
-    Returns (den, widths, keys, runs): widths[i] is column i's omega width
-    (an int over den), keys the distinct index tuples, whose k-th entry is
-    a position in maps[k].values(), and runs[j] the (i, length) pairs giving
-    how much of column i's slice carries keys[j].
-    """
-    lay = _layout_of(maps)
-    return (lay.den, *lay.table)
 
 
 def common_refinement(maps: Sequence[StepMap]) -> list[tuple]:

@@ -15,7 +15,7 @@ from itertools import compress, product as iter_product
 from operator import mul, ne
 from typing import NamedTuple
 
-from .measure import (Frac, RationalSet, StepMap, _frac, _table,
+from .measure import (Frac, RationalSet, StepMap, _frac, _layout_of,
                       common_refinement, l1_distance, vertical_split)
 from .structures import (Domain, IdentityInjection, NonInjectiveOnWindow,
                          WindowInjection, window_permutation)
@@ -308,7 +308,7 @@ def dist_to_image(f: StepMap, h_hat: StepMap) -> Fraction:
     preimages are tried.
     """
     code = validate_random_endo(h_hat).index_of
-    den, widths, keys, runs = _table([f, h_hat])
+    den, widths, keys, runs = _layout_of([f, h_hat]).table
     fcode = list(map(code, f.values()))  # f's values are distinct
     return Frac(_uncovered(den, widths, runs, h_hat.values(),
                            [j for _, j in keys], [fcode[i] for i, _ in keys]),
@@ -410,7 +410,7 @@ def _gap_table(maps: list, alphabet) -> tuple:
     # letters, images and candidates are all codes
     letters = (range(alphabet) if isinstance(alphabet, int)
                else list(map(dom.index_of, alphabet)))
-    return (g_hat.values(), h_hat.values(), letters, *_table(maps))
+    return (g_hat.values(), h_hat.values(), letters, *_layout_of(maps).table)
 
 
 def _image_row(v: WindowInjection, letters) -> list:
@@ -498,6 +498,8 @@ class PairModel:
     image: StepMap
 
     def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
         dom = validate_random_endo(self.image)
         if dom.describe() != self.structure:
             raise ValueError(

@@ -537,8 +537,8 @@ def test_compose_nonpositive_eps_exits_2(capsys, expr, eps):
     assert (code, out, err) == (2, "", "error: eps must be a positive rational\n")
 
 
-def _pair_file(rect, injection, structure="nat"):
-    return {"structure": structure, "window": 100,
+def _pair_file(rect, injection, structure="nat", window=100):
+    return {"structure": structure, "window": window,
             "image": {"cells": [[{"rects": [rect]}, injection]]}}
 
 
@@ -555,6 +555,11 @@ PAIR_FILES = {
                                     {"kind": "shift", "offset": 1.5}),
     "float-image-entry.json": _linear_pair_file([[2.0, 1], [1, 0]]),
     "bool-image-entry.json": _linear_pair_file([[0, True], [True, 0]]),
+    **{f"window-{name}-{kind}.json": _pair_file(["0", "1", "0", "1"], injection,
+                                               window=window)
+       for name, window in (("zero", 0), ("negative", -5))
+       for kind, injection in (("identity", {"kind": "identity"}),
+                               ("shift", {"kind": "shift", "offset": 1}))},
 }
 
 
@@ -585,6 +590,10 @@ MENDED_INPUTS = {
                           "--pair1", "fq2:identity", "--pair2", "fq2:shift",
                           "--obstruction", '{"q": 2.7, "dim": 2.2, "grid": 2.9, '
                                            '"subspace": [[1.5, 0]]}'],
+    "window-zero": ["pair-certify", "--pair1", "@window-zero-identity.json",
+                    "--pair2", "@window-zero-shift.json"],
+    "window-negative": ["pair-certify", "--pair1", "@window-negative-identity.json",
+                        "--pair2", "@window-negative-shift.json"],
 }
 
 

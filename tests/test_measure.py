@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,6 @@ from belle_paire.measure import (
     _normalize_columns,
     _num,
     _reduced,
-    _table,
-    _ys_intersect,
-    _ys_subtract,
     _ys_total,
     common_refinement,
     density_split,
@@ -56,8 +54,14 @@ def reference_refinement(maps):
                 key = vt + (v,)
                 nxt[key] = nxt[key].union(piece) if key in nxt else piece
         acc = [(piece, key) for key, piece in nxt.items()]
-    acc.sort(key=lambda cv: cv[0].columns[0][:2] + cv[0].columns[0][2][0])
+    acc.sort(key=lambda cv: _first_rect(cv[0]))
     return acc
+
+
+def _first_rect(s):
+    """(x0, x1, y0, y1) of s's first rectangle, the canonical sort key."""
+    lo, hi, ys = s.columns[0]
+    return lo, hi, *ys[0]
 
 
 def _reference_merge_ys(ivs):
@@ -70,6 +74,17 @@ def _reference_merge_ys(ivs):
         else:
             out.append([c, d])
     return tuple((c, d) for c, d in out)
+
+
+def _reference_ys_intersect(ya, yb):
+    return _reference_merge_ys([(max(a, c), min(b, d)) for a, b in ya for c, d in yb])
+
+
+def _reference_ys_subtract(ya, yb):
+    out = list(ya)
+    for c, d in yb:
+        out = [iv for a, b in out for iv in ((a, min(b, c)), (max(a, d), b))]
+    return _reference_merge_ys(out)
 
 
 def _reference_scale(cols, k):
@@ -100,7 +115,8 @@ def _reference_column_combine(cols_a, cols_b, yop):
 def reference_combine(a, b, op):
     """A set operation by one pairwise column walk, kept as a reference."""
     yop = {"union": lambda ya, yb: _reference_merge_ys(list(ya) + list(yb)),
-           "intersect": _ys_intersect, "subtract": _ys_subtract}[op]
+           "intersect": _reference_ys_intersect,
+           "subtract": _reference_ys_subtract}[op]
     den = math.lcm(a._den, b._den)
     return _reduced(den, _reference_column_combine(
         _reference_scale(a._cols, den // a._den),
@@ -126,19 +142,25 @@ def _same(s, t):
     return (s._den, s._cols) == (t._den, t._cols)
 
 
-def reference_refusal(cells):
-    """StepMap's refusal by measure sum, then by pairwise overlap, or None."""
+def reference_fused(cells):
+    """Each value's nonempty cells fused by reference_combine, by value."""
     by_value: dict = {}
     for s, v in cells:
         if not s.is_empty:
-            by_value[v] = by_value[v].union(s) if v in by_value else s
-    sets = list(by_value.values())
+            by_value[v] = (reference_combine(by_value[v], s, "union")
+                           if v in by_value else s)
+    return by_value
+
+
+def reference_refusal(cells):
+    """StepMap's refusal by measure sum, then by pairwise overlap, or None."""
+    sets = list(reference_fused(cells).values())
     total = sum((s.measure for s in sets), Frac(0))
     if total != 1:
         return f"cells measure {total}, expected 1"
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
-            if not a.disjoint_from(b):
+            if not reference_combine(a, b, "intersect").is_empty:
                 return "cells overlap"
     return None
 
@@ -213,6 +235,42 @@ def test_from_rects_matches_rescanning_reference(rs, a):
     assert _same(RationalSet.from_rects(rs), reference_from_rects(rs))
     assert _same(RationalSet.from_rects(a.rects), reference_from_rects(a.rects))
     assert _same(RationalSet.from_rects(a.rects), a)
+
+
+def _grid_centres(*sets):
+    """The centre of every cell of the grid on the sets' joint coordinates."""
+    rs = [r for s in sets for r in s.rects]
+    xs = sorted({ZERO, ONE, *(x for r in rs for x in (r.x0, r.x1))})
+    ys = sorted({ZERO, ONE, *(y for r in rs for y in (r.y0, r.y1))})
+    return [((x0 + x1) / 2, (y0 + y1) / 2)
+            for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])]
+
+
+@given(rational_sets(), rational_sets())
+def test_set_operations_match_pointwise_membership(a, b):
+    # each set is constant on every cell of the joint grid, so its centre
+    # decides the cell, read off contains_point alone
+    ops = [(a.union(b), lambda p, q: p or q),
+           (a.intersect(b), lambda p, q: p and q),
+           (a.subtract(b), lambda p, q: p and not q),
+           (a.complement(), lambda p, q: not p)]
+    for x, y in _grid_centres(a, b):
+        p, q = a.contains_point(x, y), b.contains_point(x, y)
+        for s, rule in ops:
+            assert s.contains_point(x, y) == rule(p, q), (x, y)
+
+
+def test_from_rects_fuses_many_overlapping_rects_in_one_column():
+    # 300 rects over the omega column [1/3, 2/3), about half of them also
+    # over [0, 1/3), their omega' intervals overlapping, nested and touching
+    rnd = random.Random(11)
+    rs = []
+    for _ in range(300):
+        c = Frac(rnd.randrange(0, 200), 211)
+        d = c + Frac(rnd.randrange(1, 12), 211)
+        x0 = Frac(rnd.choice([0, 1]), 3)
+        rs.append(Rect(x0, Frac(2, 3), c, d))
+    assert _same(RationalSet.from_rects(rs), reference_from_rects(rs))
 
 
 @given(grid_step_maps(alphabet=2))
@@ -314,6 +372,13 @@ def test_step_map_fusion():
     b = StepMap.uniform_strips([0, 1, 0])
     assert b.support_of(0).measure == Frac(2, 3)
     assert b.value_at(Frac(1, 2), Frac(0)) == 1
+
+
+@pytest.mark.parametrize("x, y", [(2, 0), (0, 1), (Frac(-1, 2), Frac(1, 2)), (1, 1)])
+def test_value_at_refuses_a_point_off_the_square(x, y):
+    m = StepMap.constant(0)
+    with pytest.raises(ValueError, match=f"point \\({x}, {y}\\) lies outside"):
+        m.value_at(x, y)
 
 
 @given(step_maps(), step_maps())
@@ -422,21 +487,14 @@ def test_step_map_refusals_hold_on_a_kept_sweep(cells, message):
 
 
 def reference_step_map(cells):
-    """StepMap's (cells, values) or refusal, its unions and tiling looked
-    up per construction, kept as a reference."""
-    by_value: dict = {}
-    for s, v in cells:
-        if s._cols:
-            by_value.setdefault(v, []).append(s)
-    sets = tuple(ss[0] if len(ss) == 1 else _layout((tuple(ss),)).union
-                 for ss in by_value.values())
-    refusal, order = _layout((sets,)).tiling
-    if refusal:
-        return refusal
-    values = tuple(by_value)
-    sets = tuple(map(sets.__getitem__, order))
-    values = tuple(map(values.__getitem__, order))
-    return tuple(zip(sets, values)), values
+    """StepMap's (cells, values) or refusal: reference_refusal, then the
+    fused cells sorted by their first rectangle, kept as a reference."""
+    message = reference_refusal(cells)
+    if message:
+        return message
+    fused = sorted(reference_fused(cells).items(),
+                   key=lambda vs: _first_rect(vs[1]))
+    return tuple((s, v) for v, s in fused), tuple(v for v, _ in fused)
 
 
 def built(cells):
@@ -515,8 +573,11 @@ def test_equal_set_tuples_share_one_sweep():
     info = _layout.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert 0 < info.maxsize == SWEEP_CACHE_SIZE <= 512
-    assert first.union == RationalSet.from_rects(r for s in a for r in s.rects)
-    assert first.tiling[0] == "cells measure 5/4, expected 1"
+    # a StepMap's form fuses a value's cells into one from_rects union, and
+    # refuses cells that do not tile the square
+    union = RationalSet.from_rects(r for s in a for r in s.rects)
+    assert _form((a,))[1] == (union,)
+    assert refusal(zip(a, range(3))) == "cells measure 5/4, expected 1"
     # a kept layout is shared, so nothing in it can be mutated, and every
     # reader hands out a fresh list
     f = StepMap([(a[0], 0), (_rect(0, "1/2", "1/3", 1), 1),
@@ -524,7 +585,7 @@ def test_equal_set_tuples_share_one_sweep():
     g = StepMap.from_horizontal_strips([(0, Frac(1, 4), "a"), (Frac(1, 4), 1, "b")])
     pieces = common_refinement([f, g])
     l1_distance(f, g)
-    _table([f, g])
+    _layout_of([f, g]).table
     again = common_refinement([f, g])
     assert again == pieces and again is not pieces
     pieces.clear()
@@ -619,7 +680,7 @@ def test_kept_sweeps_change_no_result(maps):
     # each result with a cleared cache, then again from the kept layout
     for compute in (lambda: common_refinement(maps),
                     lambda: l1_distance(maps[0], maps[1]),
-                    lambda: _table(maps)):
+                    lambda: _layout_of(maps).table):
         _layout.cache_clear()
         cold = compute()
         hits = _layout.cache_info().hits
@@ -650,7 +711,7 @@ def test_kept_layouts_never_leak_values(m, g, data):
     fused[i] = vals[j]
     computations = (lambda f: common_refinement([f, g]),
                     lambda f: l1_distance(f, g),
-                    lambda f: _table([f, g]))
+                    lambda f: _layout_of([f, g]).table)
     _layout.cache_clear()
     for f in (m, StepMap(zip(sets, vals[1:] + vals[:1])), StepMap(zip(sets, fused))):
         warm = [compute(f) for compute in computations]

@@ -108,8 +108,13 @@ def parse_endo(text: str):
             pairs = [(nat.index_of(x), nat.index_of(y)) for x, y in entries]
         except (ValueError, TypeError) as e:
             raise CliInputError(f"bad table payload: {e}") from None
+        table = {}
+        for x, y in pairs:
+            if table.setdefault(x, y) != y:
+                raise CliInputError(f"table key {x} is listed with images "
+                                    f"{table[x]} and {y}")
         try:
-            return TableInjection(nat, dict(pairs))
+            return TableInjection(nat, table)
         except ValueError as e:
             raise CliPrecondition(str(e)) from None
     raise CliInputError(f"unknown endo {text!r}")
@@ -283,6 +288,8 @@ def _parse_geometry(text: str) -> GeometrySpec:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise CliInputError("--n-max must be >= 1")
     geom = _parse_geometry(args.geometry)
     deltas = [parse_frac(d) for d in (args.delta or ["1/2", "1/4", "1/8"])]
     ks = {}
@@ -319,10 +326,7 @@ def _parse_subspace(text: str, dim: int) -> list:
                 raise CliInputError(f"basis index {i} outside dim {dim}")
             gens.append(tuple(1 if j == i else 0 for j in range(dim)))
         else:
-            vec = tuple(int(c) for c in part.split())
-            if len(vec) != dim:
-                raise CliInputError(f"vector {part!r} has wrong length")
-            gens.append(vec)
+            gens.append(tuple(int(c) for c in part.split()))
     if not gens:
         raise CliInputError("empty subspace description")
     return gens

@@ -243,15 +243,23 @@ def exhaustive_pair_search(q: int, dim: int, grid: int,
     """Minimal two-sided image gap over all grid-constant automorphism maps.
 
     Probes are V-constants per omega strip; the comparison class is
-    W-valued strips for W spanned by subspace_gens.  Exact rationals; the
+    W-valued strips for W spanned by subspace_gens, each a dim-tuple of
+    entries in [0, q) (ValueError otherwise).  Exact rationals; the
     result is reported as searched data at this scale, not as an instance
     of any infinite-dimensional statement.
     """
-    points = sorted(iter_product(range(q), repeat=dim))
-    wset = subspace_span(q, [tuple(g) for g in subspace_gens])
+    gens = [tuple(g) for g in subspace_gens]
+    for g in gens:
+        if len(g) != dim:
+            raise ValueError(f"generator {list(g)} has length {len(g)}, "
+                             f"expected dim {dim}")
+        if not all(0 <= c < q for c in g):
+            raise ValueError(f"generator {list(g)} has an entry outside [0, {q})")
+    wset = subspace_span(q, gens)
     if not wset:
         raise ValueError("subspace must contain at least the origin")
     _check_guard(_gl_order(dim, q), grid)
+    points = sorted(iter_product(range(q), repeat=dim))
     mats = gl_matrices(dim, q)
     return _min_grid_gap(mats, grid, points, sorted(wset),
                          lambda m, v: _mat_apply(m, v, q))

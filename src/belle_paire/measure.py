@@ -17,9 +17,7 @@ the swept operands a rule accepts.
 A step map's canonical form is kept per tuple of per-value cell-set tuples
 (see _form), for the last SWEEP_CACHE_SIZE tuples: its tiling verdict, its
 fused sets in canonical order and that order.  A construction on cells
-grouped as one before (a brute-force scoring, say, whose every assignment
-groups a few pieces by image) does one lookup, and the maps share their set
-tuple.
+grouped as one before does one lookup, and the maps share their set tuple.
 
 The refinement of several step maps is kept as a layout, one per tuple of
 per-map cell-set tuples, for the last SWEEP_CACHE_SIZE tuples: per omega
@@ -716,11 +714,10 @@ class _Layout:
 
 
 # Layouts kept by _layout, and forms kept by _form, each for this many
-# keys.  An oracle job (criterion 08's brute force) looks up about 220
-# layouts of about 9 cell-set tuples and about 220 forms of about 6
-# groupings; over 200 such jobs, keeping 128, 256 or 512 left 1,589, 1,547
-# or 1,523 layouts of 44,214 and 244, 243 or 243 forms of 43,800 to
-# compute, with peak RSS 19.0, 19.4 and 20.1 MB.
+# keys.  An oracle job (criterion 08's check) looks up two layouts, of
+# (f, h_hat) and of (f, h_hat, strips), and one form, the strip map's; over
+# 200 distinct such jobs, 386 of the 400 layouts and 10 of the 200 forms
+# were computed, with peak RSS 20.3 MB.
 SWEEP_CACHE_SIZE = 256
 
 

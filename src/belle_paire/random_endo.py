@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product as iter_product
-from operator import mul, ne
+from operator import getitem, mul, ne
 from typing import NamedTuple
 
 from .measure import (Frac, RationalSet, StepMap, _frac, _layout_of,
-                      common_refinement, l1_distance, vertical_split)
+                      common_refinement, vertical_split)
 from .structures import (Domain, IdentityInjection, NonInjectiveOnWindow,
                          WindowInjection, window_permutation)
 from .approx import (CycleApproxBijection, OrbitClassifier,
@@ -324,23 +324,31 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     empty, and the strips must tile [0, 1) (StepMap's tiling ValueError
     otherwise).
 
-    h_hat is refined against the strips once: on each piece, h_hat(g) is
-    the piece's injection applied to the pool point of the piece's strip,
-    so each injection is applied to each pool point once, and each
-    assignment, an index tuple over the pool, builds one image map.  Equal
-    images fuse, so the map is the one of the refinement against g.
+    f, h_hat and the strips are laid out together once: on each layout
+    piece, h_hat(g) is the piece's injection applied to the pool point of
+    the piece's strip, so each injection is applied to each pool point
+    once.  miss[j][p] is the int area, over den**2, of the pieces of strip
+    j where f differs from that image of pool[p]; the distance is additive
+    over pieces, so each assignment, an index tuple over the pool, scores
+    as an int sum over the table, and one Fraction is built at the end.
     """
     validate_random_endo(h_hat)
     if not pool:
         raise ValueError("brute force needs a non-empty pool")
     strip_map = StepMap.from_vertical_strips(
         (lo, hi, j) for j, (lo, hi) in enumerate(strips))
-    rows = {h: [h.apply(a) for a in pool] for h in h_hat.values()}
-    pieces = [(s, j, rows[h])
-              for s, (h, j) in common_refinement([h_hat, strip_map])]
-    return min(l1_distance(f, StepMap([(s, row[combo[j]])
-                                       for s, j, row in pieces]))
+    lay = _layout_of([f, h_hat, strip_map])
+    fv, strip_of = f.values(), strip_map.values()
+    rows = [[h.apply(a) for a in pool] for h in h_hat.values()]
+    miss = [[0] * len(pool) for _ in strips]
+    for (i, k, s), area in lay.areas:
+        line = miss[strip_of[s]]
+        for p, b in enumerate(rows[k]):
+            if fv[i] != b:
+                line[p] += area
+    best = min(sum(map(getitem, miss, combo))
                for combo in iter_product(range(len(pool)), repeat=len(strips)))
+    return Frac(best, lay.den * lay.den)
 
 
 def max_strip_probe_distance(g_hat: StepMap, h_hat: StepMap, strips: list,

@@ -594,6 +594,17 @@ MENDED_INPUTS = {
                     "--pair2", "@window-zero-shift.json"],
     "window-negative": ["pair-certify", "--pair1", "@window-negative-identity.json",
                         "--pair2", "@window-negative-shift.json"],
+    **{f"obstruction-{name}": ["--eps", "1/10", "--window", "40", "pair-certify",
+                               "--pair1", "fq2:identity", "--pair2", "fq2:shift",
+                               "--obstruction",
+                               '{"q": 2, "dim": 2, "grid": 2, "subspace": %s}' % gens]
+       for name, gens in (("short-generator", "[[1]]"),
+                          ("entry-outside-field", "[[2, 0]]"))},
+    "subspace-entry-outside-field": ["search", "--subspace", "2 0"],
+    "n-max-zero": ["bound", "--n-max", "0"],
+    "n-max-negative": ["bound", "--n-max", "-1"],
+    "table-repeated-key": ["approx-endo", "--endo", "table:[[1,2],[1,3]]",
+                           "--n", "2"],
 }
 
 
@@ -604,6 +615,28 @@ def test_mended_inputs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["search", "--subspace", "1"], "generator [1] has length 1, expected dim 2"),
+    (["search", "--subspace", "e0,1 1 0"], "generator [1, 1, 0] has length 3"),
+    (["search", "--subspace", "2 0"], "generator [2, 0] has an entry outside [0, 2)"),
+    (["approx-endo", "--endo", "table:[[1,2],[1,3]]", "--n", "2"],
+     "table key 1 is listed with images 2 and 3"),
+    (["bound", "--n-max", "0"], "--n-max must be >= 1"),
+])
+def test_malformed_counts_and_generators_are_named(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_table_key_repeated_with_one_image_is_one_entry(capsys):
+    code, out = run(capsys, "--window", "6", "approx-endo", "--endo",
+                    "table:[[1,2],[1,2],[2,1]]", "--n", "2")
+    assert (code, out) == run(capsys, "--window", "6", "approx-endo", "--endo",
+                              "table:[[1,2],[2,1]]", "--n", "2")
+    assert code == 0
 
 
 OPTIMIZE_CASES = [

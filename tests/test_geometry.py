@@ -342,6 +342,28 @@ def test_search_guard_trips_before_enumerating_options(monkeypatch):
         exhaustive_pair_search(4, 3, 4, [(1, 0, 0)])
 
 
+def test_search_guard_trips_before_enumerating_points(monkeypatch):
+    def guarded(it, repeat=1):
+        if repeat == 24:
+            raise AssertionError("the 2**24 points were enumerated")
+        return product(it, repeat=repeat)
+    monkeypatch.setattr(geometry, "iter_product", guarded)
+    with pytest.raises(SearchGuardExceeded):
+        exhaustive_pair_search(2, 24, 1, [(1,) + (0,) * 23])
+
+
+@pytest.mark.parametrize("gens,match", [
+    ([(1,)], "length 1, expected dim 2"),
+    ([(1, 0), (1, 0, 0)], "length 3, expected dim 2"),
+    ([(2, 0)], r"entry outside \[0, 2\)"),
+    ([(1, -1)], r"entry outside \[0, 2\)"),
+])
+def test_search_refuses_malformed_generators(gens, match):
+    # subspace_span would reduce an entry mod q, or read a short generator
+    with pytest.raises(ValueError, match=match):
+        exhaustive_pair_search(2, 2, 2, gens)
+
+
 def test_search_rejects_grid_below_one():
     with pytest.raises(ValueError):
         exhaustive_pair_search(2, 2, 0, [(1, 0)])

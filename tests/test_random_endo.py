@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belle_paire.measure as measure
 import belle_paire.random_endo as random_endo
 from belle_paire.approx import (
     OrbitClassifier,
@@ -16,6 +17,7 @@ from belle_paire.measure import (
     Frac,
     RationalSet,
     StepMap,
+    _layout_of,
     common_refinement,
     l1_distance,
     slice_profile,
@@ -398,20 +400,25 @@ def test_brute_force_matches_reference(h_cells, f, cuts, pool):
 
 
 def test_brute_force_refines_once(monkeypatch):
-    refinements = []
+    layouts = []
     built = []
 
-    def counting_refinement(maps):
-        refinements.append(maps)
-        return common_refinement(maps)
+    def counting_layout(maps):
+        layouts.append(maps)
+        return _layout_of(maps)
 
     class CountingStepMap(StepMap):
         def __init__(self, cells):
             built.append(self)
             super().__init__(cells)
 
-    monkeypatch.setattr(random_endo, "common_refinement", counting_refinement)
+    def refuse(*args):
+        raise AssertionError("an assignment was scored through l1_distance")
+
+    monkeypatch.setattr(random_endo, "_layout_of", counting_layout)
     monkeypatch.setattr(random_endo, "StepMap", CountingStepMap)
+    monkeypatch.setattr(random_endo, "l1_distance", refuse, raising=False)
+    monkeypatch.setattr(measure, "l1_distance", refuse)
     h_hat = StepMap.from_horizontal_strips(
         [(0, Frac(1, 3), successor_endo()), (Frac(1, 3), 1, identity_endo(NAT))])
     f = StepMap.from_vertical_strips([(0, Frac(1, 2), 1), (Frac(1, 2), 1, 2)])
@@ -419,16 +426,16 @@ def test_brute_force_refines_once(monkeypatch):
     pool = [0, 1, 2, 3]
     d = brute_force_dist_to_image(f, h_hat, strips, pool)
     assert d == reference_brute_force_dist_to_image(f, h_hat, strips, pool)
-    assert len(refinements) == 1
-    # the strip map, then one image map per assignment
-    assert len(built) == 1 + len(pool) ** len(strips)
+    # one layout of f, h_hat and the strip map; the strip map is the one map
+    assert len(layouts) == 1 and layouts[0][:2] == [f, h_hat]
+    assert built == [layouts[0][2]]
 
 
 def test_brute_force_refuses_an_empty_pool_and_untiled_strips(monkeypatch):
     def refuse(*args):
         raise AssertionError("an assignment was scored")
 
-    monkeypatch.setattr(random_endo, "l1_distance", refuse)
+    monkeypatch.setattr(random_endo, "_layout_of", refuse)
     h_hat = constant_endo(successor_endo())
     with pytest.raises(ValueError, match="non-empty pool"):
         brute_force_dist_to_image(StepMap.constant(0), h_hat, [(0, 1)], [])

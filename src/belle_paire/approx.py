@@ -62,7 +62,8 @@ class OrbitClassifier:
     A code's record is (kind code, oid, position): in the flat lists
     _kind, _oid and _pos for the codes [0, _n) of the largest window laid
     out, in _far past it.  Rooted chain oid has _clen[oid] codes, the first
-    _cut[oid] at _start[oid] in _ids (window _n's chain_ids), the rest in
+    _cut[oid] at _start[oid] in _ids (window _n's chain_ids; while a larger
+    window is laid out, its store, and _cut is _clen), the rest in
     _tail[oid].  _cycles holds the cycles of two or more codes.  Every oid
     has a _clen entry, so len(_clen) is the next oid.  _row is tau's row of
     the longest window, _img its images past it, _points the decoded points
@@ -163,15 +164,11 @@ class OrbitClassifier:
         return (self._start[oid], self._cut[oid]) if oid < len(self._cut) else (0, 0)
 
     def chain_point(self, oid: int, pos: int) -> int:
-        """Code at a chain position, extending forward with tau as needed; a
-        code that a layout in progress has added is found by its record."""
+        """Code at a chain position, extending forward with tau as needed."""
         start, cut = self._span(oid)
         if pos < cut:
             return self._ids[start + pos]
         tail = self._tail.setdefault(oid, [])
-        if cut + len(tail) <= pos < self._clen[oid]:
-            return next(c for c in chain(range(len(self._kind)), self._far)
-                        if self._record(c) == (_K_SEMI, oid, pos))
         while len(tail) <= pos - cut:
             nxt = self.tau_image(tail[-1] if tail else self._ids[start + cut - 1])
             if nxt >= self._n:
@@ -181,83 +178,114 @@ class OrbitClassifier:
         return tail[pos - cut]
 
     def _lay_out(self, n: int, row: list) -> tuple:
-        """Classify the unclassified codes [0, n) in code order as classify
-        would, reading preimages off the inverse of tau's window row where
-        tau is injective (the walk takes a code whose preimage is unclassified
-        or ends no rooted chain).  Returns the rooted chains as chain_ids lays
-        them out: oids longest first (ties by first window code), cut lengths
-        by oid, and (start, count, length) per run of one length.  A window
-        past _n becomes the store; a failed layout leaves a fresh classifier."""
-        m, K, O, P, far, clen = (self._n, self._kind, self._oid, self._pos,
-                                 self._far, self._clen)
+        """Classify the unclassified codes [0, n) as in-order classify would;
+        return the window's chain_ids and groups (see _Win).  A window past
+        _n becomes the store, one run of codes per chain (the chains from
+        before it first): in code order, where tau is injective, a fixed
+        point is settled at once and a chain is walked forward along the
+        row, from its root or a backward walk's end, while its codes rise.
+        A failed layout leaves a fresh classifier."""
+        m, K, O, P, clen = self._n, self._kind, self._oid, self._pos, self._clen
+        store, start, chains = self._ids, self._start, None
         if n > m:
-            self._row = row
+            self._row, far = row, self._far
             for a in (K, O, P):
                 a += [None] * (n - m)
             for c in [c for c in far if m <= c < n]:
                 K[c], O[c], P[c] = far.pop(c)
-            inv = [None] * n
-            if self.tau.injective:
-                for x, y in zip(range(n), row):
-                    if y < n:
-                        inv[y] = x
-        oids, nfar, preimage = len(clen), len(far), self.tau.preimage_code
-        cut, order = [0] * oids, []
-        try:
-            for x in range(n):
-                if K[x] is None:
-                    prev = inv[x]
-                    if prev is None:
-                        prev = preimage(x)
-                    if prev is None or prev == x:  # a root, or a fixed point
-                        root = prev is None
-                        K[x], O[x], P[x] = _K_SEMI if root else _K_ORBIT, len(clen), 0
-                        clen.append(int(root))
-                        cut.append(0)
-                    elif (prev < n and K[prev] == _K_SEMI
-                          and clen[o := O[prev]] == (p := P[prev] + 1)):
-                        K[x], O[x], P[x] = _K_SEMI, o, p  # x extends prev's chain
-                        if not cut[o]:
-                            order.append(o)
-                        clen[o] = cut[o] = p + 1
+            old = list(filter(clen.__getitem__, range(len(clen))))
+            store, start, base, moved = [], [0] * len(clen), clen.copy(), False
+            injective, preimage = self.tau.injective, self.tau.preimage_code
+            try:
+                for o in old:
+                    s, c = self._span(o)
+                    start[o], p = len(store), clen[o]
+                    store += self._ids[s:s + c] + self._tail.pop(o, [])
+                    x = store[-1]
+                    y = row[x] if injective and x < n and O[x] == o else n
+                    while x < y < n and K[y] is None:
+                        K[y], O[y], P[y] = _K_SEMI, o, p
+                        store.append(y)
+                        p, x, y = p + 1, y, row[y]
+                    clen[o] = p
+                # a collision's chain_point reads the store while the layout runs
+                self._ids, self._start, self._cut = store, start, clen
+                for x in range(n):
+                    if K[x] is not None:
                         continue
+                    o = len(clen)
+                    if injective and row[x] == x:  # a fixed point
+                        K[x], O[x], P[x] = _K_ORBIT, o, 0
+                        clen.append(0)
+                        start.append(0)
+                        continue
+                    prev = preimage(x)
+                    if injective and prev is None:  # a root
+                        K[x], O[x], P[x] = _K_SEMI, o, 0
+                        clen.append(1)
+                        start.append(len(store))
+                        store.append(x)
                     else:
-                        self._walk(x, prev)
-                        cut += [0] * (len(clen) - len(cut))
-                if K[x] == _K_SEMI:
-                    o, p = O[x], P[x]
+                        (kind, o, p), path = self._walk(x, prev)
+                        start += [0] * (len(clen) - len(start))
+                        if kind != _K_SEMI:
+                            continue
+                        had = clen[o] - len(path)
+                        if had and start[o] + had != len(store):  # copy it to the end
+                            store += store[start[o]:start[o] + had]
+                            moved = True
+                        start[o] = s = len(store) - had
+                        store += path
+                        # in order, the walk would pass the chain's codes above x
+                        i, lo = p - 1, base[o] if o < len(base) else 0
+                        while i >= lo and store[s + i] > x:
+                            i -= 1
+                        if p - i > MAX_STEPS:  # ... and leave x undetermined
+                            for c in store[s + i + 1:]:
+                                if far.pop(c, None) is None:  # a window code
+                                    K[c] = None
+                            del store[s + i + 1:]
+                            clen[o] = i + 1
+                            self._walk(x, prev)
+                            continue
+                    p, y = clen[o], row[x] if injective else n  # walk on while it rises
+                    while x < y < n and K[y] is None:
+                        K[y], O[y], P[y] = _K_SEMI, o, p
+                        store.append(y)
+                        p, x, y = p + 1, y, row[y]
+                    clen[o] = p
+            except BaseException:
+                self.__init__(self.tau)
+                raise
+        if n <= m or old or moved:
+            cut, order = [0] * len(clen), []  # from the records, in code order
+            for kind, o, p in zip(islice(K, n), O, P):
+                if kind == _K_SEMI and cut[o] <= p:
                     if not cut[o]:
                         order.append(o)
-                    if cut[o] <= p:
-                        cut[o] = p + 1
-        except BaseException:
-            self.__init__(self.tau)
-            raise
-        order.sort(key=cut.__getitem__, reverse=True)
-        groups, start, at = [], [0] * len(cut), 0
-        for length, run in groupby(order, cut.__getitem__):
-            first = at
-            for o in run:
-                start[o], at = at, at + length
-            groups.append((first, (at - first) // length, length))
+                    cut[o] = p + 1
+        else:  # one run per chain, in oid order, which is first window code order
+            cut = clen.copy()
+            order = chains = list(filter(cut.__getitem__, range(len(cut))))
+        order = sorted(order, key=cut.__getitem__, reverse=True)
+        ids, tail = store, {}
+        if order != chains:  # the chains' runs longest first, each cut
+            ids = list(chain.from_iterable(store[start[o]:start[o] + cut[o]]
+                                           for o in order))
+            if n > m:
+                tail = {o: store[start[o] + c:start[o] + clen[o]]
+                        for o, c in enumerate(cut) if c < clen[o]}
+                at = 0
+                for o in order:
+                    start[o], at = at, at + cut[o]
         if n > m:
-            # chains' codes from before the layout, then the new ones by record
-            ids = [None] * at
-            for o in filter(cut.__getitem__, range(oids)):
-                s0, c0 = self._span(o)
-                codes = self._ids[s0:s0 + c0] + self._tail.pop(o, [])
-                ids[start[o]:start[o] + min(cut[o], len(codes))] = codes[:cut[o]]
-                if len(codes) > cut[o]:
-                    self._tail[o] = codes[cut[o]:]
-            # a code with a window preimage w is stored as row[w], sharing its int
-            for x, w, kind, o, p in chain(
-                    zip(range(m, n), islice(inv, m, None), islice(K, m, None),
-                        islice(O, m, None), islice(P, m, None)),
-                    ((c, None, *r) for c, r in islice(far.items(), nfar, None))):
-                if kind == _K_SEMI:
-                    ids[start[o] + p] = x if w is None else row[w]
             self._ids, self._start, self._cut, self._n = ids, array("q", start), cut, n
-        return order, cut, groups
+            self._tail = tail
+        groups, at = [], 0
+        for length, run in groupby(map(cut.__getitem__, order)):
+            groups.append((at, count := len(list(run)), length))
+            at += count * length
+        return ids, groups
 
     def window_struct(self, n: int) -> "_Win":
         """The _Win of the window [0, n), built once per n; raises
@@ -276,8 +304,9 @@ class _Win:
     other readers, so nothing here writes to it; tau_set, its set, has n
     codes, as tau is checked injective on the window first.  The window's
     rooted chains, each cut after its last window point, lie end to end in
-    chain_ids, longest first (the classifier's chain store for its largest
-    window); groups holds (start, count, length) per run of one length.
+    chain_ids, longest first, ties by first window point (the classifier's
+    chain store for its largest window); groups holds (start, count,
+    length) per run of one length.
     """
 
     __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
@@ -288,10 +317,7 @@ class _Win:
         self.tau_set = set(self.tau_ids)
         if len(self.tau_set) < n:
             cls.tau.validate_window(n)  # names the first collision
-        order, cut, self.groups = cls._lay_out(n, self.tau_ids)
-        ids, start = cls._ids, cls._start
-        self.chain_ids = ids if n == cls._n else [
-            c for o in order for c in ids[start[o]:start[o] + cut[o]]]
+        self.chain_ids, self.groups = cls._lay_out(n, self.tau_ids)
         self.undet_widx = (list(compress(range(n), map(_K_UNDET.__eq__, cls._kind)))
                            if cls.has_undetermined else [])
 
@@ -391,6 +417,7 @@ class CycleApproxBijection(WindowInjection):
         tau = classifier.tau
         self.is_bijection = self.injective = tau.injective
         super().__init__(tau.domain, f"approx[{tau.description};n={n},i={i}]")
+        self._last = (None, None, None)  # the last _Win _moves read, and its moves
         # apply and preimage on points decode through the classifier's memo
         self.point_of = classifier.point
 
@@ -428,7 +455,10 @@ class CycleApproxBijection(WindowInjection):
         first goes to its chain's root, each later one to position j-n+1.
         Only they are read, from each group of ws.groups by stride-length
         slices (one per moved position) or stride-n ones (one per chain).
+        A _Win is not changed once built, so its moves are read once.
         """
+        if self._last[0] is ws:
+            return self._last[1:]
         n, i = self.n, self.i
         ids = ws.chain_ids
         moved, images = [], []
@@ -450,6 +480,7 @@ class CycleApproxBijection(WindowInjection):
         if moved and max(moved) >= nw:  # chain points outside the window
             keep = [w < nw for w in moved]
             moved, images = list(compress(moved, keep)), list(compress(images, keep))
+        self._last = (ws, moved, images)
         return moved, images
 
     def window_row(self, n: int) -> list:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belle_paire import approx
@@ -95,6 +95,35 @@ def test_window_ids_cut_chains_grown_past_the_window():
     for s in sigmas:
         moved, images = s._moves(ws)
         assert [pts[y] for y in images] == [s.apply(pts[w]) for w in moved]
+
+
+def test_moves_are_read_once_per_window():
+    # defect_profile, window_bijectivity and window_row share each sigma's
+    # moves on one window; another window's are read afresh, never reused
+    tau = basis_shift_endo(2)
+    cls = OrbitClassifier(tau)
+    sigmas = approximate_by_automorphisms(tau, 3, cls)
+    slices = []
+
+    class Spy(list):
+        def __getitem__(self, key):
+            slices.append(key)
+            return super().__getitem__(key)
+
+    for n in (300, 100):
+        ws = cls.window_struct(n)
+        ws.chain_ids = Spy(ws.chain_ids)
+        slices.clear()
+        prof = defect_profile(tau, sigmas, n)
+        for s in sigmas:
+            assert s.window_bijectivity(n)
+            s.window_row(n)
+        once = len(slices)
+        fresh = [CycleApproxBijection(cls, 3, i) for i in range(3)]
+        slices.clear()
+        assert [f._moves(ws) for f in fresh] == [s._moves(ws) for s in sigmas]
+        assert len(slices) == once > 0
+        assert prof == defect_profile(tau, fresh, n)
 
 
 def test_window_bijectivity_rejects_colliding_images(monkeypatch):
@@ -253,13 +282,13 @@ def test_shared_classifier_validates_window_once():
 
 
 @pytest.mark.parametrize("make, reads", [
-    (lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}), 2),
+    (lambda: window_permutation(NaturalNumbers(), {2: 450, 450: 7, 7: 2}), 3),
     (lambda: basis_shift_endo(2), 300),
 ], ids=["table", "fq2-shift"])
 def test_classify_reads_each_preimage_once(make, reads):
-    # the layout reads a preimage off the window row where it can: the
-    # 3-cycle's walk from 2 asks for the preimages of 7 and 450 only, and
-    # the shift's window asks only for its roots' (the odd codes)
+    # the layout walks chains forward along the window row: the 3-cycle
+    # asks for the preimages of 2, 7 and 450 once each, and the shift's
+    # window asks only for its roots' (the odd codes)
     tau = make()
     calls = []
     tau.preimage_code = counted(tau.preimage_code, calls)
@@ -460,6 +489,54 @@ def test_window_layout_matches_in_order_classify(tau, used, budget, monkeypatch)
     assert states[0] == states[1]
 
 
+@st.composite
+def permuted_shifts(draw):
+    """A shift by 1 to 3 composed, on either side, with a permutation of a
+    few codes, some small and some up to past the largest window, and
+    windows, some ending at a permuted code: cycles that straddle the
+    window's edge, chains that leave the window and come back, and chains
+    that step down."""
+    near = st.integers(0, 40)
+    codes = draw(st.lists(st.one_of(near, st.integers(0, 760)), min_size=2,
+                          max_size=10, unique=True))
+    perm = window_permutation(_NAT, dict(zip(codes, draw(st.permutations(codes)))))
+    shift = successor_endo() if draw(st.booleans()) else shift_endo(draw(st.integers(2, 3)))
+    tau = shift.compose(perm) if draw(st.booleans()) else perm.compose(shift)
+    windows = st.one_of(st.integers(1, 700), st.sampled_from(codes).map(
+        lambda c: min(max(c, 1), 700)))
+    return tau, draw(st.lists(windows, min_size=1, max_size=3))
+
+
+@given(permuted_shifts(),
+       st.one_of(st.lists(st.integers(0, 800), max_size=6),
+                 st.integers(0, 60).map(lambda k: list(range(k)))),
+       st.sampled_from([2, 5, approx.MAX_STEPS]))
+# the chain 0, 2, 4, 1, 3, ... steps down: in order, the walk from 1 passes
+# 4 and 2 and runs out of budget
+@example((window_permutation(_NAT, {1: 6, 6: 1}).compose(shift_endo(2)), [5]), [], 2)
+# the chain 0, 2, ..., 20, 5, ... steps down, but its codes above 5 were
+# classified before the window: in order, 5 joins it in one step
+@example((shift_endo(2).compose(window_permutation(_NAT, {3: 20, 20: 3})), [40]),
+         list(range(0, 21, 2)), 2)
+@settings(max_examples=200, deadline=None)
+def test_window_layout_matches_the_walk_on_permuted_shifts(tau_windows, used, budget):
+    # fresh classifiers (used empty) and used ones (some codes, or a prefix
+    # of the codes, classified first), windows growing and shrinking, walk
+    # budgets that leave codes undetermined; the layout leaves the state,
+    # chains and groups of in-order classify
+    tau, windows = tau_windows
+    saved, approx.MAX_STEPS = approx.MAX_STEPS, budget
+    try:
+        states = []
+        for make in (OrbitClassifier, WalkClassifier):
+            cls = make(tau)
+            list(map(cls.classify, used))
+            states.append([_window_state(cls, n) for n in windows])
+        assert states[0] == states[1]
+    finally:
+        approx.MAX_STEPS = saved
+
+
 @pytest.mark.parametrize("tau", [basis_shift_endo(2), identity_endo()],
                          ids=lambda t: t.description)
 def test_window_layout_tracks_a_bounded_number_of_objects(tau):
@@ -474,25 +551,28 @@ def test_window_layout_tracks_a_bounded_number_of_objects(tau):
     assert sum(count * length for _, count, length in ws.groups) == len(ws.chain_ids)
 
 
-# preimage_code calls inside the backward walks of a fresh 600-code window,
-# each asking for the preimage of a code the walk reached
+# preimage_code calls of a fresh 600-code window past the codes with no
+# window preimage: the layout walks chains forward while their codes rise,
+# so it asks for the preimage of a window code only where a cycle starts or
+# a chain steps down, and in the backward walk from there
 WALK_READS = [
     0, 0, 0, 0,
-    2,    # the walk from 2 around its 3-cycle: 7 and 450
-    1,    # the walk from code 3 around its 2-cycle: 12
+    3,    # the 3-cycle: 2, then the walk from 2 to 7 and 450
+    2,    # the 2-cycle: code 3, then the walk from 3 to 12
     0,    # not injective: every window code is asked for once
-    3,    # the walks from 2 (4) and from 6 (9, 7)
+    3,    # 2, then the walk around the 2-cycle to 4; and 6, after 9 -> 6
     0,
     994,  # the walk from 6 around the cycle 6, 7, ..., 1000: 1000 down to 7
-    8,    # the walk from 5 down the chain 20, 18, ..., 6
+    1,    # 5, after 20 -> 5 (6 to 20 rise from the root 0)
 ]
 
 
 @pytest.mark.parametrize("tau, walked", zip(WINDOW_TAUS, WALK_READS),
                          ids=[t.description for t in WINDOW_TAUS])
-def test_window_layout_reads_preimages_off_the_row(tau, walked, monkeypatch):
-    # a code with a window preimage reads it off the inverse of the window
-    # row; preimage_code is asked for the others, once each, and in walks
+def test_window_layout_asks_preimages_where_chains_do_not_rise(tau, walked,
+                                                               monkeypatch):
+    # every code with no window preimage is asked for once; a larger window
+    # walks the rooted chains on from their ends, asking for no other code
     calls = []
     preimage = tau.preimage_code
     monkeypatch.setattr(tau, "preimage_code", lambda k: calls.append(k) or preimage(k))

@@ -290,6 +290,8 @@ class OrbitClassifier:
     def window_struct(self, n: int) -> "_Win":
         """The _Win of the window [0, n), built once per n; raises
         NonInjectiveOnWindow if two window points share an image."""
+        if n < 0:
+            raise ValueError(f"window size {n} is negative")
         ws = self._ws_cache.get(n)
         if ws is None:
             ws = self._ws_cache[n] = _Win(self, n)
@@ -483,16 +485,20 @@ class CycleApproxBijection(WindowInjection):
         self._last = (ws, moved, images)
         return moved, images
 
-    def window_row(self, n: int) -> list:
+    def window_codes(self, n: int) -> list:
         """Codes of sigma's images of the window codes [0, n), as apply_code
         gives them: tau's window images with the moves written over them.
 
-        Raises NonInjectiveOnWindow if tau is not injective on the window.
-        apply_code leaves an undetermined code to tau, and a chain grown
-        forward by a preimage lookup can pass through one, so undetermined
-        window codes are written back to tau's image last.
+        A new list per call: a sigma keeps no row.  apply_code leaves an
+        undetermined code to tau, and a chain grown forward by a preimage
+        lookup can pass through one, so undetermined window codes are
+        written back to tau's image last.  Where tau collides on the window
+        the row is read code by code.
         """
-        ws = self.classifier.window_struct(n)
+        try:
+            ws = self.classifier.window_struct(n)
+        except NonInjectiveOnWindow:
+            return list(map(self.apply_code, range(n)))
         row = ws.tau_ids.copy()
         for w, y in zip(*self._moves(ws)):
             row[w] = y

@@ -180,10 +180,10 @@ def cmd_approx_endo(args: argparse.Namespace) -> int:
     return 0 if prof.max_defect <= 1 and bijective else 1
 
 
-def _lift_distances(tau, sigmas, alphabet):
-    """(a, L1 distance of the strip lift of sigmas from tau on the constant a)."""
+def _lift_distances(tau, sigmas, size: int):
+    """(a, L1 distance of the strip lift from tau on the constant a), a in [0, size)."""
     g_hat, h_hat = strip_lift(sigmas), constant_endo(tau)
-    for a in alphabet:
+    for a in tau.domain.window(size):
         f = StepMap.constant(a)
         yield a, l1_distance(apply_random_endo(g_hat, f),
                              apply_random_endo(h_hat, f))
@@ -197,8 +197,10 @@ def cmd_lift(args: argparse.Namespace) -> int:
     worst = Frac(0)
     formula_ok = True
     rows = []
-    for a, d in _lift_distances(tau, sigmas, tau.domain.window(args.alphabet)):
-        cell = Frac(sum(1 for s in sigmas if s.apply(a) != tau.apply(a)), n)
+    tau_row = tau.window_codes(args.alphabet)
+    sigma_rows = [s.window_codes(args.alphabet) for s in sigmas]
+    for k, (a, d) in enumerate(_lift_distances(tau, sigmas, args.alphabet)):
+        cell = Frac(sum(row[k] != tau_row[k] for row in sigma_rows), n)
         formula_ok = formula_ok and d == cell
         worst = max(worst, d)
         rows.append((repr(a), d))
@@ -248,6 +250,8 @@ def cmd_pair_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    if args.grid < 1:
+        raise CliInputError("--grid must be >= 1")
     pres = parse_group_expr(args.expr)
     name = args.element
     if name is None:
@@ -418,7 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tau = shift_endo(2)
         sig = approximate_by_automorphisms(tau, 10)
         return all(d <= Frac(1, 10)
-                   for _, d in _lift_distances(tau, sig, range(30)))
+                   for _, d in _lift_distances(tau, sig, 30))
 
     def search_ok():
         res1 = exhaustive_pair_search(2, 2, 2, [(1, 0)])

@@ -114,7 +114,7 @@ def parity_presentation() -> PermGroupPresentation:
 
     def member(h, window):
         # a natural is its own code
-        return all(h.apply_code(k) % 2 == k % 2 for k in range(window))
+        return all(y % 2 == k % 2 for k, y in enumerate(h.window_codes(window)))
 
     elements = {
         "identity": identity_endo(dom),

@@ -18,6 +18,7 @@ A step map's canonical form is kept per tuple of per-value cell-set tuples
 (see _form), for the last SWEEP_CACHE_SIZE tuples: its tiling verdict, its
 fused sets in canonical order and that order.  A construction on cells
 grouped as one before does one lookup, and the maps share their set tuple.
+Repeated pair-certify runs in one process find every form kept.
 
 The refinement of several step maps is kept as a layout, one per tuple of
 per-map cell-set tuples, for the last SWEEP_CACHE_SIZE tuples: per omega
@@ -30,7 +31,8 @@ sets are immutable, so a kept layout is exactly the one that would be
 recomputed.  Values enter only after the lookup, and grouping by index is
 grouping by value: a step map fuses equal values, so the cells of one map
 carry pairwise distinct values.  Step maps built on the same cells with
-other values share one layout.
+other values share one layout.  Repeated pair-certify runs in one process
+find every layout kept; SWEEP_CACHE_SIZE cites the measurements.
 
 Everything the public API returns (columns, rects, slices, shadows,
 measures) is a Fraction.
@@ -713,11 +715,13 @@ class _Layout:
                 tuple(tuple(ls.items()) for ls in per_key))
 
 
-# Layouts kept by _layout, and forms kept by _form, each for this many
-# keys.  An oracle job (criterion 08's check) looks up two layouts, of
-# (f, h_hat) and of (f, h_hat, strips), and one form, the strip map's; over
-# 200 distinct such jobs, 386 of the 400 layouts and 10 of the 200 forms
-# were computed, with peak RSS 20.3 MB.
+# Layouts kept by _layout, and forms kept by _form, each for this many keys,
+# for repeated pair-certify runs in one process: each run looks up 6 layouts
+# and 18 forms, all kept from the second run on.  With both caches, _layout
+# uncached and neither, perfbench/run.py's certify made 536, 440 (job_p50_s
+# +22%) and 311 jobs/s and its oracle 2,470, 2,504 (peak RSS 24.4 -> 23.4
+# MB) and 2,087 (2 alternating 20 s runs each, 2-core Xeon); the oracle hit
+# 14 of 400 layout and 397 of 600 form lookups over 200 jobs of seed 7.
 SWEEP_CACHE_SIZE = 256
 
 

@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 from .measure import (Frac, RationalSet, StepMap, _frac, _layout_of,
                       common_refinement, vertical_split)
-from .structures import (Domain, IdentityInjection, NonInjectiveOnWindow,
-                         WindowInjection, window_permutation)
-from .approx import (CycleApproxBijection, OrbitClassifier,
-                     approximate_by_automorphisms, defect_profile)
+from .structures import (Domain, IdentityInjection, WindowInjection,
+                         window_permutation)
+from .approx import (OrbitClassifier, approximate_by_automorphisms,
+                     defect_profile)
 
 __all__ = [
     "NoRepresentativeMatch",
@@ -77,9 +77,8 @@ def constant_endo(h: WindowInjection) -> StepMap:
 def endos_agree_on_window(a_hat: StepMap, b_hat: StepMap, window: int) -> bool:
     """Cellwise pointwise agreement on the window (weaker than equality)."""
     validate_random_endo(a_hat)
-    return all(g.apply_code(k) == h.apply_code(k)
-               for _, (g, h) in common_refinement([a_hat, b_hat])
-               for k in range(window))
+    return all(g.window_codes(window) == h.window_codes(window)
+               for _, (g, h) in common_refinement([a_hat, b_hat]))
 
 
 def apply_random_endo(h_hat: StepMap, f: StepMap) -> StepMap:
@@ -422,20 +421,9 @@ def _gap_table(maps: list, alphabet) -> tuple:
 
 
 def _image_row(v: WindowInjection, letters) -> list:
-    """The codes of v's images of the letters; not to be mutated.
-
-    A sigma's row on a window is tau's window images with its moves written
-    over them; where tau collides on the window it is read code by code, so
-    whatever apply_code does there is unchanged.  Any other value's row on
-    a window is its kept window_codes row.
-    """
+    """The codes of v's images of the letters; not to be mutated."""
     if isinstance(letters, range):
-        if not isinstance(v, CycleApproxBijection):
-            return v.window_codes(len(letters))
-        try:
-            return v.window_row(len(letters))
-        except NonInjectiveOnWindow:
-            pass
+        return v.window_codes(len(letters))
     return list(map(v.apply_code, letters))
 
 
@@ -484,13 +472,13 @@ def _gap_lower(gap: tuple) -> Fraction:
     gs, hs, letters, den, widths, keys, runs = gap
     # the probe a scores g_hat(a) against h_hat's image and h_hat(a) against
     # g_hat's; kg[k], kh[k] are key k's cell indices, and a step map's
-    # values are distinct, so each g and h is applied once per letter
+    # values are distinct, so each g and h gives one row, read per letter
     kg = [i for i, _ in keys]
     kh = [j for _, j in keys]
     lower = 0
-    for a in letters:
-        g_im = [g.apply_code(a) for g in gs]
-        h_im = [h.apply_code(a) for h in hs]
+    g_rows = [_image_row(g, letters) for g in gs]
+    h_rows = [_image_row(h, letters) for h in hs]
+    for g_im, h_im in zip(zip(*g_rows), zip(*h_rows)):
         lower = max(lower,
                     _uncovered(den, widths, runs, hs, kh, [g_im[i] for i in kg]),
                     _uncovered(den, widths, runs, gs, kg, [h_im[j] for j in kh]))

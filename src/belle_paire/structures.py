@@ -373,7 +373,7 @@ class WindowInjection:
 
     def window_codes(self, n: int) -> list:
         """The codes of the images of the window codes [0, n), kept for the
-        last n asked.
+        last n asked: the one whole-window read of every rule.
 
         Every whole-window reader of the rule (validate_window, the orbit
         classifier's window, orbit_reduce, the gap's rows) shares this one
@@ -400,19 +400,16 @@ class WindowInjection:
             seen[y] = k
 
     def window_bijectivity(self, n: int) -> bool:
-        """Whether every code of [0, n) has a distinct image and a preimage
-        that maps back to it, checked code by code.
+        """Whether every code of [0, n) has a distinct image, read off the
+        window row, and a preimage that maps back to it, checked code by code.
 
         Exact for any rule, one injective only on a window included;
         subclasses may use faster exact paths.
         """
-        if len(set(map(self.apply_code, range(n)))) < n:
+        if len(set(self.window_codes(n))) < n:
             return False
-        for y in range(n):
-            x = self.preimage_code(y)
-            if x is None or self.apply_code(x) != y:
-                return False
-        return True
+        return all(x is not None and self.apply_code(x) == y
+                   for y, x in enumerate(map(self.preimage_code, range(n))))
 
     @property
     def _key(self) -> tuple:

@@ -18,7 +18,11 @@ from belle_paire.approx import (
     strip_lift,
 )
 from belle_paire.measure import StepMap, l1_distance
-from belle_paire.random_endo import apply_random_endo, constant_endo
+from belle_paire.random_endo import (
+    apply_random_endo,
+    constant_endo,
+    endos_agree_on_window,
+)
 from belle_paire.structures import (
     DisjointUnion,
     FqVector,
@@ -98,7 +102,7 @@ def test_window_ids_cut_chains_grown_past_the_window():
 
 
 def test_moves_are_read_once_per_window():
-    # defect_profile, window_bijectivity and window_row share each sigma's
+    # defect_profile, window_bijectivity and window_codes share each sigma's
     # moves on one window; another window's are read afresh, never reused
     tau = basis_shift_endo(2)
     cls = OrbitClassifier(tau)
@@ -117,7 +121,7 @@ def test_moves_are_read_once_per_window():
         prof = defect_profile(tau, sigmas, n)
         for s in sigmas:
             assert s.window_bijectivity(n)
-            s.window_row(n)
+            s.window_codes(n)
         once = len(slices)
         fresh = [CycleApproxBijection(cls, 3, i) for i in range(3)]
         slices.clear()
@@ -150,7 +154,8 @@ def test_window_struct_validates_the_callers_window():
     cls = sigmas[0].classifier
     for check in (lambda: cls.window_struct(6000),
                   lambda: defect_profile(tau, sigmas, 6000),
-                  lambda: sigmas[1].window_bijectivity(6000)):
+                  lambda: sigmas[1].window_bijectivity(6000),
+                  lambda: sigmas[1].validate_window(6000)):
         with pytest.raises(NonInjectiveOnWindow, match="300 and 5000 both map to 5000"):
             check()
     assert 6000 not in cls._ws_cache
@@ -789,9 +794,52 @@ def test_window_row_is_apply_code(tau, budget, monkeypatch):
         for cls in _row_states(tau):
             for s in approximate_by_automorphisms(tau, n, cls):
                 for window in (40, 600):
-                    assert (s.window_row(window)
+                    assert (s.window_codes(window)
                             == list(map(s.apply_code, range(window)))), \
                         (n, s.i, window)
+
+
+def test_sigma_window_reads_refuse_a_negative_window():
+    s = approximate_by_automorphisms(successor_endo(), 2)[0]
+    for read in (s.window_codes, s.window_bijectivity, s.validate_window):
+        with pytest.raises(ValueError, match="window size -1 is negative"):
+            read(-1)
+
+
+def _check_sigma_rows(sigmas):
+    for s in sigmas:
+        s.validate_window(300)
+
+
+def _agree_sigma_maps(sigmas):
+    g_hat = strip_lift(sigmas)
+    assert endos_agree_on_window(g_hat, g_hat, 300)
+    assert not endos_agree_on_window(g_hat, strip_lift(sigmas[1:] + sigmas[:1]), 300)
+
+
+@pytest.mark.parametrize("read", [_check_sigma_rows, _agree_sigma_maps],
+                         ids=["validate_window", "endos_agree_on_window"])
+def test_sigma_window_reads_use_the_moves_not_apply_code(read, monkeypatch):
+    # a sigma's whole-window reads go through window_codes, which writes its
+    # moves over tau's row, so no window code goes through its apply_code
+    from collections import Counter
+    applied, read_moves = Counter(), Counter()
+    apply_code, moves = CycleApproxBijection.apply_code, CycleApproxBijection._moves
+
+    def counting(self, k):
+        applied[self] += 1
+        return apply_code(self, k)
+
+    def reading(self, ws):
+        read_moves[self] += 1
+        return moves(self, ws)
+
+    monkeypatch.setattr(CycleApproxBijection, "apply_code", counting)
+    monkeypatch.setattr(CycleApproxBijection, "_moves", reading)
+    sigmas = approximate_by_automorphisms(basis_shift_endo(2), 3)
+    read(sigmas)
+    assert not applied
+    assert set(read_moves) == set(sigmas)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])

@@ -624,6 +624,8 @@ def test_mended_inputs_exit_2(capsys, tmp_path, argv):
     (["approx-endo", "--endo", "table:[[1,2],[1,3]]", "--n", "2"],
      "table key 1 is listed with images 2 and 3"),
     (["bound", "--n-max", "0"], "--n-max must be >= 1"),
+    (["--grid", "0", "compose", "--expr", "pure"], "--grid must be >= 1"),
+    (["--grid", "-1", "compose", "--expr", "pure"], "--grid must be >= 1"),
 ])
 def test_malformed_counts_and_generators_are_named(capsys, argv, message):
     assert main(argv) == 2
@@ -654,6 +656,9 @@ OPTIMIZE_CASES = [
       '{"q": 2, "dim": 2, "grid": 2, "subspace": [[1, 0]]}'], 1),
     (["--grid", "3", "search", "--q", "2", "--dim", "2"], 0),
     (["--seed", "7", "realize"], 0),
+    (["pair-distance", "--pair1", "fq2:identity", "--pair2", "fq2:shift",
+      "--alphabet", "9"], 0),
+    (["compose", "--expr", "findex(parity,reps=shift2)"], 0),
 ] + [(argv, 2) for argv in MENDED_INPUTS.values()]
 
 
@@ -662,7 +667,8 @@ OPTIMIZE_CASES = [
                               "table-off-window-collision", "table-3-cycle",
                               "pair-certify-fq2",
                               "pair-certify-fq2-obstruction", "search",
-                              "realize", *MENDED_INPUTS])
+                              "realize", "pair-distance-fq2",
+                              "compose-findex-parity", *MENDED_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     # no check of the program lives in an assert, so python -O prints the
     # same bytes and exits with the same code

@@ -62,8 +62,7 @@ class OrbitClassifier:
     A code's record is (kind code, oid, position): in the flat lists
     _kind, _oid and _pos for the codes [0, _n) of the largest window laid
     out, in _far past it.  Rooted chain oid has _clen[oid] codes, the first
-    _cut[oid] at _start[oid] in _ids (window _n's chain_ids; while a larger
-    window is laid out, its store, and _cut is _clen), the rest in
+    _cut[oid] at _start[oid] in _ids (window _n's chain_ids), the rest in
     _tail[oid].  _cycles holds the cycles of two or more codes.  Every oid
     has a _clen entry, so len(_clen) is the next oid.  _row is tau's row of
     the longest window, _img its images past it, _points the decoded points
@@ -71,12 +70,17 @@ class OrbitClassifier:
     """
 
     def __init__(self, tau: WindowInjection):
-        self.tau = tau
+        self.tau, self._points = tau, {}
+        self._reset()
+
+    def _reset(self):
+        """Drop every record, window and row, as a fresh classifier holds
+        none; the decoded points stay."""
         self.has_undetermined, self._n = False, 0
         self._kind, self._oid, self._pos = [], [], []
         self._clen, self._ids, self._start, self._cut = [], [], [], []
         self._far, self._tail, self._cycles = {}, {}, {}
-        self._row, self._img, self._points, self._ws_cache = [], {}, {}, {}
+        self._row, self._img, self._ws_cache = [], {}, {}
 
     def point(self, k: int):
         """The point with code k, decoded once per classifier."""
@@ -178,38 +182,23 @@ class OrbitClassifier:
         return tail[pos - cut]
 
     def _lay_out(self, n: int, row: list) -> tuple:
-        """Classify the unclassified codes [0, n) as in-order classify would;
-        return the window's chain_ids and groups (see _Win).  A window past
-        _n becomes the store, one run of codes per chain (the chains from
-        before it first): in code order, where tau is injective, a fixed
-        point is settled at once and a chain is walked forward along the
-        row, from its root or a backward walk's end, while its codes rise.
-        A failed layout leaves a fresh classifier."""
-        m, K, O, P, clen = self._n, self._kind, self._oid, self._pos, self._clen
-        store, start, chains = self._ids, self._start, None
-        if n > m:
-            self._row, far = row, self._far
-            for a in (K, O, P):
-                a += [None] * (n - m)
-            for c in [c for c in far if m <= c < n]:
-                K[c], O[c], P[c] = far.pop(c)
-            old = list(filter(clen.__getitem__, range(len(clen))))
-            store, start, base, moved = [], [0] * len(clen), clen.copy(), False
+        """Return the chain_ids and groups (see _Win) of the window [0, n).
+        A window past _n resets the records and becomes the store, one run
+        of codes per chain: in code order, as in-order classify would,
+        where tau is injective, a fixed point is settled at once and a chain
+        is walked forward along the row, from its root or a backward walk's
+        end, while its codes rise.  A failed layout leaves a fresh
+        classifier.  A smaller window cuts its chains from the records."""
+        fresh = n > self._n
+        if fresh:
+            self._reset()
+            self._row, K, O, P = row, [None] * n, [None] * n, [None] * n
+            self._kind, self._oid, self._pos = K, O, P
+            clen, far, store, start, moved = self._clen, self._far, [], [], False
             injective, preimage = self.tau.injective, self.tau.preimage_code
+            # a collision's chain_point reads the store while the layout runs
+            self._ids, self._start, self._cut = store, start, clen
             try:
-                for o in old:
-                    s, c = self._span(o)
-                    start[o], p = len(store), clen[o]
-                    store += self._ids[s:s + c] + self._tail.pop(o, [])
-                    x = store[-1]
-                    y = row[x] if injective and x < n and O[x] == o else n
-                    while x < y < n and K[y] is None:
-                        K[y], O[y], P[y] = _K_SEMI, o, p
-                        store.append(y)
-                        p, x, y = p + 1, y, row[y]
-                    clen[o] = p
-                # a collision's chain_point reads the store while the layout runs
-                self._ids, self._start, self._cut = store, start, clen
                 for x in range(n):
                     if K[x] is not None:
                         continue
@@ -237,8 +226,8 @@ class OrbitClassifier:
                         start[o] = s = len(store) - had
                         store += path
                         # in order, the walk would pass the chain's codes above x
-                        i, lo = p - 1, base[o] if o < len(base) else 0
-                        while i >= lo and store[s + i] > x:
+                        i = p - 1
+                        while i >= 0 and store[s + i] > x:
                             i -= 1
                         if p - i > MAX_STEPS:  # ... and leave x undetermined
                             for c in store[s + i + 1:]:
@@ -255,32 +244,31 @@ class OrbitClassifier:
                         p, x, y = p + 1, y, row[y]
                     clen[o] = p
             except BaseException:
-                self.__init__(self.tau)
+                self._reset()
                 raise
-        if n <= m or old or moved:
-            cut, order = [0] * len(clen), []  # from the records, in code order
-            for kind, o, p in zip(islice(K, n), O, P):
+            # each chain ends at a window code: one run per chain, in oid
+            # order, which is first window code order
+            cut = clen.copy()
+            chains = list(filter(cut.__getitem__, range(len(cut))))
+        else:
+            store, start, chains = self._ids, self._start, []
+            cut = [0] * len(self._clen)
+            for kind, o, p in zip(islice(self._kind, n), self._oid, self._pos):
                 if kind == _K_SEMI and cut[o] <= p:
                     if not cut[o]:
-                        order.append(o)
+                        chains.append(o)
                     cut[o] = p + 1
-        else:  # one run per chain, in oid order, which is first window code order
-            cut = clen.copy()
-            order = chains = list(filter(cut.__getitem__, range(len(cut))))
-        order = sorted(order, key=cut.__getitem__, reverse=True)
-        ids, tail = store, {}
-        if order != chains:  # the chains' runs longest first, each cut
+        order = sorted(chains, key=cut.__getitem__, reverse=True)
+        ids = store
+        if not fresh or moved or order != chains:  # the chains' runs longest first
             ids = list(chain.from_iterable(store[start[o]:start[o] + cut[o]]
                                            for o in order))
-            if n > m:
-                tail = {o: store[start[o] + c:start[o] + clen[o]]
-                        for o, c in enumerate(cut) if c < clen[o]}
+            if fresh:
                 at = 0
                 for o in order:
                     start[o], at = at, at + cut[o]
-        if n > m:
+        if fresh:
             self._ids, self._start, self._cut, self._n = ids, array("q", start), cut, n
-            self._tail = tail
         groups, at = [], 0
         for length, run in groupby(map(cut.__getitem__, order)):
             groups.append((at, count := len(list(run)), length))

@@ -4,9 +4,9 @@ Exit codes: 0 success; 1 only for a computed refusal, budget violation or
 baseline mismatch, with its payload on stdout; 2 malformed input (any
 ValueError or OSError: bad values, grammar or JSON, a zero denominator, a
 non-natural table point, a group expression nested too deep, an unreadable
-file); 3 a failed precondition (CliPrecondition, NonInjectiveOnWindow,
-StructuralMismatch, SearchGuardExceeded).  main() is the one place that maps
-exceptions to these codes.  All emitted numbers are exact rationals; reruns
+file); 3 a failed precondition (NonInjectiveOnWindow, StructuralMismatch,
+SearchGuardExceeded).  main() is the one place that maps exceptions to
+these codes.  All emitted numbers are exact rationals; reruns
 with the same arguments produce byte-identical output.
 """
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .serialize import (
     _json_int,
     certificate_to_json,
     frac_str,
+    injection_from_json,
     json_dumps,
     load_baseline,
     pair_model_from_json,
@@ -62,7 +63,6 @@ from .structures import (
     FqVectors,
     NaturalNumbers,
     NonInjectiveOnWindow,
-    TableInjection,
     basis_shift_endo,
     identity_endo,
     shift_endo,
@@ -74,10 +74,6 @@ __all__ = ["main"]
 
 class CliInputError(ValueError):
     """Malformed input: exit 2."""
-
-
-class CliPrecondition(ValueError):
-    """Violated precondition (injectivity, guards): exit 3."""
 
 
 def _emit(args: argparse.Namespace, payload: dict, csv_table=None) -> None:
@@ -102,21 +98,13 @@ def parse_endo(text: str):
     if text.startswith("fq-shift:"):
         return basis_shift_endo(int(text[9:]))
     if text.startswith("table:"):
-        nat = NaturalNumbers()
         try:
-            entries = json.loads(text[6:])
-            pairs = [(nat.index_of(x), nat.index_of(y)) for x, y in entries]
+            return injection_from_json({"kind": "table",
+                                        "entries": json.loads(text[6:])})
+        except NonInjectiveOnWindow:
+            raise
         except (ValueError, TypeError) as e:
             raise CliInputError(f"bad table payload: {e}") from None
-        table = {}
-        for x, y in pairs:
-            if table.setdefault(x, y) != y:
-                raise CliInputError(f"table key {x} is listed with images "
-                                    f"{table[x]} and {y}")
-        try:
-            return TableInjection(nat, table)
-        except ValueError as e:
-            raise CliPrecondition(str(e)) from None
     raise CliInputError(f"unknown endo {text!r}")
 
 
@@ -544,8 +532,7 @@ def main(argv=None) -> int:
         args.eps = parse_frac(args.eps)
         return args.func(args)
     # every precondition type is a ValueError, so this clause comes first
-    except (CliPrecondition, NonInjectiveOnWindow, StructuralMismatch,
-            SearchGuardExceeded) as e:
+    except (NonInjectiveOnWindow, StructuralMismatch, SearchGuardExceeded) as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

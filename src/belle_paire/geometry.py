@@ -244,10 +244,12 @@ def exhaustive_pair_search(q: int, dim: int, grid: int,
 
     Probes are V-constants per omega strip; the comparison class is
     W-valued strips for W spanned by subspace_gens, each a dim-tuple of
-    entries in [0, q) (ValueError otherwise).  Exact rationals; the
-    result is reported as searched data at this scale, not as an instance
-    of any infinite-dimensional statement.
+    entries in [0, q), with dim >= 1 (ValueError otherwise).  Exact
+    rationals; the result is reported as searched data at this scale, not
+    as an instance of any infinite-dimensional statement.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     gens = [tuple(g) for g in subspace_gens]
     for g in gens:
         if len(g) != dim:

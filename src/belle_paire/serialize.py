@@ -142,10 +142,13 @@ def injection_from_json(d: dict) -> WindowInjection:
         return ShiftInjection(_json_int(d["offset"], "offset"))
     if kind == "table":
         dom = domain_from_json(d.get("carrier", "nat"))
-        point = dom.point_at  # the entries are codes
-        return TableInjection(dom, {point(_json_int(x, "table entry")):
-                                    point(_json_int(y, "table entry"))
-                                    for x, y in d["entries"]})
+        table = {}
+        for x, y in d["entries"]:  # codes
+            x, y = (dom.point_at(_json_int(c, "table entry")) for c in (x, y))
+            if table.setdefault(x, y) != y:
+                raise ValueError(f"table key {x} is listed with images "
+                                 f"{table[x]} and {y}")
+        return TableInjection(dom, table)
     if kind == "linear":
         q = _json_int(d["q"], "q")
         images = tuple(FqVector.from_coeffs(

@@ -302,7 +302,7 @@ class GeometrySpec:
 
 
 class NonInjectiveOnWindow(ValueError):
-    """Two window points were found sharing an image."""
+    """Two window points, or two keys of a table, were found sharing an image."""
 
     def __init__(self, x1, x2, y):
         self.pair = (x1, x2)
@@ -487,8 +487,7 @@ class TableInjection(WindowInjection):
         for x, y in table.items():
             kx, ky = code(x), code(y)
             if ky in back:
-                raise ValueError(f"table sends {domain.point_at(back[ky])} and "
-                                 f"{x} to {y}")
+                raise NonInjectiveOnWindow(domain.point_at(back[ky]), x, y)
             fwd[kx], back[ky] = ky, kx
         self._table, self._fwd, self._back = table, fwd, back
         self.is_bijection = self.injective = fwd.keys() == back.keys()

@@ -93,8 +93,10 @@ def test_window_paths_match_pointwise(tau, n):
 def test_window_ids_cut_chains_grown_past_the_window():
     tau = shift_endo(2)
     sigmas = approximate_by_automorphisms(tau, 8)
-    sigmas[7].preimage(0)  # walks the chain of 0 out to position 8
-    ws = sigmas[0].classifier.window_struct(10)
+    cls = sigmas[0].classifier
+    cls.window_struct(16)  # the chain of 0 holds 0, 2, ..., 14
+    sigmas[7].preimage(0)  # walks it out to position 8, past the window
+    ws = cls.window_struct(10)
     pts = tau.domain.window(10)
     for s in sigmas:
         moved, images = s._moves(ws)
@@ -304,17 +306,21 @@ def test_classify_reads_each_preimage_once(make, reads):
 class WalkClassifier(OrbitClassifier):
     """The in-order reference: a dict of per-code records, one list per
     chain and per cycle, and the general backward walk for every
-    unclassified code; a window classifies its codes 0..n-1 one at a time."""
+    unclassified code; a window past the largest one takes fresh records,
+    then a window classifies its codes 0..n-1 one at a time."""
 
-    def __init__(self, tau):
-        super().__init__(tau)
+    def _reset(self):
+        super()._reset()
         self._cls, self._chains, self._cycles = {}, {}, {}
         self._next_oid = 0
 
     def window_struct(self, n):
+        if n > self._n:
+            self._reset()
         ws = self._ws_cache.get(n)
         if ws is None:
             ws = self._ws_cache[n] = reference_window(self, n)
+            self._n = max(self._n, n)
         return ws
 
     def classify(self, x: int):
@@ -429,6 +435,9 @@ def stray_chain():
 
 
 _NAT, _F2 = NaturalNumbers(), FqVectors(2)
+# the chain 0, 2, 4, 1, 3, ... steps down: in order, the walk from 1 passes
+# 4 and 2, so a walk budget of 1 or 2 steps leaves window codes undetermined
+STEP_DOWN = window_permutation(_NAT, {1: 6, 6: 1}).compose(shift_endo(2))
 FAST_PATH_TAUS = [
     successor_endo(),
     shift_endo(2),
@@ -444,11 +453,13 @@ FAST_PATH_TAUS = [
 
 def _classify_all(cls, order):
     """Window builds, out-of-order classifies and sigma preimages (which
-    extend chains forward) on one classifier; its state afterwards."""
+    extend chains forward) on one classifier; its state after the
+    lookups, and after a larger window."""
     got = [cls.window_struct(40).chain_ids]
     got += map(cls.classify, order)
     for s in approximate_by_automorphisms(cls.tau, 3, cls):
         got += map(s.preimage_code, range(0, 400, 7))
+    got.append(snapshot(cls))
     got.append(cls.window_struct(600).chain_ids)
     return got, snapshot(cls)
 
@@ -482,8 +493,8 @@ def _window_state(cls, n):
 @pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
 def test_window_layout_matches_in_order_classify(tau, used, budget, monkeypatch):
     # the layout leaves the state, chains and groups of in-order
-    # classify, on fresh classifiers and used ones; a smaller window after
-    # them cuts its chains out of the larger one's
+    # classify on fresh records, on fresh classifiers and used ones; a
+    # smaller window after them cuts its chains out of the larger one's
     monkeypatch.setattr(approx, "MAX_STEPS", budget)
     states = []
     for make in (OrbitClassifier, WalkClassifier):
@@ -516,9 +527,8 @@ def permuted_shifts(draw):
        st.one_of(st.lists(st.integers(0, 800), max_size=6),
                  st.integers(0, 60).map(lambda k: list(range(k)))),
        st.sampled_from([2, 5, approx.MAX_STEPS]))
-# the chain 0, 2, 4, 1, 3, ... steps down: in order, the walk from 1 passes
-# 4 and 2 and runs out of budget
-@example((window_permutation(_NAT, {1: 6, 6: 1}).compose(shift_endo(2)), [5]), [], 2)
+# STEP_DOWN: in order, the walk from 1 passes 4 and 2 and runs out of budget
+@example((STEP_DOWN, [5]), [], 2)
 # the chain 0, 2, ..., 20, 5, ... steps down, but its codes above 5 were
 # classified before the window: in order, 5 joins it in one step
 @example((shift_endo(2).compose(window_permutation(_NAT, {3: 20, 20: 3})), [40]),
@@ -528,7 +538,7 @@ def test_window_layout_matches_the_walk_on_permuted_shifts(tau_windows, used, bu
     # fresh classifiers (used empty) and used ones (some codes, or a prefix
     # of the codes, classified first), windows growing and shrinking, walk
     # budgets that leave codes undetermined; the layout leaves the state,
-    # chains and groups of in-order classify
+    # chains and groups of in-order classify on fresh records
     tau, windows = tau_windows
     saved, approx.MAX_STEPS = approx.MAX_STEPS, budget
     try:
@@ -540,6 +550,22 @@ def test_window_layout_matches_the_walk_on_permuted_shifts(tau_windows, used, bu
         assert states[0] == states[1]
     finally:
         approx.MAX_STEPS = saved
+
+
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+@pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
+def test_window_layout_ignores_earlier_queries(tau, budget, monkeypatch):
+    # out-of-order classifies, which a small budget leaves undetermined, and
+    # sigma preimages, which grow chains forward, change no window: a
+    # window past the laid-out one is laid out on fresh records
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
+    used = OrbitClassifier(tau)
+    list(map(used.classify, range(30, 0, -3)))
+    for s in approximate_by_automorphisms(tau, 3, used):
+        list(map(s.preimage_code, range(0, 60, 7)))
+    for n in (40, 600):
+        assert _window_state(used, n) == _window_state(OrbitClassifier(tau), n)
+        used.classify(n + 30)
 
 
 @pytest.mark.parametrize("tau", [basis_shift_endo(2), identity_endo()],
@@ -577,18 +603,22 @@ WALK_READS = [
 def test_window_layout_asks_preimages_where_chains_do_not_rise(tau, walked,
                                                                monkeypatch):
     # every code with no window preimage is asked for once; a larger window
-    # walks the rooted chains on from their ends, asking for no other code
+    # is laid out afresh, asking what a fresh classifier's window asks
     calls = []
     preimage = tau.preimage_code
     monkeypatch.setattr(tau, "preimage_code", lambda k: calls.append(k) or preimage(k))
     cls = OrbitClassifier(tau)
-    for n, lo, extra in ((600, 0, walked), (700, 600, 0)):
-        calls.clear()
-        cls.window_struct(n)
-        image = set(tau.window_codes(n)) if tau.injective else set()
-        asked = [x for x in range(lo, n) if x not in image]
-        assert set(asked) <= set(calls)
-        assert len(calls) == len(asked) + extra
+    cls.window_struct(600)
+    image = set(tau.window_codes(600)) if tau.injective else set()
+    asked = [x for x in range(600) if x not in image]
+    assert set(asked) <= set(calls)
+    assert len(calls) == len(asked) + walked
+    calls.clear()
+    cls.window_struct(700)
+    grown = calls.copy()
+    calls.clear()
+    OrbitClassifier(tau).window_struct(700)
+    assert grown == calls
 
 
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
@@ -720,40 +750,44 @@ def test_orbit_decompose_validates_through_the_classifier():
 
 
 def test_defect_profile_marks_undetermined(monkeypatch):
-    # with walks of at most 3 steps, the walk from 10 runs out, so 7..10 are
-    # undetermined, and so is every later walk that reaches them
-    monkeypatch.setattr(approx, "MAX_STEPS", 3)
-    tau = successor_endo()
-    cls = OrbitClassifier(tau)
-    cls.classify(10)
-    sigmas = approximate_by_automorphisms(tau, 2, cls)
+    # STEP_DOWN with walks of at most 2 steps: in order, the walk from 1
+    # runs out, so 1, 2 and 4 are undetermined, and so is every later walk
+    # that reaches them
+    monkeypatch.setattr(approx, "MAX_STEPS", 2)
+    tau = STEP_DOWN
+    sigmas = approximate_by_automorphisms(tau, 2)
     prof = defect_profile(tau, sigmas, 20)
-    assert prof.undetermined_codes == tuple(range(7, 20))
+    undetermined = (1, 2, 3, 4, 5, *range(7, 20, 2))
+    assert prof.undetermined_codes == undetermined
     assert set(prof.as_dict()) == set(range(20))
-    # the codes below 7 root at 0; sigma_0 moves 1, 3 and 5 off tau
-    assert prof.counts[:7] == (0, 1, 1, 1, 1, 1, 1)
+    # 0 is a chain of one code and 6, 8, ..., 18 root at 6; sigma_0 moves
+    # 8, 12 and 16 off tau, sigma_1 moves 10, 14 and 18
+    assert [prof.counts[k] for k in (0, *range(6, 20, 2))] == [0, 0] + [1] * 6
     # max_defect leaves the undetermined codes out, whatever they count
-    assert replace(prof, counts=prof.counts[:7] + (5,) * 13).max_defect == 1
-    dec = orbit_decompose(tau, 20, classifier=cls)
-    assert dec.undetermined == tuple(range(7, 20))
-    assert dec.semi_orbit_count == 1
-    # sigma_0's preimage of 6 is chain position 7, which is undetermined,
-    # and sigma_0(7) falls back to tau: no code maps to 6
-    assert not sigmas[0].window_bijectivity(20)
+    counts = tuple(5 if k in undetermined else c for k, c in enumerate(prof.counts))
+    assert replace(prof, counts=counts).max_defect == 1
+    dec = orbit_decompose(tau, 20, classifier=sigmas[0].classifier)
+    assert dec.undetermined == undetermined
+    assert dec.semi_orbit_count == 2
+    # sigma_i's preimage of 0 is chain position i+1, the undetermined 2 or
+    # 4, and sigma_i falls back to tau there: no code maps to 0
+    assert not any(s.window_bijectivity(20) for s in sigmas)
 
 
-@pytest.mark.parametrize("tau", TAUS, ids=lambda t: t.description)
+@pytest.mark.parametrize("tau", TAUS + [STEP_DOWN], ids=lambda t: t.description)
 @pytest.mark.parametrize("budget", [1, 3, 6])
 @pytest.mark.parametrize("first", [10, 25])
 def test_window_bijectivity_with_undetermined_codes(tau, budget, first,
                                                     monkeypatch):
     # sigma falls back to tau at an undetermined code, so a window code can
     # lose its preimage; the fast check must then give way to the pointwise
-    # one, also when the undetermined codes lie past the window
+    # one, when the layout leaves window codes undetermined (STEP_DOWN at
+    # budget 1) and when a classify after it leaves codes past the window so
     monkeypatch.setattr(approx, "MAX_STEPS", budget)
     for n in (1, 2, 3, 5):
         for i in range(n):
             cls = OrbitClassifier(tau)
+            cls.window_struct(20)
             cls.classify(first)
             s = approximate_by_automorphisms(tau, n, cls)[i]
             fast = s.window_bijectivity(20)

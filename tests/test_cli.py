@@ -286,8 +286,20 @@ FROZEN_CLI = json.loads(
 
 @pytest.mark.parametrize("case", FROZEN_CLI,
                          ids=[" ".join(c["argv"]) for c in FROZEN_CLI])
-def test_cli_stdout_is_frozen(capsys, case):
+def test_cli_stdout_is_frozen(capsys, monkeypatch, case):
+    # and no case lays out a window past one its classifier laid out
+    # before, which would lay the larger window out afresh
+    from belle_paire.approx import OrbitClassifier
+    grown, lay_out = [], OrbitClassifier._lay_out
+
+    def spy(self, n, row):
+        if 0 < self._n < n:
+            grown.append((self.tau.description, self._n, n))
+        return lay_out(self, n, row)
+
+    monkeypatch.setattr(OrbitClassifier, "_lay_out", spy)
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
+    assert grown == []
 
 
 @pytest.mark.parametrize("pairs", [("pure:identity", "pure:successor"),
@@ -560,6 +572,10 @@ PAIR_FILES = {
        for name, window in (("zero", 0), ("negative", -5))
        for kind, injection in (("identity", {"kind": "identity"}),
                                ("shift", {"kind": "shift", "offset": 1}))},
+    **{f"table-{name}.json": _pair_file(["0", "1", "0", "1"],
+                                        {"kind": "table", "entries": entries})
+       for name, entries in (("repeated-key", [[0, 1], [0, 2], [2, 0]]),
+                             ("not-injective", [[0, 5], [1, 5]]))},
 }
 
 
@@ -605,6 +621,12 @@ MENDED_INPUTS = {
     "n-max-negative": ["bound", "--n-max", "-1"],
     "table-repeated-key": ["approx-endo", "--endo", "table:[[1,2],[1,3]]",
                            "--n", "2"],
+    "pair-table-repeated-key": ["pair-certify", "--pair1", "@table-repeated-key.json",
+                                "--pair2", "pure:identity"],
+    "obstruction-dim-zero": ["--eps", "1/10", "--window", "40", "pair-certify",
+                             "--pair1", "fq2:identity", "--pair2", "fq2:shift",
+                             "--obstruction",
+                             '{"q": 2, "dim": 0, "grid": 2, "subspace": [[]]}'],
 }
 
 
@@ -626,9 +648,12 @@ def test_mended_inputs_exit_2(capsys, tmp_path, argv):
     (["bound", "--n-max", "0"], "--n-max must be >= 1"),
     (["--grid", "0", "compose", "--expr", "pure"], "--grid must be >= 1"),
     (["--grid", "-1", "compose", "--expr", "pure"], "--grid must be >= 1"),
+    (["search", "--dim", "0", "--subspace", "full"], "dim must be >= 1"),
+    (["pair-certify", "--pair1", "@table-repeated-key.json", "--pair2",
+      "pure:identity"], "table key 0 is listed with images 1 and 2"),
 ])
-def test_malformed_counts_and_generators_are_named(capsys, argv, message):
-    assert main(argv) == 2
+def test_malformed_counts_and_generators_are_named(capsys, tmp_path, argv, message):
+    assert main(with_pair_files(argv, tmp_path)) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
 
@@ -659,6 +684,9 @@ OPTIMIZE_CASES = [
     (["pair-distance", "--pair1", "fq2:identity", "--pair2", "fq2:shift",
       "--alphabet", "9"], 0),
     (["compose", "--expr", "findex(parity,reps=shift2)"], 0),
+    # a pair file's table is refused as --endo table: refuses it
+    (["pair-certify", "--pair1", "@table-not-injective.json", "--pair2",
+      "pure:identity"], 3),
 ] + [(argv, 2) for argv in MENDED_INPUTS.values()]
 
 
@@ -668,7 +696,8 @@ OPTIMIZE_CASES = [
                               "pair-certify-fq2",
                               "pair-certify-fq2-obstruction", "search",
                               "realize", "pair-distance-fq2",
-                              "compose-findex-parity", *MENDED_INPUTS])
+                              "compose-findex-parity", "pair-table-collision",
+                              *MENDED_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     # no check of the program lives in an assert, so python -O prints the
     # same bytes and exits with the same code

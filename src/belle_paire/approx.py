@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, groupby
 
 from .measure import Frac, StepMap
 from .structures import NonInjectiveOnWindow, WindowInjection
@@ -52,21 +52,32 @@ _KIND_NAMES = {_K_ORBIT: ORBIT, _K_SEMI: SEMI_ORBIT, _K_UNDET: UNDETERMINED}
 
 
 class OrbitClassifier:
-    """Memoized backward-walking orbit classification for one injection.
+    """Memoized backward-walking orbit classification for one injection,
+    holding one window [0, n) laid out for the sigma rule.
 
     Points are handled as their codes k (tau.domain.point_at(k)) through
     tau's code rules, so the walk builds no point; point() decodes a code
     where a caller reads it, once per code.  has_undetermined says whether
     any code has been classified undetermined.
 
+    window_struct(n) lays [0, n) out on fresh records unless it is the
+    window laid out, so a classifier holds one window, laid out as a fresh
+    classifier would lay it out; n is -1 until then.  Window point w is
+    its code w, and so are tau images and chain points past the window.
+    tau_ids is tau.window_codes(n), shared with tau's other readers, so
+    nothing here writes to it; tau_set, its set, has n codes.  The
+    window's rooted chains, each ending at its last window point, lie end
+    to end in chain_ids, longest first, ties by first window point; groups
+    holds (start, count, length) per run of one length, and undet_widx
+    the undetermined window codes.
+
     A code's record is (kind code, oid, position): in the flat lists
-    _kind, _oid and _pos for the codes [0, _n) of the largest window laid
-    out, in _far past it.  Rooted chain oid has _clen[oid] codes, the first
-    _cut[oid] at _start[oid] in _ids (window _n's chain_ids), the rest in
-    _tail[oid].  _cycles holds the cycles of two or more codes.  Every oid
-    has a _clen entry, so len(_clen) is the next oid.  _row is tau's row of
-    the longest window, _img its images past it, _points the decoded points
-    and _ws_cache the _Win per window size.
+    _kind, _oid and _pos for the window codes, in _far past them.  Rooted
+    chain oid has _clen[oid] codes, the first _cut[oid] at _start[oid] in
+    chain_ids, the rest in _tail[oid].  _cycles holds the cycles of two or
+    more codes.  Every oid has a _clen entry, so len(_clen) is the next
+    oid.  _img holds tau's images past the window, _points the decoded
+    points.
     """
 
     def __init__(self, tau: WindowInjection):
@@ -74,13 +85,14 @@ class OrbitClassifier:
         self._reset()
 
     def _reset(self):
-        """Drop every record, window and row, as a fresh classifier holds
+        """Drop the window and every record, as a fresh classifier holds
         none; the decoded points stay."""
-        self.has_undetermined, self._n = False, 0
+        self.has_undetermined, self.n = False, -1
         self._kind, self._oid, self._pos = [], [], []
-        self._clen, self._ids, self._start, self._cut = [], [], [], []
-        self._far, self._tail, self._cycles = {}, {}, {}
-        self._row, self._img, self._ws_cache = [], {}, {}
+        self._clen, self._start, self._cut = [], [], []
+        self._far, self._tail, self._cycles, self._img = {}, {}, {}, {}
+        self.tau_ids, self.tau_set, self.chain_ids = [], set(), []
+        self.groups, self.undet_widx = [], []
 
     def point(self, k: int):
         """The point with code k, decoded once per classifier."""
@@ -98,7 +110,7 @@ class OrbitClassifier:
     def tau_image(self, k: int) -> int:
         """tau.apply_code(k), read from the window row below its length and
         memoized past it; every sigma of the family asks for it."""
-        row = self._row
+        row = self.tau_ids
         if k < len(row):
             return row[k]
         y = self._img.get(k)
@@ -163,153 +175,114 @@ class OrbitClassifier:
             pos += step
         return self._record(x), path
 
-    def _span(self, oid: int) -> tuple:
-        """(start, length) of the part of chain oid that _ids holds."""
-        return (self._start[oid], self._cut[oid]) if oid < len(self._cut) else (0, 0)
-
     def chain_point(self, oid: int, pos: int) -> int:
         """Code at a chain position, extending forward with tau as needed."""
-        start, cut = self._span(oid)
+        # chain_ids holds the first cut codes of a chain the window laid out
+        laid = oid < len(self._cut)
+        start, cut = (self._start[oid], self._cut[oid]) if laid else (0, 0)
         if pos < cut:
-            return self._ids[start + pos]
+            return self.chain_ids[start + pos]
         tail = self._tail.setdefault(oid, [])
         while len(tail) <= pos - cut:
-            nxt = self.tau_image(tail[-1] if tail else self._ids[start + cut - 1])
-            if nxt >= self._n:
+            nxt = self.tau_image(tail[-1] if tail else self.chain_ids[start + cut - 1])
+            if nxt >= self.n:
                 self._far.setdefault(nxt, (_K_SEMI, oid, cut + len(tail)))
             tail.append(nxt)
             self._clen[oid] += 1
         return tail[pos - cut]
 
-    def _lay_out(self, n: int, row: list) -> tuple:
-        """Return the chain_ids and groups (see _Win) of the window [0, n).
-        A window past _n resets the records and becomes the store, one run
-        of codes per chain: in code order, as in-order classify would,
-        where tau is injective, a fixed point is settled at once and a chain
-        is walked forward along the row, from its root or a backward walk's
-        end, while its codes rise.  A failed layout leaves a fresh
-        classifier.  A smaller window cuts its chains from the records."""
-        fresh = n > self._n
-        if fresh:
+    def _lay_out(self, n: int):
+        """Lay the window [0, n) out on fresh records, one run of codes per
+        chain: in code order, as in-order classify would, where tau is
+        injective, a fixed point is settled at once and a chain is walked
+        forward along the row, from its root or a backward walk's end,
+        while its codes rise."""
+        self.tau_ids = row = self.tau.window_codes(n)
+        self.tau_set = set(row)
+        if len(self.tau_set) < n:
+            self.tau.validate_window(n)  # names the first collision
+        K, O, P = self._kind, self._oid, self._pos = [None] * n, [None] * n, [None] * n
+        clen, far, store, start, moved = self._clen, self._far, [], [], False
+        injective, preimage = self.tau.injective, self.tau.preimage_code
+        # a collision's chain_point reads the store while the layout runs
+        self.chain_ids, self._start, self._cut = store, start, clen
+        for x in range(n):
+            if K[x] is not None:
+                continue
+            o = len(clen)
+            if injective and row[x] == x:  # a fixed point
+                K[x], O[x], P[x] = _K_ORBIT, o, 0
+                clen.append(0)
+                start.append(0)
+                continue
+            prev = preimage(x)
+            if injective and prev is None:  # a root
+                K[x], O[x], P[x] = _K_SEMI, o, 0
+                clen.append(1)
+                start.append(len(store))
+                store.append(x)
+            else:
+                (kind, o, p), path = self._walk(x, prev)
+                start += [0] * (len(clen) - len(start))
+                if kind != _K_SEMI:
+                    continue
+                had = clen[o] - len(path)
+                if had and start[o] + had != len(store):  # copy it to the end
+                    store += store[start[o]:start[o] + had]
+                    moved = True
+                start[o] = s = len(store) - had
+                store += path
+                # in order, the walk would pass the chain's codes above x
+                i = p - 1
+                while i >= 0 and store[s + i] > x:
+                    i -= 1
+                if p - i > MAX_STEPS:  # ... and leave x undetermined
+                    for c in store[s + i + 1:]:
+                        if far.pop(c, None) is None:  # a window code
+                            K[c] = None
+                    del store[s + i + 1:]
+                    clen[o] = i + 1
+                    self._walk(x, prev)
+                    continue
+            p, y = clen[o], row[x] if injective else n  # walk on while it rises
+            while x < y < n and K[y] is None:
+                K[y], O[y], P[y] = _K_SEMI, o, p
+                store.append(y)
+                p, x, y = p + 1, y, row[y]
+            clen[o] = p
+        # each chain ends at a window code: one run per chain, in oid
+        # order, which is first window code order
+        cut = clen.copy()
+        chains = list(filter(cut.__getitem__, range(len(cut))))
+        order = sorted(chains, key=cut.__getitem__, reverse=True)
+        if moved or order != chains:  # the chains' runs longest first
+            store = list(chain.from_iterable(store[start[o]:start[o] + cut[o]]
+                                             for o in order))
+            at = 0
+            for o in order:
+                start[o], at = at, at + cut[o]
+        self.chain_ids, self._start, self._cut, self.n = store, array("q", start), cut, n
+        self.groups, at = [], 0
+        for length, run in groupby(map(cut.__getitem__, order)):
+            self.groups.append((at, count := len(list(run)), length))
+            at += count * length
+        self.undet_widx = (list(compress(range(n), map(_K_UNDET.__eq__, K)))
+                           if self.has_undetermined else [])
+
+    def window_struct(self, n: int) -> "OrbitClassifier":
+        """Lay the window [0, n) out unless it is the one laid out, and
+        return the classifier; raises NonInjectiveOnWindow if two window
+        points share an image.  A failed layout leaves a fresh classifier."""
+        if n < 0:
+            raise ValueError(f"window size {n} is negative")
+        if n != self.n:
             self._reset()
-            self._row, K, O, P = row, [None] * n, [None] * n, [None] * n
-            self._kind, self._oid, self._pos = K, O, P
-            clen, far, store, start, moved = self._clen, self._far, [], [], False
-            injective, preimage = self.tau.injective, self.tau.preimage_code
-            # a collision's chain_point reads the store while the layout runs
-            self._ids, self._start, self._cut = store, start, clen
             try:
-                for x in range(n):
-                    if K[x] is not None:
-                        continue
-                    o = len(clen)
-                    if injective and row[x] == x:  # a fixed point
-                        K[x], O[x], P[x] = _K_ORBIT, o, 0
-                        clen.append(0)
-                        start.append(0)
-                        continue
-                    prev = preimage(x)
-                    if injective and prev is None:  # a root
-                        K[x], O[x], P[x] = _K_SEMI, o, 0
-                        clen.append(1)
-                        start.append(len(store))
-                        store.append(x)
-                    else:
-                        (kind, o, p), path = self._walk(x, prev)
-                        start += [0] * (len(clen) - len(start))
-                        if kind != _K_SEMI:
-                            continue
-                        had = clen[o] - len(path)
-                        if had and start[o] + had != len(store):  # copy it to the end
-                            store += store[start[o]:start[o] + had]
-                            moved = True
-                        start[o] = s = len(store) - had
-                        store += path
-                        # in order, the walk would pass the chain's codes above x
-                        i = p - 1
-                        while i >= 0 and store[s + i] > x:
-                            i -= 1
-                        if p - i > MAX_STEPS:  # ... and leave x undetermined
-                            for c in store[s + i + 1:]:
-                                if far.pop(c, None) is None:  # a window code
-                                    K[c] = None
-                            del store[s + i + 1:]
-                            clen[o] = i + 1
-                            self._walk(x, prev)
-                            continue
-                    p, y = clen[o], row[x] if injective else n  # walk on while it rises
-                    while x < y < n and K[y] is None:
-                        K[y], O[y], P[y] = _K_SEMI, o, p
-                        store.append(y)
-                        p, x, y = p + 1, y, row[y]
-                    clen[o] = p
+                self._lay_out(n)
             except BaseException:
                 self._reset()
                 raise
-            # each chain ends at a window code: one run per chain, in oid
-            # order, which is first window code order
-            cut = clen.copy()
-            chains = list(filter(cut.__getitem__, range(len(cut))))
-        else:
-            store, start, chains = self._ids, self._start, []
-            cut = [0] * len(self._clen)
-            for kind, o, p in zip(islice(self._kind, n), self._oid, self._pos):
-                if kind == _K_SEMI and cut[o] <= p:
-                    if not cut[o]:
-                        chains.append(o)
-                    cut[o] = p + 1
-        order = sorted(chains, key=cut.__getitem__, reverse=True)
-        ids = store
-        if not fresh or moved or order != chains:  # the chains' runs longest first
-            ids = list(chain.from_iterable(store[start[o]:start[o] + cut[o]]
-                                           for o in order))
-            if fresh:
-                at = 0
-                for o in order:
-                    start[o], at = at, at + cut[o]
-        if fresh:
-            self._ids, self._start, self._cut, self._n = ids, array("q", start), cut, n
-        groups, at = [], 0
-        for length, run in groupby(map(cut.__getitem__, order)):
-            groups.append((at, count := len(list(run)), length))
-            at += count * length
-        return ids, groups
-
-    def window_struct(self, n: int) -> "_Win":
-        """The _Win of the window [0, n), built once per n; raises
-        NonInjectiveOnWindow if two window points share an image."""
-        if n < 0:
-            raise ValueError(f"window size {n} is negative")
-        ws = self._ws_cache.get(n)
-        if ws is None:
-            ws = self._ws_cache[n] = _Win(self, n)
-        return ws
-
-
-class _Win:
-    """One window [0, n) of codes, laid out for the sigma rule.
-
-    Window point w is its code w, and so are tau images and chain points
-    past the window.  tau_ids is tau.window_codes(n), shared with tau's
-    other readers, so nothing here writes to it; tau_set, its set, has n
-    codes, as tau is checked injective on the window first.  The window's
-    rooted chains, each cut after its last window point, lie end to end in
-    chain_ids, longest first, ties by first window point (the classifier's
-    chain store for its largest window); groups holds (start, count,
-    length) per run of one length.
-    """
-
-    __slots__ = ("n", "tau_ids", "tau_set", "chain_ids", "groups", "undet_widx")
-
-    def __init__(self, cls: OrbitClassifier, n: int):
-        self.n = n
-        self.tau_ids = cls.tau.window_codes(n)
-        self.tau_set = set(self.tau_ids)
-        if len(self.tau_set) < n:
-            cls.tau.validate_window(n)  # names the first collision
-        self.chain_ids, self.groups = cls._lay_out(n, self.tau_ids)
-        self.undet_widx = (list(compress(range(n), map(_K_UNDET.__eq__, cls._kind)))
-                           if cls.has_undetermined else [])
+        return self
 
 
 @dataclass(frozen=True)
@@ -365,7 +338,7 @@ def orbit_decompose(tau: WindowInjection, window: int,
     NonInjectiveOnWindow when two window points share an image.
     """
     cls = _classifier_for(tau, classifier)
-    if cls._n < window:
+    if cls.n < window:
         cls.window_struct(window)
     relabel, roots, cycles, records = {-1: -1}, {}, {}, []  # -1: undetermined
     for k, kind, o, pos in zip(range(window), cls._kind, cls._oid, cls._pos):
@@ -407,7 +380,7 @@ class CycleApproxBijection(WindowInjection):
         tau = classifier.tau
         self.is_bijection = self.injective = tau.injective
         super().__init__(tau.domain, f"approx[{tau.description};n={n},i={i}]")
-        self._last = (None, None, None)  # the last _Win _moves read, and its moves
+        self._last = (None, None, None)  # the chain_ids _moves last read, and its moves
         # apply and preimage on points decode through the classifier's memo
         self.point_of = classifier.point
 
@@ -438,21 +411,24 @@ class CycleApproxBijection(WindowInjection):
             return cls.chain_point(oid, m + n - 1)
         return cls.chain_point(oid, m - 1)
 
-    def _moves(self, ws: _Win) -> tuple:
-        """Codes of the window points sigma_i moves off tau, and of their images.
+    def _moves(self) -> tuple:
+        """Codes of the points of the classifier's window that sigma_i moves
+        off tau, and of their images.
 
         Those are the points at chain positions j = i+1, i+1+n, ...: the
         first goes to its chain's root, each later one to position j-n+1.
-        Only they are read, from each group of ws.groups by stride-length
-        slices (one per moved position) or stride-n ones (one per chain).
-        A _Win is not changed once built, so its moves are read once.
+        Only they are read, from each group of the window's groups by
+        stride-length slices (one per moved position) or stride-n ones (one
+        per chain).  Every layout makes a new chain_ids, which nothing
+        changes, so the moves are read once per window.
         """
-        if self._last[0] is ws:
+        cls = self.classifier
+        ids = cls.chain_ids
+        if self._last[0] is ids:
             return self._last[1:]
         n, i = self.n, self.i
-        ids = ws.chain_ids
         moved, images = [], []
-        for start, count, length in ws.groups:
+        for start, count, length in cls.groups:
             js = range(i + 1, length, n)
             if not js:
                 break  # groups run longest first
@@ -466,11 +442,11 @@ class CycleApproxBijection(WindowInjection):
                     moved += ids[b + i + 1:b + length:n]
                     images.append(ids[b])
                     images += ids[b + i + 2:b + length:n][:len(js) - 1]
-        nw = ws.n
+        nw = cls.n
         if moved and max(moved) >= nw:  # chain points outside the window
             keep = [w < nw for w in moved]
             moved, images = list(compress(moved, keep)), list(compress(images, keep))
-        self._last = (ws, moved, images)
+        self._last = (ids, moved, images)
         return moved, images
 
     def window_codes(self, n: int) -> list:
@@ -484,14 +460,14 @@ class CycleApproxBijection(WindowInjection):
         the row is read code by code.
         """
         try:
-            ws = self.classifier.window_struct(n)
+            cls = self.classifier.window_struct(n)
         except NonInjectiveOnWindow:
             return list(map(self.apply_code, range(n)))
-        row = ws.tau_ids.copy()
-        for w, y in zip(*self._moves(ws)):
+        row = cls.tau_ids.copy()
+        for w, y in zip(*self._moves()):
             row[w] = y
-        for w in ws.undet_widx:
-            row[w] = ws.tau_ids[w]
+        for w in cls.undet_widx:
+            row[w] = cls.tau_ids[w]
         return row
 
     def window_bijectivity(self, n: int) -> bool:
@@ -507,15 +483,14 @@ class CycleApproxBijection(WindowInjection):
         all window points are distinct.  The images are tau's but at the
         moved points, so distinctness is read from the moved points alone.
         """
-        cls = self.classifier
-        ws = cls.window_struct(n)
+        cls = self.classifier.window_struct(n)
         if not self.injective or cls.has_undetermined:
             return super().window_bijectivity(n)
-        moved, images = self._moves(ws)
-        old = set(map(ws.tau_ids.__getitem__, moved))
+        moved, images = self._moves()
+        old = set(map(cls.tau_ids.__getitem__, moved))
         new = set(images)
         # no new image repeats or is also the image of a point that stays
-        return len(new) == len(images) and (new & ws.tau_set) <= old
+        return len(new) == len(images) and (new & cls.tau_set) <= old
 
 
 def approximate_by_automorphisms(tau: WindowInjection, n: int,
@@ -572,13 +547,12 @@ def defect_profile(tau: WindowInjection, sigmas: list, window: int) -> DefectPro
     if (cls is None or cls.tau != tau
             or any(getattr(s, "classifier", None) is not cls for s in sigmas)):
         raise ValueError(f"not one classifier's sigma family for {tau.description}")
-    ws = cls.window_struct(window)
-    tau_ids = ws.tau_ids
-    counts = [0] * ws.n
+    tau_ids = cls.window_struct(window).tau_ids
+    counts = [0] * window
     for s in sigmas:
-        for w, y in zip(*s._moves(ws)):
+        for w, y in zip(*s._moves()):
             counts[w] += y != tau_ids[w]
-    return DefectProfile(tuple(counts), tuple(ws.undet_widx), cls.point)
+    return DefectProfile(tuple(counts), tuple(cls.undet_widx), cls.point)
 
 
 def strip_lift(gs: list) -> StepMap:

@@ -284,6 +284,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise CliInputError("--n-max must be >= 1")
     geom = _parse_geometry(args.geometry)
     deltas = [parse_frac(d) for d in (args.delta or ["1/2", "1/4", "1/8"])]
+    for d in deltas:
+        if not 0 < d < 1:
+            raise CliInputError(f"--delta {frac_str(d)} must lie strictly "
+                                "between 0 and 1")
     ks = {}
     for d in deltas:
         try:

@@ -78,9 +78,9 @@ def test_window_paths_match_pointwise(tau, n):
     # defect_profile) against the pointwise rules
     sigmas = approximate_by_automorphisms(tau, n)
     pts = tau.domain.window(2000)
-    ws = sigmas[0].classifier.window_struct(2000)
+    sigmas[0].classifier.window_struct(2000)
     for s in sigmas:
-        moved, images = s._moves(ws)
+        moved, images = s._moves()
         assert sorted(moved) == [w for w, p in enumerate(pts)
                                  if s.apply(p) != tau.apply(p)]
         # every image here is an earlier point of a chain, so in the window
@@ -94,13 +94,14 @@ def test_window_ids_cut_chains_grown_past_the_window():
     tau = shift_endo(2)
     sigmas = approximate_by_automorphisms(tau, 8)
     cls = sigmas[0].classifier
-    cls.window_struct(16)  # the chain of 0 holds 0, 2, ..., 14
-    sigmas[7].preimage(0)  # walks it out to position 8, past the window
-    ws = cls.window_struct(10)
-    pts = tau.domain.window(10)
-    for s in sigmas:
-        moved, images = s._moves(ws)
-        assert [pts[y] for y in images] == [s.apply(pts[w]) for w in moved]
+    # window 16: the chain of 0 holds 0, 2, ..., 14; window 10: 0, ..., 8
+    for n in (16, 10):
+        cls.window_struct(n)
+        sigmas[7].preimage(0)  # walks it out to position 8, past the window
+        pts = tau.domain.window(n)
+        for s in sigmas:
+            moved, images = s._moves()
+            assert [pts[y] for y in images] == [s.apply(pts[w]) for w in moved]
 
 
 def test_moves_are_read_once_per_window():
@@ -117,8 +118,8 @@ def test_moves_are_read_once_per_window():
             return super().__getitem__(key)
 
     for n in (300, 100):
-        ws = cls.window_struct(n)
-        ws.chain_ids = Spy(ws.chain_ids)
+        cls.window_struct(n)
+        cls.chain_ids = Spy(cls.chain_ids)
         slices.clear()
         prof = defect_profile(tau, sigmas, n)
         for s in sigmas:
@@ -127,7 +128,7 @@ def test_moves_are_read_once_per_window():
         once = len(slices)
         fresh = [CycleApproxBijection(cls, 3, i) for i in range(3)]
         slices.clear()
-        assert [f._moves(ws) for f in fresh] == [s._moves(ws) for s in sigmas]
+        assert [f._moves() for f in fresh] == [s._moves() for s in sigmas]
         assert len(slices) == once > 0
         assert prof == defect_profile(tau, fresh, n)
 
@@ -138,11 +139,12 @@ def test_window_bijectivity_rejects_colliding_images(monkeypatch):
     moves = CycleApproxBijection._moves
     for image_of in ("unmoved", "moved"):
 
-        def colliding(self, ws):
-            moved, images = moves(self, ws)
+        def colliding(self):
+            moved, images = moves(self)
             assert 0 not in moved
             # a moved point takes the image of point 0, or of another moved one
-            images[0] = ws.tau_ids[0] if image_of == "unmoved" else images[1]
+            images[0] = (self.classifier.tau_ids[0] if image_of == "unmoved"
+                         else images[1])
             return moved, images
 
         monkeypatch.setattr(CycleApproxBijection, "_moves", colliding)
@@ -160,7 +162,7 @@ def test_window_struct_validates_the_callers_window():
                   lambda: sigmas[1].validate_window(6000)):
         with pytest.raises(NonInjectiveOnWindow, match="300 and 5000 both map to 5000"):
             check()
-    assert 6000 not in cls._ws_cache
+    assert cls.n != 6000
     assert defect_profile(tau, sigmas, 4000).max_defect == 0
 
 
@@ -261,7 +263,7 @@ def test_family_refuses_non_injective_tau():
     for n in (2, 2, 5):  # a refused window is not remembered
         with pytest.raises(NonInjectiveOnWindow):
             defect_profile(bad, approximate_by_automorphisms(bad, n, shared), 10)
-        assert 10 not in shared._ws_cache
+        assert shared.n != 10
 
 
 def counted(fn, calls):
@@ -306,8 +308,8 @@ def test_classify_reads_each_preimage_once(make, reads):
 class WalkClassifier(OrbitClassifier):
     """The in-order reference: a dict of per-code records, one list per
     chain and per cycle, and the general backward walk for every
-    unclassified code; a window past the largest one takes fresh records,
-    then a window classifies its codes 0..n-1 one at a time."""
+    unclassified code; a window other than the laid-out one takes fresh
+    records, then classifies its codes 0..n-1 one at a time."""
 
     def _reset(self):
         super()._reset()
@@ -315,13 +317,10 @@ class WalkClassifier(OrbitClassifier):
         self._next_oid = 0
 
     def window_struct(self, n):
-        if n > self._n:
+        if n != self.n:
             self._reset()
-        ws = self._ws_cache.get(n)
-        if ws is None:
-            ws = self._ws_cache[n] = reference_window(self, n)
-            self._n = max(self._n, n)
-        return ws
+            vars(self).update(vars(reference_window(self, n)))
+        return self
 
     def classify(self, x: int):
         got = self._cls.get(x)
@@ -394,7 +393,7 @@ def snapshot(cls):
         return (dict(cls._cls), {o: c.copy() for o, c in cls._chains.items()},
                 {o: c.copy() for o, c in cls._cycles.items()}, cls._next_oid,
                 cls.has_undetermined)
-    recs = {c: cls.classify(c) for c in [*range(cls._n), *cls._far]}
+    recs = {c: cls.classify(c) for c in [*range(cls.n), *cls._far]}
     chains = {o: [cls.chain_point(o, p) for p in range(cls._clen[o])]
               for kind, o, _ in recs.values() if kind == approx._K_SEMI}
     cycles = {o: list(cls._cycles.get(o, (c,)))
@@ -493,8 +492,8 @@ def _window_state(cls, n):
 @pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
 def test_window_layout_matches_in_order_classify(tau, used, budget, monkeypatch):
     # the layout leaves the state, chains and groups of in-order
-    # classify on fresh records, on fresh classifiers and used ones; a
-    # smaller window after them cuts its chains out of the larger one's
+    # classify on fresh records, on fresh classifiers and used ones, and
+    # so does each later window, larger or smaller
     monkeypatch.setattr(approx, "MAX_STEPS", budget)
     states = []
     for make in (OrbitClassifier, WalkClassifier):
@@ -555,15 +554,17 @@ def test_window_layout_matches_the_walk_on_permuted_shifts(tau_windows, used, bu
 @pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
 @pytest.mark.parametrize("tau", WINDOW_TAUS, ids=lambda t: t.description)
 def test_window_layout_ignores_earlier_queries(tau, budget, monkeypatch):
-    # out-of-order classifies, which a small budget leaves undetermined, and
-    # sigma preimages, which grow chains forward, change no window: a
-    # window past the laid-out one is laid out on fresh records
+    # out-of-order classifies, which a small budget leaves undetermined,
+    # sigma preimages, which grow chains forward, and earlier windows,
+    # larger or smaller, change no window: a window other than the laid-out
+    # one is laid out on fresh records
     monkeypatch.setattr(approx, "MAX_STEPS", budget)
     used = OrbitClassifier(tau)
     list(map(used.classify, range(30, 0, -3)))
-    for s in approximate_by_automorphisms(tau, 3, used):
-        list(map(s.preimage_code, range(0, 60, 7)))
-    for n in (40, 600):
+    sigmas = approximate_by_automorphisms(tau, 3, used)
+    for n in (40, 600, 40, 600, 37):
+        for s in sigmas:
+            list(map(s.preimage_code, range(0, 60, 7)))
         assert _window_state(used, n) == _window_state(OrbitClassifier(tau), n)
         used.classify(n + 30)
 
@@ -662,7 +663,7 @@ def test_window_layout_raises_as_the_walk(budget, monkeypatch):
         with pytest.raises(NonInjectiveOnWindow) as info:
             cls.window_struct(8)
         errors.append((str(info.value), info.value.pair, info.value.image))
-        assert 8 not in cls._ws_cache
+        assert cls.n != 8
         states.append(_window_state(cls, 6))
     assert errors[0] == errors[1] == ("4 and 6 both map to 4", (4, 6), 4)
     assert states[0] == states[1]
@@ -714,16 +715,22 @@ def test_orbit_decompose_rejects_collision():
         orbit_decompose(bad, 10)
 
 
-@pytest.mark.parametrize("tau", TAUS + [
+@pytest.mark.parametrize("laid_out, window", [(300, 120), (600, 37), (40, 7)])
+@pytest.mark.parametrize("budget", [1, 3, approx.MAX_STEPS])
+@pytest.mark.parametrize("tau", WINDOW_TAUS + [
     window_permutation(NaturalNumbers(), {0: 1, 1: 2, 2: 0}),
     window_permutation(NaturalNumbers(), {2: 150, 150: 2})],
     ids=lambda t: t.description)
-def test_orbit_decompose_reuses_a_classifier(tau):
-    # a classifier that has already walked a larger window gives the same
-    # decomposition as a fresh one
+def test_orbit_decompose_reuses_a_classifier(tau, budget, laid_out, window,
+                                             monkeypatch):
+    # a classifier that has laid out a larger window reads the smaller one
+    # off its records, and gives the same decomposition as a fresh one
+    monkeypatch.setattr(approx, "MAX_STEPS", budget)
     cls = OrbitClassifier(tau)
-    cls.window_struct(300)
-    assert orbit_decompose(tau, 120, classifier=cls) == orbit_decompose(tau, 120)
+    cls.window_struct(laid_out)
+    dec = orbit_decompose(tau, window, classifier=cls)
+    assert cls.n == laid_out
+    assert dec == orbit_decompose(tau, window)
 
 
 def test_orbit_decompose_counts_read_codes(decode_calls):
@@ -744,9 +751,9 @@ def test_orbit_decompose_validates_through_the_classifier():
     approximate_by_automorphisms(bad, 2, cls)  # checks no window
     with pytest.raises(NonInjectiveOnWindow):
         orbit_decompose(bad, 6000, classifier=cls)
-    assert 6000 not in cls._ws_cache
+    assert cls.n != 6000
     orbit_decompose(bad, 200, classifier=cls)
-    assert 200 in cls._ws_cache
+    assert cls.n == 200
 
 
 def test_defect_profile_marks_undetermined(monkeypatch):
@@ -864,9 +871,9 @@ def test_sigma_window_reads_use_the_moves_not_apply_code(read, monkeypatch):
         applied[self] += 1
         return apply_code(self, k)
 
-    def reading(self, ws):
+    def reading(self):
         read_moves[self] += 1
-        return moves(self, ws)
+        return moves(self)
 
     monkeypatch.setattr(CycleApproxBijection, "apply_code", counting)
     monkeypatch.setattr(CycleApproxBijection, "_moves", reading)

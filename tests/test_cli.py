@@ -287,19 +287,26 @@ FROZEN_CLI = json.loads(
 @pytest.mark.parametrize("case", FROZEN_CLI,
                          ids=[" ".join(c["argv"]) for c in FROZEN_CLI])
 def test_cli_stdout_is_frozen(capsys, monkeypatch, case):
-    # and no case lays out a window past one its classifier laid out
-    # before, which would lay the larger window out afresh
+    # and every classifier a case builds lays out exactly one window: any
+    # other window would drop its records and be laid out afresh
+    from collections import Counter
+
     from belle_paire.approx import OrbitClassifier
-    grown, lay_out = [], OrbitClassifier._lay_out
+    built, laid = [], Counter()
+    init, lay_out = OrbitClassifier.__init__, OrbitClassifier._lay_out
 
-    def spy(self, n, row):
-        if 0 < self._n < n:
-            grown.append((self.tau.description, self._n, n))
-        return lay_out(self, n, row)
+    def counting_init(self, tau):
+        built.append(self)
+        init(self, tau)
 
-    monkeypatch.setattr(OrbitClassifier, "_lay_out", spy)
+    def counting_lay_out(self, n):
+        laid[self] += 1
+        return lay_out(self, n)
+
+    monkeypatch.setattr(OrbitClassifier, "__init__", counting_init)
+    monkeypatch.setattr(OrbitClassifier, "_lay_out", counting_lay_out)
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"])
-    assert grown == []
+    assert [laid[c] for c in built] == [1] * len(built)
 
 
 @pytest.mark.parametrize("pairs", [("pure:identity", "pure:successor"),
@@ -627,6 +634,11 @@ MENDED_INPUTS = {
                              "--pair1", "fq2:identity", "--pair2", "fq2:shift",
                              "--obstruction",
                              '{"q": 2, "dim": 0, "grid": 2, "subspace": [[]]}'],
+    **{f"delta-{name}": ["bound", f"--delta={delta}"]
+       for name, delta in (("zero", "0"), ("one", "1"), ("three-halves", "3/2"),
+                           ("negative", "-1/2"))},
+    "delta-one-of-two": ["bound", "--geometry", "disintegrated", "--delta", "1/4",
+                         "--delta", "1"],
 }
 
 

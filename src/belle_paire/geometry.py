@@ -163,10 +163,6 @@ class SearchResult:
     forward: Fraction
     backward: Fraction
 
-    def as_dict(self) -> dict:
-        return {"gap": self.gap, "candidates": self.candidates_checked,
-                "forward": self.forward, "backward": self.backward}
-
 
 def _pareto_front(pairs) -> list:
     """The (F, W) pairs that no other pair beats on both sums."""

@@ -132,9 +132,23 @@ def fq_presentation(q: int) -> PermGroupPresentation:
                                  elements=elements)
 
 
-def _tag(lines, prefix: str):
-    return tuple(replace(l, rep_description=f"{prefix}:{l.rep_description}")
-                 for l in lines)
+def _combine(eps, window, parts, maps, build, residual=ZERO, notes=()):
+    """The certificate of a combinator split into (label, share, cert) parts.
+
+    Bounds and residuals add up, each part's lines are tagged with its label,
+    the combinator's notes follow the parts' own, the allocations list the
+    shares, and g_hat is build(*values) on each piece of the maps' common
+    refinement.
+    """
+    certs = [c for _, _, c in parts]
+    return Certificate(
+        StepMap([(s, build(*vals)) for s, vals in common_refinement(maps)]),
+        sum((c.bound for c in certs), ZERO), eps, window,
+        tuple(replace(l, rep_description=f"{label}:{l.rep_description}")
+              for label, _, c in parts for l in c.lines),
+        sum((c.residual for c in certs), residual),
+        sum((c.notes for c in certs), ()) + notes,
+        tuple((label, share) for label, share, _ in parts))
 
 
 # --- direct product --------------------------------------------------------
@@ -158,13 +172,8 @@ def direct_product(G: PermGroupPresentation,
         rights = h_hat.map_values(lambda v: split(v)[1])
         cl = G.approximator(lefts, eps / 2, window)
         cr = H.approximator(rights, eps / 2, window)
-        g_hat = StepMap([(s, UnionInjection(dom, l, r))
-                         for s, (l, r) in common_refinement([cl.g_hat, cr.g_hat])])
-        return Certificate(
-            g_hat, cl.bound + cr.bound, eps, window,
-            _tag(cl.lines, "left") + _tag(cr.lines, "right"),
-            cl.residual + cr.residual, cl.notes + cr.notes,
-            (("left", eps / 2), ("right", eps / 2)))
+        return _combine(eps, window, [("left", eps / 2, cl), ("right", eps / 2, cr)],
+                        [cl.g_hat, cr.g_hat], lambda l, r: UnionInjection(dom, l, r))
 
     def member(v, window):
         try:
@@ -191,7 +200,6 @@ def wreath_element(P: PermGroupPresentation, h_part: WindowInjection,
     if not isinstance(dom, PairProduct):
         raise ValueError(f"{P.name} is not presented on a pair product")
     default = default if default is not None else identity_endo(dom.second)
-    coords = {b: g for b, g in coords.items() if g != default}
     return WreathInjection(dom, h_part, coords, default)
 
 
@@ -207,7 +215,6 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
         raise ValueError("truncation must materialize at least one coordinate")
     dom = PairProduct(H.domain, G.domain)
     coords = [H.domain.point_at(i) for i in range(m)]
-    coord_set = set(coords)
     gid = identity_endo(G.domain)
     hid = identity_endo(H.domain)
 
@@ -221,37 +228,22 @@ def wreath_product(G: PermGroupPresentation, H: PermGroupPresentation,
 
     def approx(h_hat, eps, window):
         w = h_hat.map_values(shape)
-        ch = H.approximator(w.map_values(lambda v: v.h_part), eps / 2, window)
-        parts = [w, ch.g_hat]
-        lines = _tag(ch.lines, "h")
-        bound = ch.bound
-        residual = ch.residual + Frac(1, 2 ** (m + 1)) * eps
-        notes = ch.notes
-        allocations = [("h", eps / 2)]
+        parts = [("h", eps / 2, H.approximator(w.map_values(lambda v: v.h_part),
+                                               eps / 2, window))]
         for i, b in enumerate(coords):
             share = Frac(1, 2 ** (i + 2)) * eps
-            ci = G.approximator(w.map_values(lambda v, b=b: v.coord(b)),
-                                share, window)
-            parts.append(ci.g_hat)
-            lines += _tag(ci.lines, f"b{i}")
-            bound += ci.bound
-            residual += ci.residual
-            notes += ci.notes
-            allocations.append((f"b{i}", share))
-        cells = []
-        for s, vals in common_refinement(parts):
-            orig, hp, *gs = vals
-            table = dict(zip(coords, gs))
+            parts.append((f"b{i}", share, G.approximator(
+                w.map_values(lambda v, b=b: v.coord(b)), share, window)))
+        tail = Frac(1, 2 ** (m + 1)) * eps
+
+        def build(orig, hp, *gs):
             # coordinates beyond the truncation are copied verbatim
-            table.update({b: g for b, g in orig.coords.items()
-                          if b not in coord_set})
-            table = {b: g for b, g in table.items()
-                     if g != orig.default}
-            cells.append((s, WreathInjection(dom, hp, table, orig.default)))
-        notes += (f"coordinates materialized: {m}; residual tail "
-                  f"{Frac(1, 2 ** (m + 1)) * eps}",)
-        return Certificate(StepMap(cells), bound, eps, window, lines,
-                           residual, notes, tuple(allocations))
+            return WreathInjection(dom, hp, orig.coords | dict(zip(coords, gs)),
+                                   orig.default)
+
+        return _combine(eps, window, parts, [w] + [c.g_hat for _, _, c in parts],
+                        build, tail, (f"coordinates materialized: {m}; "
+                                      f"residual tail {tail}",))
 
     def member(v, window):
         try:
@@ -306,12 +298,9 @@ def finite_index_supergroup(H: PermGroupPresentation,
             idx_cells.append((s, got[0]))
             part_cells.append((s, got[1]))
         ch = H.approximator(StepMap(part_cells), eps, window)
-        g_hat = StepMap([(s, reps[j].compose(hp)) for s, (j, hp)
-                         in common_refinement([StepMap(idx_cells), ch.g_hat])])
-        return Certificate(
-            g_hat, ch.bound, eps, window, _tag(ch.lines, "H"),
-            ch.residual, ch.notes + (f"coset reps: {len(reps)}",),
-            (("H", eps),))
+        return _combine(eps, window, [("H", eps, ch)], [StepMap(idx_cells), ch.g_hat],
+                        lambda j, hp: reps[j].compose(hp),
+                        notes=(f"coset reps: {len(reps)}",))
 
     def member(v, window):
         return peel(v, window) is not None

@@ -79,17 +79,15 @@ class Domain:
     def window(self, n: int) -> list:
         return [self.point_at(k) for k in range(n)]
 
-    def key(self) -> tuple:
-        raise NotImplementedError
-
     def describe(self) -> str:
+        """The carrier's name; carriers compare and hash by it."""
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Domain) and self.key() == other.key()
+        return isinstance(other, Domain) and self.describe() == other.describe()
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.describe())
 
     def __repr__(self):
         return self.describe()
@@ -105,9 +103,6 @@ class NaturalNumbers(Domain):
         if type(point) is not int or point < 0:
             raise ValueError(f"{point!r} is not a natural number")
         return point
-
-    def key(self):
-        return ("nat",)
 
     def describe(self):
         return "nat"
@@ -134,11 +129,12 @@ class FqVectors(Domain):
             raise ValueError(f"{point!r} is not a vector over F_{self.q}")
         return point.encode()
 
-    def key(self):
-        return ("fqvec", self.q)
-
     def describe(self):
         return f"fqvec({self.q})"
+
+
+def _is_pair(point) -> bool:
+    return isinstance(point, tuple) and len(point) == 2
 
 
 class DisjointUnion(Domain):
@@ -154,13 +150,12 @@ class DisjointUnion(Domain):
         return ("R", self.right.point_at(k // 2))
 
     def index_of(self, point):
+        if not _is_pair(point) or point[0] not in ("L", "R"):
+            raise ValueError(f"{point!r} is not a point of {self.describe()}")
         tag, v = point
         if tag == "L":
             return 2 * self.left.index_of(v)
         return 2 * self.right.index_of(v) + 1
-
-    def key(self):
-        return ("union", self.left.key(), self.right.key())
 
     def describe(self):
         return f"union({self.left.describe()},{self.right.describe()})"
@@ -190,11 +185,10 @@ class PairProduct(Domain):
         return (self.first.point_at(i), self.second.point_at(j))
 
     def index_of(self, point):
+        if not _is_pair(point):
+            raise ValueError(f"{point!r} is not a point of {self.describe()}")
         b, a = point
         return self.join(self.first.index_of(b), self.second.index_of(a))
-
-    def key(self):
-        return ("pair", self.first.key(), self.second.key())
 
     def describe(self):
         return f"pair({self.first.describe()},{self.second.describe()})"
@@ -448,7 +442,7 @@ class IdentityInjection(WindowInjection):
         return self
 
     def key(self):
-        return ("identity", self.domain.key())
+        return ("identity", self.domain.describe())
 
 
 class ShiftInjection(WindowInjection):
@@ -505,7 +499,7 @@ class TableInjection(WindowInjection):
         return k
 
     def key(self):
-        return ("table", self.domain.key(), tuple(sorted(self._table.items(), key=repr)))
+        return ("table", self.domain.describe(), tuple(sorted(self._table.items(), key=repr)))
 
     @property
     def support(self):
@@ -750,12 +744,26 @@ class UnionInjection(WindowInjection):
         w = (self.right if tag else self.left).preimage_code(c)
         return None if w is None else 2 * w + tag
 
+    def compose(self, inner):
+        if isinstance(inner, UnionInjection) and inner.domain == self.domain:
+            return UnionInjection(self.domain, self.left.compose(inner.left),
+                                  self.right.compose(inner.right))
+        return super().compose(inner)
+
+    def inverse(self):
+        return UnionInjection(self.domain, self.left.inverse(),
+                              self.right.inverse())
+
     def key(self):
         return ("unionmap", self.left._key, self.right._key)
 
 
 class WreathInjection(WindowInjection):
-    """(b, a) -> (h(b), g_b(a)) with finitely many materialized g_b."""
+    """(b, a) -> (h(b), g_b(a)) with finitely many materialized g_b.
+
+    A fibre map equal to the default is dropped, so equal maps are built
+    with equal coords, and compare, hash and describe equal.
+    """
 
     def __init__(self, domain: PairProduct, h_part: WindowInjection,
                  coords: dict, default: WindowInjection):
@@ -766,8 +774,9 @@ class WreathInjection(WindowInjection):
         if default.domain != domain.second or any(
                 g.domain != domain.second for g in coords.values()):
             raise ValueError("a fibre map does not act on the second factor")
+        coords = {b: g for b, g in coords.items() if g != default}
         self.h_part = h_part
-        self.coords = dict(coords)
+        self.coords = coords
         self.default = default
         # the fibre maps by the code of b
         self._fibres = {domain.first.index_of(b): g for b, g in coords.items()}
@@ -796,6 +805,27 @@ class WreathInjection(WindowInjection):
             return None
         a = self._fibres.get(b, self.default).preimage_code(a1)
         return None if a is None else PairProduct.join(b, a)
+
+    def compose(self, inner):
+        """(h1, g1) . (h2, g2) = (h1 h2, g1_{h2(b)} g2_b), a fibre at each b
+        in coords2 or in h2's preimage of coords1."""
+        if not (isinstance(inner, WreathInjection) and inner.domain == self.domain):
+            return super().compose(inner)
+        h2 = inner.h_part
+        at = set(inner.coords).union(
+            b for b in map(h2.preimage, self.coords) if b is not None)
+        return WreathInjection(
+            self.domain, self.h_part.compose(h2),
+            {b: self.coord(h2.apply(b)).compose(inner.coord(b)) for b in at},
+            self.default.compose(inner.default))
+
+    def inverse(self):
+        """(h, g)^-1 = (h^-1, g_b^-1 at h(b)), with default d^-1."""
+        h = self.h_part
+        return WreathInjection(
+            self.domain, h.inverse(),
+            {h.apply(b): g.inverse() for b, g in self.coords.items()},
+            self.default.inverse())
 
     def key(self):
         return ("wreathmap", self.h_part._key,

@@ -309,6 +309,13 @@ def test_cli_stdout_is_frozen(capsys, monkeypatch, case):
     assert [laid[c] for c in built] == [1] * len(built)
 
 
+@pytest.mark.parametrize("expr", ["findex(product(pure,pure),reps=L.swap)",
+                                  "findex(wreath(pure,pure,m=2),reps=b0.swap)"])
+def test_findex_composes_with_products_and_wreaths(capsys, expr):
+    code, blob = run_json(capsys, "compose", "--expr", expr)
+    assert (code, blob["within_budget"]) == (0, True)
+
+
 @pytest.mark.parametrize("pairs", [("pure:identity", "pure:successor"),
                                    ("fq2:identity", "fq2:shift")])
 def test_certificate_computes_no_lower_bound(capsys, monkeypatch, pairs):

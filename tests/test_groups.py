@@ -26,7 +26,8 @@ from belle_paire.random_endo import (
     endos_agree_on_window,
     max_strip_probe_distance,
 )
-from belle_paire.structures import (NaturalNumbers, identity_endo, successor_endo,
+from belle_paire.structures import (ComposedInjection, InverseInjection,
+                                   NaturalNumbers, identity_endo, successor_endo,
                                    window_permutation)
 
 HALF_STRIPS = [(Frac(0), Frac(1, 2)), (Frac(1, 2), Frac(1))]
@@ -223,3 +224,22 @@ def test_fq_presentation_elements():
     cert = pres.approximate(h_hat, Frac(1, 6), 60)
     assert cert.bound <= Frac(1, 6)
     assert measured(pres, cert, h_hat, window=30) <= cert.bound
+
+
+# a product's or a wreath's composites and inverses stay in its own kind, so
+# its membership test and a finite-index extension over it can read them
+@pytest.mark.parametrize("expr", ["product(pure,parity)", "product(fq2,pure)",
+                                  "wreath(pure,pure,m=2)", "wreath(pure,fq2,m=2)"])
+def test_composites_and_inverses_are_members(expr):
+    pres = parse_group_expr(expr)
+    els = list(pres.elements.values())
+    for u in els:
+        for v in els:
+            uv = u.compose(v)
+            assert uv.window_codes(300) == ComposedInjection(u, v).window_codes(300)
+            assert pres.member(uv, 60), (u, v)
+        if u.is_bijection:
+            inv = u.inverse()
+            assert inv.window_codes(300) == InverseInjection(u).window_codes(300)
+            assert pres.member(inv, 60), u
+

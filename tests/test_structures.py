@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import belle_paire
+from belle_paire.measure import StepMap
 from belle_paire.structures import (
     ComposedInjection,
     DisjointUnion,
+    Domain,
     FqVector,
     FqVectors,
     GeometrySpec,
@@ -49,6 +51,17 @@ def test_domain_equality_is_structural():
     assert FqVectors(2) == FqVectors(2)
     assert FqVectors(2) != FqVectors(3)
     assert NaturalNumbers() != FqVectors(2)
+    # carriers are identified by their description alone
+    def nested():
+        return [DisjointUnion(NaturalNumbers(), FqVectors(2)),
+                PairProduct(NaturalNumbers(), FqVectors(2)),
+                PairProduct(DisjointUnion(NaturalNumbers(), NaturalNumbers()),
+                            FqVectors(3))]
+    for a, b in zip(nested(), nested()):
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a.describe())
+    assert len(set(nested())) == 3
+    assert not hasattr(Domain, "key")
 
 
 @given(st.integers(0, 3000))
@@ -386,6 +399,25 @@ def test_index_of_on_every_leaf_and_nesting():
             PairProduct(DisjointUnion(FqVectors(3), NaturalNumbers()),
                         PairProduct(NaturalNumbers(), FqVectors(2)))]:
         assert [dom.index_of(p) for p in dom.window(500)] == list(range(500))
+
+
+def test_compound_index_of_refuses_points_off_the_carrier():
+    union = DisjointUnion(NaturalNumbers(), NaturalNumbers())
+    pairs = PairProduct(NaturalNumbers(), NaturalNumbers())
+    for dom, points in [(union, [("X", 3), 5, ("L", 3, 4), ["L", 3], ("L",)]),
+                        (pairs, [5, (1,), (1, 2, 3), "ab", [1, 2]])]:
+        for point in points:
+            with pytest.raises(ValueError, match="is not a point of"):
+                dom.index_of(point)
+
+
+def test_wreath_maps_drop_fibres_equal_to_the_default():
+    dom = PairProduct(NaturalNumbers(), NaturalNumbers())
+    kept = WreathInjection(dom, shift_endo(2), {3: shift_endo(1)}, successor_endo())
+    dropped = WreathInjection(dom, shift_endo(2), {}, successor_endo())
+    assert kept.coords == {} and kept == dropped
+    assert hash(kept) == hash(dropped) and kept.description == dropped.description
+    assert len(StepMap.uniform_strips([kept, dropped]).cells) == 1
 
 
 def _every_injection_class():

@@ -119,22 +119,23 @@ def _parse_pair(text: str, window: int) -> PairModel:
             raise CliInputError(f"bad pair model {text[1:]!r}: {e!r}") from None
     if ":" in text:
         dom_name, _, endo_name = text.partition(":")
+        # each preset image is built only when it is the one named
         if dom_name == "pure":
             dom = NaturalNumbers()
-            endos = {"identity": identity_endo(dom),
-                     "successor": successor_endo()}
+            endos = {"identity": lambda: identity_endo(dom),
+                     "successor": successor_endo}
         elif dom_name in ("fq2", "fq3"):
             q = int(dom_name[2:])
             dom = FqVectors(q)
-            endos = {"identity": identity_endo(dom),
-                     "shift": basis_shift_endo(q)}
+            endos = {"identity": lambda: identity_endo(dom),
+                     "shift": lambda: basis_shift_endo(q)}
         else:
             raise CliInputError(f"unknown pair carrier {dom_name!r}")
         if endo_name not in endos:
             raise CliInputError(f"unknown pair image {endo_name!r}; "
                                 f"known: {', '.join(sorted(endos))}")
         return PairModel(dom.describe(), window,
-                         constant_endo(endos[endo_name]))
+                         constant_endo(endos[endo_name]()))
     raise CliInputError(f"cannot parse pair descriptor {text!r}")
 
 

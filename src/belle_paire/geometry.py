@@ -6,18 +6,26 @@ every grid-constant assignment of automorphisms and reports it as plain
 data.  The gap is a maximum of two column sums, so the search enumerates
 the multisets of incidence classes one column can hold and runs an exact
 DP over the reachable column sums; its guard bounds the ordered
-per-column assignments, not the candidate space.  No finite run
-instantiates the infinite-codimension hypotheses of the theory; the two
-kinds of output are kept separate on purpose.
+per-column assignments, not the candidate space.  The search runs on
+ints: an F_q point is its base-q digit code (e_0 the most significant
+digit, so code order is the sorted order of the tuples), each kept
+GL(dim, q) holds every matrix's row of image codes, and an incidence
+class is one int whose digits are its (point, target) incidences, so a
+column's hit counts are one int sum.  No finite run instantiates the
+infinite-codimension hypotheses of the theory; the two kinds of output
+are kept separate on purpose.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from math import factorial, prod
+from struct import calcsize
+from types import MappingProxyType
 
 from .measure import Frac, _frac
 from .structures import GeometrySpec, _row_reduce, is_prime
@@ -126,22 +134,48 @@ def subspace_span(q: int, gens) -> frozenset:
 SEARCH_GUARD = 10_000_000
 
 
-@lru_cache(maxsize=4)
 def gl_matrices(dim: int, q: int) -> tuple:
     """All invertible dim x dim matrices over F_q, in lexicographic order.
 
-    Kept, as a tuple, for the last four (dim, q): every search of a
-    (dim, q) reads the same group, and it enumerates the group only after
-    the guard has bounded its order.
+    Kept, as a tuple, for the last four (dim, q) together with the
+    group's action on point codes: every search of a (dim, q) reads the
+    same group, and it enumerates the group only after the guard has
+    bounded its order.
+    """
+    return _gl_group(dim, q)[0]
+
+
+@lru_cache(maxsize=4)
+def _gl_group(dim: int, q: int) -> tuple:
+    """(gl_matrices(dim, q), a read-only {matrix: its row of image codes}).
+
+    A point's code is its base-q digit code with e_0 the most significant
+    digit, and row[c] is the code of M v for the point v of code c.  Only
+    the invertible matrices get a row: each is summed from the value
+    tables of its matrix rows, whose entry c is that linear form at v mod q.
     """
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    mats = []
+    points = list(iter_product(range(q), repeat=dim))  # code order
+    forms = {u: [sum(a * b for a, b in zip(u, v)) % q for v in points]
+             for u in points}
+    action = {}
     for flat in iter_product(range(q), repeat=dim * dim):
         rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
         if _row_reduce(rows, q)[1] == dim:
-            mats.append(tuple(rows))
-    return tuple(mats)
+            codes = forms[rows[0]]
+            for u in rows[1:]:
+                codes = [c * q + x for c, x in zip(codes, forms[u])]
+            action[tuple(rows)] = tuple(codes)
+    return tuple(action), MappingProxyType(action)
+
+
+def _point_code(v, q: int) -> int:
+    """The base-q digit code of a point, its first entry most significant."""
+    code = 0
+    for c in v:
+        code = code * q + c
+    return code
 
 
 def _gl_order(dim: int, q: int) -> int:
@@ -149,10 +183,6 @@ def _gl_order(dim: int, q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     return prod(q ** dim - q ** k for k in range(dim))
-
-
-def _mat_apply(mat, v, q):
-    return tuple(sum(a * b for a, b in zip(row, v)) % q for row in mat)
 
 
 @dataclass(frozen=True)
@@ -187,34 +217,52 @@ def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
     """Shared search core: minimize the two-sided gap over cell assignments.
 
     cells_options: list of automorphism labels usable in every cell;
-    points: the probe alphabet; targets: the comparison alphabet; apply_fn:
-    (label, point) -> point.  A candidate is one column assignment (grid
-    rows) per column, and its gap is max(sum F_j, sum W_j) / grid^2 for
-    integer per-column numerators F_j, W_j.  A column's (F_j, W_j) depends
-    only on the multiset of its rows' incidence sets {(a, b) : g(a) = b}
-    over points x targets, so each option is applied once per point, the
-    options are grouped into incidence classes kept by their lowest-index
-    member, and the multisets of class representatives are enumerated in
-    lexicographic order.  A sorted tuple of representatives is the
-    lowest-index column assignment of its (F_j, W_j), so each pair is
-    first seen at the column the full |options|^grid product would give;
-    the guard still bounds that product.  A DP over the Pareto front of
-    reachable (F, W) sums then gives the exact minimum, and the witness is
-    rebuilt column by column as the lowest-index candidate that attains it.
+    points: the probe alphabet; targets: the comparison alphabet, distinct
+    points; apply_fn: (label, point) -> hashable point.  A candidate is one
+    column assignment (grid rows) per column, and its gap is max(sum F_j,
+    sum W_j) / grid^2 for integer per-column numerators F_j, W_j.  A
+    column's (F_j, W_j) depends only on the multiset of its rows' incidence
+    sets {(a, b) : g(a) = b} over points x targets, so each option is
+    applied once per point, the options are grouped into incidence classes
+    kept by their lowest-index member, and the multisets of class
+    representatives are enumerated in lexicographic order.  A class is one
+    int whose base-2^(8w) digits are its incidences, point-major, for w the
+    1, 2, 4 or 8 bytes that hold grid; so a column's hits are the sum of
+    its rows' ints, a point's hits are a run of that sum's digits and a
+    target's a stride, and F_j and W_j are read off them.  A sorted tuple
+    of representatives is the lowest-index column assignment of its (F_j,
+    W_j), so each pair is first seen at the column the full |options|^grid
+    product would give; the guard still bounds that product.  A DP over the
+    Pareto front of reachable (F, W) sums then gives the exact minimum, and
+    the witness is rebuilt column by column as the lowest-index candidate
+    that attains it.
     """
     _check_guard(len(cells_options), grid)
-    classes = {}  # incidence vector -> lowest-index option with it
-    for g in cells_options:
-        images = [apply_fn(g, a) for a in points]
-        classes.setdefault(tuple(x == b for x in images for b in targets), g)
+    fmt = next((f for f in "BHI" if grid < 256 ** calcsize(f)), "Q")
+    width = calcsize(fmt)  # bytes per hit count
     m = len(targets)
+    index = {b: j for j, b in enumerate(targets)}
+    classes = {}  # packed incidences -> lowest-index option with them
+    for g in cells_options:
+        packed = 0
+        for i, a in enumerate(points):
+            j = index.get(apply_fn(g, a))
+            if j is not None:
+                packed |= 1 << 8 * width * (i * m + j)
+        classes.setdefault(packed, g)
+    n = len(points) * m
+    by_point = [slice(k, k + m) for k in range(0, n, m)]
+    by_target = [slice(j, None, m) for j in range(m)]
     first = {}  # (F_j, W_j) -> lowest-index column assignment with it
-    for rows in combinations_with_replacement(classes.items(), grid):
-        hits = [sum(c) for c in zip(*(vec for vec, _ in rows))]
+    for vecs, rows in zip(combinations_with_replacement(classes, grid),
+                          combinations_with_replacement(classes.values(), grid)):
+        hits = sum(vecs).to_bytes(n * width, sys.byteorder)
+        if width > 1:  # bytes already read as one-byte digits
+            hits = memoryview(hits).cast(fmt)
         # miss = grid - hits, so max-min of misses is grid - min-max of hits
-        fwd = grid - min(max(hits[i:i + m]) for i in range(0, len(hits), m))
-        bwd = grid - min(max(hits[j::m]) for j in range(m))
-        first.setdefault((fwd, bwd), tuple(g for _, g in rows))
+        first.setdefault((grid - min(map(max, map(hits.__getitem__, by_point))),
+                          grid - min(map(max, map(hits.__getitem__, by_target)))),
+                         rows)
     fronts = [[(0, 0)]]  # fronts[k]: Pareto front of sums over k columns
     for _ in range(grid):
         fronts.append(_pareto_front({(f + a, w + b) for f, w in fronts[-1]
@@ -257,10 +305,11 @@ def exhaustive_pair_search(q: int, dim: int, grid: int,
     if not wset:
         raise ValueError("subspace must contain at least the origin")
     _check_guard(_gl_order(dim, q), grid)
-    points = sorted(iter_product(range(q), repeat=dim))
     mats = gl_matrices(dim, q)
-    return _min_grid_gap(mats, grid, points, sorted(wset),
-                         lambda m, v: _mat_apply(m, v, q))
+    action = _gl_group(dim, q)[1]  # the kept rows of the group just read
+    codes = sorted(_point_code(v, q) for v in wset)
+    return _min_grid_gap(mats, grid, range(q ** dim), codes,
+                         lambda mat, c: action[mat][c])
 
 
 def exhaustive_pair_search_pure(m: int, grid: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product as iter_product
-from operator import getitem, mul, ne
+from operator import mul, ne
 from typing import NamedTuple
 
 from .measure import (Frac, RationalSet, StepMap, _frac, _layout_of,
@@ -328,8 +328,10 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
     the piece's strip, so each injection is applied to each pool point
     once.  miss[j][p] is the int area, over den**2, of the pieces of strip
     j where f differs from that image of pool[p]; the distance is additive
-    over pieces, so each assignment, an index tuple over the pool, scores
-    as an int sum over the table, and one Fraction is built at the end.
+    over pieces, so each assignment picks one entry of every strip's line,
+    the product of the lines enumerates all |pool|^strips of them, each
+    scores as the int sum of its picks, and one Fraction is built at the
+    end.
     """
     validate_random_endo(h_hat)
     if not pool:
@@ -345,8 +347,7 @@ def brute_force_dist_to_image(f: StepMap, h_hat: StepMap, strips: list,
         for p, b in enumerate(rows[k]):
             if fv[i] != b:
                 line[p] += area
-    best = min(sum(map(getitem, miss, combo))
-               for combo in iter_product(range(len(pool)), repeat=len(strips)))
+    best = min(map(sum, iter_product(*miss)))
     return Frac(best, lay.den * lay.den)
 
 

@@ -316,6 +316,31 @@ def test_findex_composes_with_products_and_wreaths(capsys, expr):
     assert (code, blob["within_budget"]) == (0, True)
 
 
+@pytest.mark.parametrize("text", ["fq2:identity", "pure:identity"])
+def test_pair_presets_build_only_the_named_image(monkeypatch, text):
+    from belle_paire import cli
+    from belle_paire.structures import IdentityInjection
+
+    def refuse(*args):
+        raise AssertionError("an image that was not named was built")
+
+    monkeypatch.setattr(cli, "basis_shift_endo", refuse)
+    monkeypatch.setattr(cli, "successor_endo", refuse)
+    (image,) = cli._parse_pair(text, 40).image.values()
+    assert isinstance(image, IdentityInjection)
+
+
+@pytest.mark.parametrize("text,known", [("fq2:nope", "identity, shift"),
+                                        ("fq3:x", "identity, shift"),
+                                        ("pure:nope", "identity, successor")])
+def test_unknown_pair_image_names_the_presets(capsys, text, known):
+    code = main(["--window", "40", "pair-distance",
+                 "--pair1", text, "--pair2", "fq2:shift"])
+    name = text.partition(":")[2]
+    assert (code, capsys.readouterr().err) == \
+        (2, f"error: unknown pair image {name!r}; known: {known}\n")
+
+
 @pytest.mark.parametrize("pairs", [("pure:identity", "pure:successor"),
                                    ("fq2:identity", "fq2:shift")])
 def test_certificate_computes_no_lower_bound(capsys, monkeypatch, pairs):

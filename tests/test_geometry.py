@@ -299,6 +299,47 @@ def test_search_core_matches_product_loop_on_repeated_classes(seed):
     assert _min_grid_gap(*case) == _reference_min_grid_gap(*case)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_search_core_matches_product_loop_on_arbitrary_maps(seed):
+    # every grid 1-4 with every option count 1-6, on maps from 2-4 points
+    # into [0, 5) scored against 1-4 targets
+    rng = random.Random(1000 + seed)
+    grid, n_options = 1 + seed % 4, 1 + seed // 4
+    points = list(range(rng.choice((2, 3, 4))))
+    targets = sorted(rng.sample(range(5), rng.choice((1, 2, 3, 4))))
+    options = [tuple(rng.randrange(5) for _ in points)
+               for _ in range(n_options)]
+    case = (options, grid, points, targets, lambda p, a: p[a])
+    assert _min_grid_gap(*case) == _reference_min_grid_gap(*case)
+
+
+def test_search_core_counts_hits_past_one_byte():
+    # grid 300: one option's column hits two (point, target) cells 300
+    # times each, and point 2 misses every target
+    case = ([(1, 0, 3)], 300, [0, 1, 2], [0, 1], lambda p, a: p[a])
+    res = _min_grid_gap(*case)
+    assert res == _reference_min_grid_gap(*case)
+    assert (res.forward, res.backward) == (1, 0)
+
+
+@pytest.mark.parametrize("dim,q", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_kept_rows_are_the_action_on_point_codes(dim, q):
+    # a point's code is its index in the sorted tuples, e_0 most significant
+    mats, action = geometry._gl_group(dim, q)
+    assert mats is gl_matrices(dim, q)
+    assert list(action) == list(mats)
+    with pytest.raises(TypeError):  # kept, so no caller may rewrite a row
+        action[mats[0]] = ()
+    points = sorted(product(range(q), repeat=dim))
+    assert points == [tuple(c // q ** (dim - 1 - i) % q for i in range(dim))
+                      for c in range(q ** dim)]
+    for mat, row in action.items():
+        assert sorted(row) == list(range(q ** dim))
+        images = [tuple(sum(a * b for a, b in zip(r, v)) % q for r in mat)
+                  for v in points]
+        assert row == tuple(map(points.index, images))
+
+
 @pytest.mark.parametrize("case", [_vector_case(2, 2, 4, [(1, 0)]),
                                   _vector_case(3, 2, 3, [(1, 0)]),
                                   _pure_case(4, 3, 2)], ids=["q2", "q3", "pure"])

@@ -431,6 +431,25 @@ def test_brute_force_refines_once(monkeypatch):
     assert built == [layouts[0][2]]
 
 
+def test_brute_force_scores_every_assignment_once(monkeypatch):
+    scored = []
+
+    def counting_product(*lines):
+        for picks in product(*lines):
+            scored.append(picks)
+            yield picks
+
+    monkeypatch.setattr(random_endo, "iter_product", counting_product)
+    h_hat = StepMap.from_horizontal_strips(
+        [(0, Frac(1, 3), successor_endo()), (Frac(1, 3), 1, identity_endo(NAT))])
+    f = StepMap.from_vertical_strips([(0, Frac(1, 2), 1), (Frac(1, 2), 1, 2)])
+    strips = [(Frac(0), Frac(1, 4)), (Frac(1, 4), Frac(2, 3)), (Frac(2, 3), Frac(1))]
+    pool = [0, 1, 2, 3, 4]
+    d = brute_force_dist_to_image(f, h_hat, strips, pool)
+    assert d == reference_brute_force_dist_to_image(f, h_hat, strips, pool)
+    assert len(scored) == len(pool) ** len(strips)
+
+
 def test_brute_force_refuses_an_empty_pool_and_untiled_strips(monkeypatch):
     def refuse(*args):
         raise AssertionError("an assignment was scored")

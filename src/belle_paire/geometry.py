@@ -6,7 +6,8 @@ every grid-constant assignment of automorphisms and reports it as plain
 data.  The gap is a maximum of two column sums, so the search enumerates
 the multisets of incidence classes one column can hold and runs an exact
 DP over the reachable column sums; its guard bounds the ordered
-per-column assignments, not the candidate space.  The search runs on
+per-column assignments, a column's rows and the matrices row-reduced to
+list GL(dim, q), not the candidate space.  The search runs on
 ints: an F_q point is its base-q digit code (e_0 the most significant
 digit, so code order is the sorted order of the tuples), each kept
 GL(dim, q) holds every matrix's row of image codes, and an incidence
@@ -21,9 +22,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from itertools import product as iter_product
-from math import factorial, prod
 from struct import calcsize
 from types import MappingProxyType
 
@@ -45,13 +45,20 @@ __all__ = [
 
 
 class SearchGuardExceeded(ValueError):
-    """A column has too many assignments to enumerate."""
+    """A search has more of something to enumerate than its guard allows.
 
-    def __init__(self, count: int, guard: int):
+    count is how many, what names them.  count is None when it is past
+    COUNT_CAP and was not built, and any count past COUNT_CAP prints as
+    "more than COUNT_CAP", so no message holds an int too long to print.
+    """
+
+    def __init__(self, count: int | None, guard: int,
+                 what: str = "column assignments"):
         self.count = count
         self.guard = guard
-        super().__init__(f"{count} column assignments exceed the search "
-                         f"guard {guard}")
+        amount = (f"more than {COUNT_CAP}" if count is None or count > COUNT_CAP
+                  else count)
+        super().__init__(f"{amount} {what} exceed the search guard {guard}")
 
 
 def closed_set_size(geometry: GeometrySpec, d: int) -> int:
@@ -132,6 +139,21 @@ def subspace_span(q: int, gens) -> frozenset:
 # --- exhaustive tiny-scale search -----------------------------------------
 
 SEARCH_GUARD = 10_000_000
+# a guard count is built only up to this, so a modest refusal still reports
+# its exact count (|GL(3,3)|^4 at grid 4 is about 1.6e16)
+COUNT_CAP = SEARCH_GUARD ** 3
+
+
+def _capped_prod(factors) -> int | None:
+    """The product of factors, each >= 1, or None as soon as a partial
+    product passes COUNT_CAP; so no product past COUNT_CAP times the
+    largest factor read is built."""
+    out = 1
+    for x in factors:
+        out *= x
+        if out > COUNT_CAP:
+            return None
+    return out
 
 
 def gl_matrices(dim: int, q: int) -> tuple:
@@ -178,11 +200,16 @@ def _point_code(v, q: int) -> int:
     return code
 
 
-def _gl_order(dim: int, q: int) -> int:
-    """|GL(dim, q)| = prod_{k<dim} (q^dim - q^k), without enumerating it."""
+def _gl_order(dim: int, q: int) -> int | None:
+    """|GL(dim, q)| = q^(dim(dim-1)/2) prod_{i<=dim} (q^i - 1), without
+    enumerating it, or None past COUNT_CAP (see _capped_prod).
+
+    The q factors come first, so a large dim stops before any q^i is built.
+    """
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    return prod(q ** dim - q ** k for k in range(dim))
+    return _capped_prod(chain((q for _ in range(dim * (dim - 1) // 2)),
+                              (q ** i - 1 for i in range(1, dim + 1))))
 
 
 @dataclass(frozen=True)
@@ -203,14 +230,23 @@ def _pareto_front(pairs) -> list:
     return front
 
 
-def _check_guard(n_options: int, grid: int) -> None:
-    """Refuse a grid below 1, or n_options**grid column assignments over
-    SEARCH_GUARD; callers check before enumerating their options."""
+def _guard(count: int | None, what: str) -> None:
+    """Refuse a count over SEARCH_GUARD, or None (past COUNT_CAP)."""
+    if count is None or count > SEARCH_GUARD:
+        raise SearchGuardExceeded(count, SEARCH_GUARD, what)
+
+
+def _check_guard(n_options: int | None, grid: int) -> None:
+    """Refuse a grid below 1, n_options**grid column assignments over
+    SEARCH_GUARD, or a column of more rows than that; callers check before
+    enumerating their options.  n_options is None past COUNT_CAP, and the
+    power is built only up to COUNT_CAP."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    columns = n_options ** grid
-    if columns > SEARCH_GUARD:
-        raise SearchGuardExceeded(columns, SEARCH_GUARD)
+    if n_options is not None and n_options > 1:
+        n_options = _capped_prod(n_options for _ in range(grid))
+    _guard(n_options, "column assignments")
+    _guard(grid, "rows in one column")
 
 
 def _min_grid_gap(cells_options, grid: int, points, targets, apply_fn):
@@ -305,6 +341,8 @@ def exhaustive_pair_search(q: int, dim: int, grid: int,
     if not wset:
         raise ValueError("subspace must contain at least the origin")
     _check_guard(_gl_order(dim, q), grid)
+    # _gl_group row-reduces every dim x dim matrix over F_q
+    _guard(_capped_prod(q for _ in range(dim * dim)), "candidate matrices")
     mats = gl_matrices(dim, q)
     action = _gl_group(dim, q)[1]  # the kept rows of the group just read
     codes = sorted(_point_code(v, q) for v in wset)
@@ -317,7 +355,7 @@ def exhaustive_pair_search_pure(m: int, grid: int,
     """Pure-set analogue on [0,m): candidates Sym(m), targets [0,subset_size)."""
     if not 0 < subset_size <= m:
         raise ValueError("subset must be a nonempty part of the carrier")
-    _check_guard(factorial(m), grid)
+    _check_guard(_capped_prod(range(2, m + 1)), grid)  # m!
     perms = [tuple(p) for p in permutations(range(m))]
     return _min_grid_gap(perms, grid, list(range(m)),
                          list(range(subset_size)), lambda p, a: p[a])

@@ -6,8 +6,10 @@ and the boolean operations are exact and decidable.  The two coordinates are
 called omega (first) and omega' (second) throughout.
 
 Inside the layer a set keeps its coordinates as ints over one least common
-denominator.  One sweep over the joint omega breakpoints of several sets,
-on the lcm of their denominators, is the only walk over two or more sets.
+denominator, and a rectangle's corners are checked as ints over the lcm of
+theirs.  One sweep over the joint omega breakpoints of several sets, on the
+lcm of their denominators, is the only walk over two or more sets; it files
+each column under its start breakpoint and looks it up there.
 
 Set algebra is one coverage walk over a sweep (see _select): the binary
 operations, the complement, the union of many rectangles and the union of
@@ -145,15 +147,13 @@ def _reduced(den: int, cols) -> "RationalSet":
     return s
 
 
-def _box(r: Rect) -> "RationalSet":
-    """The set of one rectangle over the lcm of its corners' denominators.
-
-    The denominator is not reduced and the set is not interned, so it is
-    only fit to be swept or passed to _reduced.
-    """
-    den = lcm(r.x0.denominator, r.x1.denominator, r.y0.denominator, r.y1.denominator)
-    return RationalSet(den, ((_num(r.x0, den), _num(r.x1, den),
-                              ((_num(r.y0, den), _num(r.y1, den)),)),))
+def _box(x0, x1, y0, y1) -> tuple:
+    """(den, cols): the column of [x0,x1) x [y0,y1), corners ints or
+    Fractions, as ints over the lcm of their denominators; neither checked
+    nor reduced, so only fit to be swept or passed to _reduced."""
+    den = lcm(x0.denominator, x1.denominator, y0.denominator, y1.denominator)
+    return den, ((_num(x0, den), _num(x1, den),
+                  ((_num(y0, den), _num(y1, den)),)),)
 
 
 class RationalSet:
@@ -169,7 +169,7 @@ class RationalSet:
     __slots__ = ("_den", "_cols", "_fcols", "_measure", "__weakref__")
 
     def __init__(self, den: int, cols: tuple):
-        # internal: only _reduced and _box build sets; use the classmethods
+        # internal: only _reduced and from_rects build sets; use the classmethods
         self._den = den
         self._cols = cols
         self._fcols = None
@@ -185,16 +185,22 @@ class RationalSet:
 
     @classmethod
     def from_rect(cls, x0, x1, y0, y1) -> "RationalSet":
-        x0, x1, y0, y1 = map(_frac, (x0, x1, y0, y1))
-        if x0 >= x1 or y0 >= y1:
+        den, cols = _box(*(x if type(x) is int or type(x) is Fraction else _frac(x)
+                           for x in (x0, x1, y0, y1)))
+        ((a, b, ((c, d),)),) = cols
+        if a >= b or c >= d:
             return cls.empty()
-        box = _box(Rect(x0, x1, y0, y1))
-        return _reduced(box._den, box._cols)
+        if a < 0 or b > den:
+            raise ValueError("bad omega interval")
+        if c < 0 or d > den:
+            raise ValueError("bad omega-prime interval")
+        return _reduced(den, cols)
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "RationalSet":
         """Union of the given rectangles (overlaps are allowed and fused)."""
-        return _select((tuple(map(_box, rects)),), any)
+        return _select((tuple(RationalSet(*_box(r.x0, r.x1, r.y0, r.y1))
+                              for r in rects),), any)
 
     @classmethod
     def vertical_strip(cls, x0, x1) -> "RationalSet":
@@ -252,10 +258,8 @@ class RationalSet:
         """Index of the column over the omega value x, or None."""
         x = _frac(x)
         p, q = x.numerator * self._den, x.denominator
-        for i, (lo, hi, _) in enumerate(self._cols):
-            if lo * q <= p < hi * q:
-                return i
-        return None
+        return next((i for i, (lo, hi, _) in enumerate(self._cols)
+                     if lo * q <= p < hi * q), None)
 
     def contains_point(self, x, y) -> bool:
         i = self._column_at(x)
@@ -311,22 +315,19 @@ def _sweep(sets: tuple) -> tuple:
     everything returned is a tuple.
     """
     den = lcm(*(s._den for s in sets))
-    cols = []
+    starts: dict = {}  # lo -> the (hi, slices) of the columns starting there
     for k, s in enumerate(sets):
         f = den // s._den
-        cols.extend((lo * f, hi * f, [(c * f, d * f, k) for c, d in ys])
-                    for lo, hi, ys in s._cols)
-    cols.sort(key=itemgetter(0))
-    xs = sorted({x for lo, hi, _ in cols for x in (lo, hi)})
+        for lo, hi, ys in s._cols:
+            starts.setdefault(lo * f, []).append(
+                (hi * f, [(c * f, d * f, k) for c, d in ys]))
+    xs = sorted({*starts, *(hi for cols in starts.values() for hi, _ in cols)})
     steps = []
     active: list = []
-    i = 0
     for lo, hi in zip(xs, xs[1:]):
-        active = [col for col in active if col[1] > lo]
-        while i < len(cols) and cols[i][0] == lo:
-            active.append(cols[i])
-            i += 1
-        slices = tuple(sorted(chain.from_iterable(col[2] for col in active)))
+        active = [col for col in active if col[0] > lo]
+        active.extend(starts.get(lo, ()))
+        slices = tuple(sorted(chain.from_iterable(col[1] for col in active)))
         steps.append((lo, hi, slices))
     return den, tuple(steps)
 
@@ -401,10 +402,7 @@ class Profile:
 
     def at(self, x) -> Fraction:
         x = _frac(x)
-        for x0, x1, v in self._pieces:
-            if x0 <= x < x1:
-                return v
-        return ZERO
+        return next((v for x0, x1, v in self._pieces if x0 <= x < x1), ZERO)
 
     def breakpoints(self) -> set:
         return {x for x0, x1, _ in self._pieces for x in (x0, x1)}

@@ -710,6 +710,19 @@ def test_table_key_repeated_with_one_image_is_one_entry(capsys):
     assert code == 0
 
 
+GUARD_INPUTS = {
+    # refused by the search guard; 6^10000 and |GL(200,2)|^2 have more
+    # digits than an int prints
+    "pure-grid-10000": ["--grid", "10000", "search", "--pure", "3,1"],
+    "dim-200": ["search", "--dim", "200"],
+    # one option, so only the rows of a column bound the work
+    "pure-grid-2^63": ["--grid", "9223372036854775808", "search", "--pure", "1,1"],
+    "q2-dim1-grid-2^63": ["--grid", "9223372036854775808", "search", "--q", "2",
+                          "--dim", "1"],
+    # |GL(5,2)| passes at grid 1, its 2^25 candidate matrices do not
+    "q2-dim5-grid1": ["--grid", "1", "search", "--q", "2", "--dim", "5"],
+}
+
 OPTIMIZE_CASES = [
     (["approx-endo", "--endo", "fq-shift:3", "--n", "7"], 0),
     (["--window", "6000", "approx-endo", "--endo", "table:[[300,5000]]",
@@ -731,7 +744,8 @@ OPTIMIZE_CASES = [
     # a pair file's table is refused as --endo table: refuses it
     (["pair-certify", "--pair1", "@table-not-injective.json", "--pair2",
       "pure:identity"], 3),
-] + [(argv, 2) for argv in MENDED_INPUTS.values()]
+] + [(argv, 2) for argv in MENDED_INPUTS.values()] + [
+    (argv, 3) for argv in GUARD_INPUTS.values()]
 
 
 @pytest.mark.parametrize("argv,want", OPTIMIZE_CASES,
@@ -741,7 +755,7 @@ OPTIMIZE_CASES = [
                               "pair-certify-fq2-obstruction", "search",
                               "realize", "pair-distance-fq2",
                               "compose-findex-parity", "pair-table-collision",
-                              *MENDED_INPUTS])
+                              *MENDED_INPUTS, *GUARD_INPUTS])
 def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     # no check of the program lives in an assert, so python -O prints the
     # same bytes and exits with the same code
@@ -755,3 +769,6 @@ def test_cli_output_is_the_same_under_optimize(tmp_path, argv, want):
     assert plain.returncode == want, plain.stderr
     assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
         plain.returncode, plain.stdout, plain.stderr)
+    if want == 3:  # a precondition: one stderr line, no output, no traceback
+        assert plain.stdout == "" and plain.stderr.count("\n") == 1
+        assert plain.stderr.startswith("precondition failed: ")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from belle_paire import geometry
 from belle_paire.geometry import (
+    COUNT_CAP,
     SEARCH_GUARD,
     SearchGuardExceeded,
     SearchResult,
@@ -19,6 +21,7 @@ from belle_paire.geometry import (
     min_k_for_delta,
     min_k_violations,
     subspace_span,
+    _capped_prod,
     _check_guard,
     _min_grid_gap,
     _pareto_front,
@@ -381,6 +384,63 @@ def test_search_guard_trips_before_enumerating_options(monkeypatch):
     assert exc.value.count == 39_916_800  # 11!
     with pytest.raises(ValueError):  # a non-prime q is malformed, not guarded
         exhaustive_pair_search(4, 3, 4, [(1, 0, 0)])
+
+
+def test_search_guard_counts_the_candidate_matrices(monkeypatch):
+    def never(*args):
+        raise AssertionError("a candidate matrix was built")
+    monkeypatch.setattr(geometry, "_gl_group", never)
+    monkeypatch.setattr(geometry, "gl_matrices", never)
+    # |GL(5,2)| = 9,999,360 passes at grid 1, its 2^25 candidates do not
+    with pytest.raises(SearchGuardExceeded, match="^33554432 candidate matrices") as exc:
+        exhaustive_pair_search(2, 5, 1, [(1, 0, 0, 0, 0)])
+    assert exc.value.count == 2 ** 25
+    with pytest.raises(AssertionError, match="candidate matrix"):  # 2^16 pass
+        exhaustive_pair_search(2, 4, 1, [(1, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("search, what", [
+    (lambda: exhaustive_pair_search_pure(3, 10_000, 1), "column assignments"),
+    (lambda: exhaustive_pair_search(2, 200, 2, [(1,) + (0,) * 199]),
+     "column assignments"),
+    (lambda: exhaustive_pair_search_pure(3_000, 1, 1), "column assignments"),
+    (lambda: _check_guard(None, 1), "column assignments"),
+], ids=["6^10000", "gl200^2", "3000!", "none"])
+def test_search_guard_reports_a_count_past_its_cap_as_a_bound(search, what):
+    # each count has more digits than Python turns into a string
+    with pytest.raises(SearchGuardExceeded) as exc:
+        search()
+    assert exc.value.count is None
+    assert str(exc.value) == (f"more than {COUNT_CAP} {what} exceed the "
+                              f"search guard {SEARCH_GUARD}")
+
+
+def test_search_guard_bounds_the_rows_of_one_column():
+    _check_guard(1, SEARCH_GUARD)
+    _check_guard(0, SEARCH_GUARD)
+    for grid in (SEARCH_GUARD + 1, 2 ** 63, 2 ** 64):
+        with pytest.raises(SearchGuardExceeded, match="rows in one column") as exc:
+            _check_guard(1, grid)
+        assert exc.value.count == grid
+    with pytest.raises(SearchGuardExceeded, match=f"^more than {COUNT_CAP} rows"):
+        _check_guard(1, 10 ** 5000)
+    with pytest.raises(SearchGuardExceeded, match="^9223372036854775808 rows"):
+        exhaustive_pair_search_pure(1, 2 ** 63, 1)
+    with pytest.raises(SearchGuardExceeded, match="^9223372036854775808 rows"):
+        exhaustive_pair_search(2, 1, 2 ** 63, [(1,)])
+
+
+def test_capped_product_stops_past_the_cap():
+    read = []
+
+    def factors():
+        for x in range(2, 10_000):
+            read.append(x)
+            yield x
+    assert _capped_prod(factors()) is None  # 9999!, 35,656 digits
+    assert len(read) < 30 and math.prod(read[:-1]) <= COUNT_CAP < math.prod(read)
+    assert _capped_prod(range(2, 12)) == 39_916_800
+    assert _capped_prod(()) == 1
 
 
 def test_search_guard_trips_before_enumerating_points(monkeypatch):

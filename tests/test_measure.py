@@ -4,9 +4,12 @@ import itertools
 import math
 import pickle
 import random
+from itertools import chain
+from math import lcm
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belle_paire import measure
@@ -27,6 +30,7 @@ from belle_paire.measure import (
     _normalize_columns,
     _num,
     _reduced,
+    _sweep,
     _ys_total,
     common_refinement,
     density_split,
@@ -178,6 +182,11 @@ def test_float_inputs_rejected_at_boundaries():
         RationalSet.from_rect(0.1, 0.5, 0, 1)
     with pytest.raises(ValueError):
         RationalSet.vertical_strip(0, 0.25)
+    for k, x in itertools.product(range(4), (0.5, 0.0, 1.0)):
+        corners = [0, 1, 0, 1]
+        corners[k] = x  # in any corner, even of a degenerate box
+        with pytest.raises(ValueError, match="floating point input rejected"):
+            RationalSet.from_rect(*corners)
     # exact inputs in every accepted spelling
     assert RationalSet.from_rect("1/10", "1/2", 0, 1).measure == Frac(2, 5)
 
@@ -991,3 +1000,130 @@ def test_density_split_varying():
     assert a.measure == Frac(1, 4)
     assert slice_profile(a) == d1
     assert slice_profile(b) == d2
+
+
+def _column_sorting_sweep(sets: tuple) -> tuple:
+    """The sweep that _sweep replaced, kept verbatim: it sorts every scaled
+    column by lo and steps a cursor through them."""
+    den = lcm(*(s._den for s in sets))
+    cols = []
+    for k, s in enumerate(sets):
+        f = den // s._den
+        cols.extend((lo * f, hi * f, [(c * f, d * f, k) for c, d in ys])
+                    for lo, hi, ys in s._cols)
+    cols.sort(key=itemgetter(0))
+    xs = sorted({x for lo, hi, _ in cols for x in (lo, hi)})
+    steps = []
+    active: list = []
+    i = 0
+    for lo, hi in zip(xs, xs[1:]):
+        active = [col for col in active if col[1] > lo]
+        while i < len(cols) and cols[i][0] == lo:
+            active.append(cols[i])
+            i += 1
+        slices = tuple(sorted(chain.from_iterable(col[2] for col in active)))
+        steps.append((lo, hi, slices))
+    return den, tuple(steps)
+
+
+# denominators up to 30 next to conftest's up to 8, so sweeps mix them
+wide_fracs = st.fractions(min_value=0, max_value=1, max_denominator=30)
+
+
+@st.composite
+def wide_rect_sets(draw):
+    xs = sorted(draw(st.lists(wide_fracs, min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(wide_fracs, min_size=2, max_size=2, unique=True)))
+    return RationalSet.from_rect(*xs, *ys)
+
+
+@st.composite
+def sweep_set_tuples(draw):
+    """1 to 8 sets of mixed denominators whose columns repeat, nest and
+    touch, the empty set among them."""
+    sets = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "wide", "repeat", "nested",
+                                     "touching", "empty")))
+        earlier = draw(st.sampled_from(sets)) if sets else RationalSet.empty()
+        if kind == "empty":
+            s = RationalSet.empty()
+        elif kind == "wide":
+            s = draw(wide_rect_sets())
+        elif kind == "repeat" and sets:
+            s = earlier
+        elif kind == "nested" and earlier:
+            s = earlier.intersect(draw(wide_rect_sets()))
+        elif kind == "touching" and earlier:
+            # a strip that starts or ends where a column of earlier does
+            x = draw(st.sampled_from([x for lo, hi, _ in earlier.columns
+                                      for x in (lo, hi)]))
+            y = draw(wide_fracs)
+            s = RationalSet.from_rect(min(x, y), max(x, y), 0, draw(wide_fracs))
+        else:
+            s = draw(rational_sets())
+        sets.append(s)
+    return tuple(sets)
+
+
+_A = RationalSet.from_rect(Frac(1, 3), Frac(1, 2), 0, Frac(1, 5))
+_B = RationalSet.from_rect(Frac(1, 2), 1, Frac(1, 7), 1)
+_EMPTY = RationalSet.empty()
+
+
+@given(sweep_set_tuples())
+@example((_EMPTY,))
+@example((_EMPTY, _EMPTY))
+@example((_A, _A))
+@example((_A, _EMPTY, _B, _A))
+@example((_B, _A, _B))
+@settings(max_examples=400)
+def test_sweep_matches_the_column_sorting_sweep(sets):
+    got = _sweep(sets)
+    assert got == _column_sorting_sweep(sets)
+    assert _only_tuples(got)
+
+
+@st.composite
+def spelled_corners(draw):
+    """A corner in [-1, 2] spelled in one of the accepted forms: a
+    Fraction, a 'p/q' string, an int or its string, or a bool."""
+    x = draw(st.one_of(st.sampled_from((Frac(0), Frac(1))),
+                       st.fractions(min_value=-1, max_value=2, max_denominator=6)))
+    forms = [x, f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        forms += [int(x), str(int(x))]
+    if x in (0, 1):
+        forms.append(bool(x))
+    return draw(st.sampled_from(forms))
+
+
+def reference_from_rect(corners):
+    """The set of the corners' box, through a checked Rect and from_rects."""
+    x0, x1, y0, y1 = map(Frac, corners)
+    if x0 >= x1 or y0 >= y1:
+        return RationalSet.empty()
+    return RationalSet.from_rects([Rect(x0, x1, y0, y1)])
+
+
+@given(st.lists(spelled_corners(), min_size=4, max_size=4))
+# degenerate boxes off the square are empty, before any range check
+@example([2, 2, 0, 1])
+@example([-1, -1, 5, 3])
+@example([Frac(3, 2), 1, -1, 2])
+@example(["7/3", "1/2", 0, 1])
+# boxes off the square: each axis refuses with its own message
+@example([-1, 0, 0, 1])
+@example([0, Frac(3, 2), 2, 3])
+@example([0, 1, Frac(-1, 3), 1])
+@example([0, True, 0, "4/3"])
+@settings(max_examples=400)
+def test_from_rect_matches_a_checked_rect(corners):
+    try:
+        want = reference_from_rect(corners)
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            RationalSet.from_rect(*corners)
+        assert str(info.value) == str(e)
+    else:
+        assert RationalSet.from_rect(*corners) is want
